@@ -2,8 +2,9 @@
 
 Messages are blocked into 2x2 code matrices; one element per block is
 dropped at encode time and recovered at decode time from the block
-determinant via a shared key matrix, with tamper detection whenever the
-recovery has no exact in-range solution.
+determinant (the paper's shared key matrix cancels from its decode
+equation), with tamper detection whenever the recovery has no exact
+in-range solution.
 """
 
 from .alphabet import (

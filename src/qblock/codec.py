@@ -1,28 +1,30 @@
 """The two block codecs: encode drops one element per 2x2 block, decode gets
-it back from the block determinant and a Fibonacci/Lucas key matrix.
+it back from the block determinant.
 
 Per block B = [[b1, b2], [b3, b4]] the sender transmits the determinant
-d = b1*b4 - b2*b3 plus three elements:
+d = b1*b4 - b2*b3 plus three elements, and the receiver solves d for the
+dropped one:
 
-  LUCAS_BLOCKING   keeps (b1, b2, b4), drops b3; every block decodes
-                   against r_matrix(n).
-  MINESWEEPER      keeps (b1, b2, b3), drops b4; odd-indexed blocks decode
-                   against q_power(n), even-indexed against r_matrix(n).
+  LUCAS_BLOCKING   keeps (b1, b2, b4), drops b3:   b3 = (b1*b4 - d) / b2
+  MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
-The receiver forms the helper products from the key K and the first two
-kept elements,
+`decode` uses these identities directly.  The dropped element is unique
+exactly when the pivot (b2, resp. b1) is nonzero, so encoding refuses
+zero-pivot blocks up front; any corruption that leaves no exact in-range
+solution is reported as tampering.
+
+The paper states decode through a Fibonacci/Lucas key K: with helper
+products
 
     e1 = K11*b1 + K21*b2        e2 = K12*b1 + K22*b2
 
-and solves the linear equation
-
-    det(K) * d = e1*(K12*u + K22*v) - e2*(K11*u + K21*v)
-
-where (u, v) is (x, b4) for LUCAS_BLOCKING and (b3, x) for MINESWEEPER.
-The x coefficient collapses to det(K) times the pivot element (b2, resp.
-b1, up to sign), so the equation has a unique solution exactly when the
-pivot is nonzero; encoding refuses zero-pivot blocks up front.  Any
-corruption that leaves no exact in-range solution is reported as tampering.
+it solves det(K) * d = e1*(K12*u + K22*v) - e2*(K11*u + K21*v), where (u, v)
+is (x, b4) for LUCAS_BLOCKING and (b3, x) for MINESWEEPER.  Every term
+carries the factor det(K), so the key cancels and the equation reduces to
+the identities above.  `decode_with_trace` reports the paper's per-block
+record: the key (r_matrix(n) for every LUCAS_BLOCKING block; for
+MINESWEEPER q_power(n) on odd-indexed blocks, r_matrix(n) on even ones),
+e1, e2 and the recovered x.
 """
 
 import math
@@ -91,12 +93,6 @@ class DecodeTrace:
     key: KeyMatrix
 
 
-def _key_for(scheme: Scheme, n: int, index: int) -> KeyMatrix:
-    if scheme is Scheme.LUCAS_BLOCKING:
-        return numtheory.r_matrix(n)
-    return numtheory.q_power(n) if index % 2 else numtheory.r_matrix(n)
-
-
 def _pivot(scheme: Scheme, block: Block) -> int:
     return block.b2 if scheme is Scheme.LUCAS_BLOCKING else block.b1
 
@@ -124,50 +120,39 @@ def encode(
     return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, rows)
 
 
-def _solve(key: KeyMatrix, row: FRow, missing_first: bool, size: int) -> tuple[int, int, int]:
-    """Solve the decode equation for one row; returns (x, e1, e2).
-
-    `missing_first` says whether the unknown sits in the first slot of the
-    bracketed pairs (LUCAS_BLOCKING recovers b3) or the second (MINESWEEPER
-    recovers b4).
-    """
-    det = numtheory.key_determinant(key.family, key.n)
-    e1 = key.m11 * row.k1 + key.m21 * row.k2
-    e2 = key.m12 * row.k1 + key.m22 * row.k2
-    target = det * row.d
-    if missing_first:
-        coeff = e1 * key.m12 - e2 * key.m11
-        constant = (e1 * key.m22 - e2 * key.m21) * row.k3
-        assert coeff == -row.k2 * det
+def _recover(scheme: Scheme, row: FRow, size: int) -> int:
+    """The dropped element of one row, from the determinant identity."""
+    if scheme is Scheme.LUCAS_BLOCKING:
+        pivot, numerator = row.k2, row.k1 * row.k3 - row.d
     else:
-        coeff = e1 * key.m22 - e2 * key.m21
-        constant = (e1 * key.m12 - e2 * key.m11) * row.k3
-        assert coeff == row.k1 * det
-    if coeff == 0:
-        # pivot zero: the equation is constant in x, nothing recoverable
+        pivot, numerator = row.k1, row.d + row.k2 * row.k3
+    if pivot == 0:
+        # the determinant does not involve the dropped element
         raise TamperDetected(f"zero pivot, dropped element unrecoverable (d={row.d})")
-    quotient, remainder = divmod(target - constant, coeff)
+    x, remainder = divmod(numerator, pivot)
     if remainder != 0:
         raise TamperDetected(f"no exact solution for dropped element (d={row.d})")
-    if not 0 <= quotient < size:
-        raise TamperDetected(f"recovered code {quotient} outside [0, {size})")
-    return quotient, e1, e2
+    if not 0 <= x < size:
+        raise TamperDetected(f"recovered code {x} outside [0, {size})")
+    return x
 
 
 def solve_missing_lucas(row: FRow, n: int, size: int = 30) -> int:
-    """Recover b3 of a LUCAS_BLOCKING row from (d, b1, b2, b4) and the key index."""
-    x, _, _ = _solve(numtheory.r_matrix(n), row, missing_first=True, size=size)
-    # same answer as the direct determinant identity b3 = (b1*b4 - d) / b2
-    assert x == (row.k1 * row.k3 - row.d) // row.k2
-    return x
+    """Recover b3 of a LUCAS_BLOCKING row from (d, b1, b2, b4).
+
+    The key index `n` does not change the result: the key cancels from the
+    decode equation.
+    """
+    return _recover(Scheme.LUCAS_BLOCKING, row, size)
 
 
 def solve_missing_mine(row: FRow, n: int, block_index: int, size: int = 30) -> int:
-    """Recover b4 of a MINESWEEPER row; the block index picks the key family."""
-    key = _key_for(Scheme.MINESWEEPER, n, block_index)
-    x, _, _ = _solve(key, row, missing_first=False, size=size)
-    assert x == (row.d + row.k2 * row.k3) // row.k1
-    return x
+    """Recover b4 of a MINESWEEPER row from (d, b1, b2, b3).
+
+    Neither the key index `n` nor `block_index`, which picks the key family,
+    changes the result: the key cancels from the decode equation.
+    """
+    return _recover(Scheme.MINESWEEPER, row, size)
 
 
 def _resolve_table(coded: CodedMessage, table: CharTable | None) -> CharTable:
@@ -183,13 +168,13 @@ def _resolve_table(coded: CodedMessage, table: CharTable | None) -> CharTable:
     return table
 
 
-def decode_with_trace(
-    coded: CodedMessage, table: CharTable | None = None
-) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
-    """Decode and also return the per-block solving record.
+def decode(coded: CodedMessage, table: CharTable | None = None) -> MessageMatrix:
+    """Recover the full code matrix from a payload.
 
     When `table` is omitted it is derived from the header: the alphabet by
-    registered id, the shift from the row count and n-rule.
+    registered id, the shift from the row count and n-rule.  Raises
+    TamperDetected, naming the block, at the first row with a kept code out
+    of range or no exact in-range solution.
     """
     if coded.dim < 2 or coded.dim % 2:
         raise HeaderMismatch(f"dimension must be even and >= 2, got {coded.dim}")
@@ -198,42 +183,43 @@ def decode_with_trace(
         raise HeaderMismatch(
             f"dimension {coded.dim} implies {expected} rows, payload has {len(coded.rows)}"
         )
-    table = _resolve_table(coded, table)
-    size = table.alphabet.size
-    n = coded.n
-    missing_first = coded.scheme is Scheme.LUCAS_BLOCKING
+    size = _resolve_table(coded, table).alphabet.size
 
     blocks: list[Block] = []
-    traces: list[DecodeTrace] = []
     for index, row in enumerate(coded.rows, start=1):
         for kept in (row.k1, row.k2, row.k3):
             if not 0 <= kept < size:
                 raise TamperDetected(
                     f"block {index}: kept code {kept} outside [0, {size})", block_index=index
                 )
-        key = _key_for(coded.scheme, n, index)
         try:
-            x, e1, e2 = _solve(key, row, missing_first=missing_first, size=size)
+            x = _recover(coded.scheme, row, size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
-        if missing_first:
-            block = Block(index, row.k1, row.k2, x, row.k3)
+        if coded.scheme is Scheme.LUCAS_BLOCKING:
+            blocks.append(Block(index, row.k1, row.k2, x, row.k3))
         else:
-            block = Block(index, row.k1, row.k2, row.k3, x)
-        if block.determinant() != row.d:
-            raise TamperDetected(
-                f"block {index}: rebuilt determinant {block.determinant()} != {row.d}",
-                block_index=index,
-            )
-        blocks.append(block)
-        traces.append(DecodeTrace(index, e1, e2, x, key))
-    return reassemble(blocks, coded.dim), tuple(traces)
+            blocks.append(Block(index, row.k1, row.k2, row.k3, x))
+    return reassemble(blocks, coded.dim)
 
 
-def decode(coded: CodedMessage, table: CharTable | None = None) -> MessageMatrix:
-    """Recover the full code matrix from a payload; see decode_with_trace."""
-    matrix, _ = decode_with_trace(coded, table)
-    return matrix
+def decode_with_trace(
+    coded: CodedMessage, table: CharTable | None = None
+) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
+    """Decode and also return the paper's per-block solving record."""
+    matrix = decode(coded, table)
+    lucas = coded.scheme is Scheme.LUCAS_BLOCKING
+    rmat = numtheory.r_matrix(coded.n)
+    # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
+    odd_key = rmat if lucas else numtheory.q_power(coded.n)
+    traces = []
+    for row, block in zip(coded.rows, to_blocks(matrix)):
+        key = odd_key if block.index % 2 else rmat
+        e1 = key.m11 * row.k1 + key.m21 * row.k2
+        e2 = key.m12 * row.k1 + key.m22 * row.k2
+        x = block.b3 if lucas else block.b4
+        traces.append(DecodeTrace(block.index, e1, e2, x, key))
+    return matrix, tuple(traces)
 
 
 def encode_text(

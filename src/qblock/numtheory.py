@@ -5,7 +5,8 @@ The two key families:
     q_power(n)  = [[F(n+1), F(n)], [F(n), F(n-1)]]     (n-th power of [[1,1],[1,0]])
     r_matrix(n) = [[L(n+1), L(n)], [L(n), L(n-1)]]     (= [[1,2],[2,-1]] times q_power(n))
 
-and their determinants, which the decoder relies on:
+and their determinants, the factor that cancels from the paper's decode
+equation (see codec):
 
     det q_power(n)  = F(n+1)F(n-1) - F(n)^2 = (-1)^n
     det r_matrix(n) = L(n+1)L(n-1) - L(n)^2 = 5(-1)^(n+1)
@@ -44,24 +45,25 @@ class KeyMatrix:
         return f"Q^{self.n}" if self.family is Family.QPOW else f"R_{self.n}"
 
 
+def _terms(n: int, a: int, b: int) -> tuple[int, int]:
+    """Terms n and n+1 of the recurrence t(k+1) = t(k) + t(k-1), t(0) = a, t(1) = b."""
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b
+
+
 def fibonacci(n: int) -> int:
     """F(n) with F(0) = 0, F(1) = 1."""
     if n < 0:
         raise ValueError(f"fibonacci index must be >= 0, got {n}")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _terms(n, 0, 1)[0]
 
 
 def lucas(n: int) -> int:
     """L(n) with L(0) = 2, L(1) = 1."""
     if n < 0:
         raise ValueError(f"lucas index must be >= 0, got {n}")
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _terms(n, 2, 1)[0]
 
 
 def _check_index(n: int) -> None:
@@ -73,25 +75,21 @@ def q_power(n: int) -> KeyMatrix:
     """The n-th power of the matrix [[1, 1], [1, 0]], for n >= 1."""
     _check_index(n)
     # one pass of the recurrence yields the three consecutive terms
-    prev, cur = fibonacci(n - 1), fibonacci(n)
+    prev, cur = _terms(n - 1, 0, 1)
     return KeyMatrix(Family.QPOW, n, prev + cur, cur, cur, prev)
 
 
 def r_matrix(n: int) -> KeyMatrix:
     """[[1, 2], [2, -1]] times q_power(n), written with Lucas entries, n >= 1."""
     _check_index(n)
-    prev, cur = lucas(n - 1), lucas(n)
+    prev, cur = _terms(n - 1, 2, 1)
     return KeyMatrix(Family.RMAT, n, prev + cur, cur, cur, prev)
 
 
 def key_determinant(family: Family, n: int) -> int:
-    """Closed-form determinant of the key matrix: the decode-side constant."""
+    """Closed-form determinant of the key matrix."""
     _check_index(n)
     if family is Family.QPOW:
         return -1 if n % 2 else 1
     return -5 if n % 2 == 0 else 5
 
-
-def key_matrix(family: Family, n: int) -> KeyMatrix:
-    """Dispatch on family."""
-    return q_power(n) if family is Family.QPOW else r_matrix(n)

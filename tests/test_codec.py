@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 import golden
 from bruteforce import scan_lucas, scan_mine
+from qblock import numtheory
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
 from qblock.codec import (
     CodedMessage,
@@ -256,11 +258,45 @@ def test_decode_rejects_out_of_range_kept_code():
     assert info.value.block_index == 2
 
 
-def test_decode_reports_block_index():
-    rows = list(EX1_CODED.rows)
-    rows[2] = FRow(rows[2].d + 1, rows[2].k1, rows[2].k2, rows[2].k3)
-    bad = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", tuple(rows))
+def with_row(coded, index, **fields):
+    """`coded` with the given fields of block `index` (1-based) replaced."""
+    rows = list(coded.rows)
+    rows[index - 1] = dataclasses.replace(rows[index - 1], **fields)
+    return dataclasses.replace(coded, rows=tuple(rows))
+
+
+@pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "bad,index,reason",
+    [
+        (with_row(EX1_CODED, 3, d=EX1_CODED.rows[2].d + 1), 3, "no exact solution"),
+        # a zero pivot is in range as a kept code, so only the solver catches it
+        (with_row(EX1_CODED, 2, k2=0), 2, "zero pivot"),
+        (with_row(EX2_CODED, 5, k1=0), 5, "zero pivot"),
+    ],
+    ids=["bad-d", "lucas-zero-pivot", "mine-zero-pivot"],
+)
+def test_decode_reports_block_index(decoder, bad, index, reason):
     with pytest.raises(TamperDetected) as info:
-        decode(bad)
-    assert info.value.block_index == 3
-    assert "block 3" in str(info.value)
+        decoder(bad)
+    assert info.value.block_index == index
+    assert f"block {index}" in str(info.value)
+    assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("n_rule", list(NRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_decode_builds_no_key(monkeypatch, scheme, n_rule):
+    # the key cancels from the decode equation, so decode must not pay for
+    # building one: a payload's row count cannot make it super-linear
+    rng = random.Random(64)
+    cells = tuple(tuple(rng.randrange(1, 30) for _ in range(64)) for _ in range(64))
+    matrix = MessageMatrix(64, cells)
+    coded = encode(matrix, scheme, n_rule)
+
+    def refuse(n):
+        raise AssertionError(f"decode built a key matrix (n={n})")
+
+    monkeypatch.setattr(numtheory, "q_power", refuse)
+    monkeypatch.setattr(numtheory, "r_matrix", refuse)
+    assert decode(coded) == matrix

@@ -141,11 +141,12 @@ def test_detection_rate_propagates_encode_errors():
         detection_rate("A.AA", Scheme.LUCAS_BLOCKING, spec, trials=5)
 
 
-def test_swap_rows_miscorrects_but_decodes():
-    # every block uses the same key here, so a swapped row still solves
-    # cleanly at its new position: never detected, always a wrong matrix
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_swap_rows_miscorrects_but_decodes(scheme):
+    # the key cancels from the decode equation, so a row decodes to the same
+    # block at any position: never detected, always a wrong matrix
     spec = CorruptionSpec(Strategy.SWAP_ROWS, seed=2)
-    report = detection_rate(golden.EX1_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=60)
+    report = detection_rate(golden.EX1_MESSAGE, scheme, spec, trials=60)
     assert report.undetected_equal == 0
     assert report.miscorrected == 60
 
