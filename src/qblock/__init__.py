@@ -53,7 +53,7 @@ from .layout import (
     to_matrix,
     to_symbols,
 )
-from .numtheory import Family, KeyMatrix, fibonacci, key_determinant, lucas, q_power, r_matrix
+from .numtheory import q_power, r_matrix
 from .wire import parse, serialize
 
 __version__ = "0.1.0"
@@ -73,9 +73,7 @@ __all__ = [
     "DetectionReport",
     "EmptyMessage",
     "FRow",
-    "Family",
     "HeaderMismatch",
-    "KeyMatrix",
     "MalformedPayload",
     "MessageMatrix",
     "NRule",
@@ -94,10 +92,7 @@ __all__ = [
     "detection_rate",
     "encode",
     "encode_text",
-    "fibonacci",
     "get_alphabet",
-    "key_determinant",
-    "lucas",
     "parse",
     "preprocess",
     "q_power",

@@ -1,7 +1,7 @@
 """Command-line front end: encode, decode, demo, harness.
 
-Exit codes: 0 success, 1 codec/tamper/module errors (message on stderr),
-2 usage errors.
+Exit codes: 0 success, 1 codec/tamper/module errors and files that cannot
+be opened, written or read as UTF-8 (message on stderr), 2 usage errors.
 """
 
 import argparse
@@ -18,6 +18,13 @@ from .wire import parse, serialize
 DEFAULT_HARNESS_MESSAGE = "HI! HOW ARE YOU?"
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qblock")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -25,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="text in, wire payload out")
     enc.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
     enc.add_argument("--n-rule", default="half", choices=[r.value for r in NRule])
-    enc.add_argument("--alphabet", default="default")
     enc.add_argument("-i", "--input", default=None, help="input file (default stdin)")
     enc.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
@@ -42,12 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     har = sub.add_parser("harness", help="measure corruption detection")
     har.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
     har.add_argument("--strategy", required=True, choices=[s.value for s in Strategy])
-    har.add_argument("--trials", type=int, default=100)
+    har.add_argument("--trials", type=positive_int, default=100)
     har.add_argument("--seed", type=int, default=0)
-    har.add_argument("--magnitude", type=int, default=1)
+    har.add_argument("--magnitude", type=positive_int, default=1)
     har.add_argument("--message", default=DEFAULT_HARNESS_MESSAGE)
     har.add_argument("--n-rule", default="half", choices=[r.value for r in NRule])
-    har.add_argument("--alphabet", default="default")
     har.add_argument("--csv", default=None, help="write per-trial outcomes to FILE")
     return parser
 
@@ -69,7 +74,7 @@ def _write(path, data):
 
 def _run_encode(args) -> int:
     text = _read(args.input).rstrip("\r\n")
-    coded = encode_text(text, Scheme(args.scheme), NRule(args.n_rule), args.alphabet)
+    coded = encode_text(text, Scheme(args.scheme), NRule(args.n_rule))
     _write(args.output, serialize(coded))
     return 0
 
@@ -97,12 +102,7 @@ def _run_demo(args) -> int:
 def _run_harness(args) -> int:
     spec = CorruptionSpec(Strategy(args.strategy), magnitude=args.magnitude, seed=args.seed)
     report = detection_rate(
-        args.message,
-        Scheme(args.scheme),
-        spec,
-        args.trials,
-        NRule(args.n_rule),
-        args.alphabet,
+        args.message, Scheme(args.scheme), spec, args.trials, NRule(args.n_rule)
     )
     print(
         f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except QblockError as exc:
+    except (QblockError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

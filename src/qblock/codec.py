@@ -68,7 +68,8 @@ class CodedMessage:
     """The full payload: scheme/context header plus the rows in block order.
 
     The key index n is never carried; both sides derive it from the row
-    count and the n-rule.
+    count and the n-rule.  Raises HeaderMismatch unless the dimension is
+    even and >= 2 and there is one row per block.
     """
 
     scheme: Scheme
@@ -76,6 +77,17 @@ class CodedMessage:
     dim: int
     alphabet_id: str
     rows: tuple[FRow, ...]
+
+    def __post_init__(self):
+        if self.dim < 2 or self.dim % 2:
+            raise HeaderMismatch(f"dimension must be even and >= 2, got {self.dim}")
+        expected = (self.dim // 2) ** 2
+        if len(self.rows) != expected:
+            # past ~4300 digits Python refuses to print an int
+            implied = expected if expected.bit_length() <= 10_000 else "too many"
+            raise HeaderMismatch(
+                f"dimension {self.dim} implies {implied} rows, payload has {len(self.rows)}"
+            )
 
     @property
     def n(self) -> int:
@@ -155,35 +167,14 @@ def solve_missing_mine(row: FRow, n: int, block_index: int, size: int = 30) -> i
     return _recover(Scheme.MINESWEEPER, row, size)
 
 
-def _resolve_table(coded: CodedMessage, table: CharTable | None) -> CharTable:
-    n = coded.n
-    if table is None:
-        return CharTable(get_alphabet(coded.alphabet_id), n)
-    if table.alphabet.id != coded.alphabet_id:
-        raise HeaderMismatch(
-            f"payload uses alphabet {coded.alphabet_id!r}, table has {table.alphabet.id!r}"
-        )
-    if table.shift != n:
-        raise HeaderMismatch(f"payload derives shift {n}, table has {table.shift}")
-    return table
-
-
-def decode(coded: CodedMessage, table: CharTable | None = None) -> MessageMatrix:
+def decode(coded: CodedMessage) -> MessageMatrix:
     """Recover the full code matrix from a payload.
 
-    When `table` is omitted it is derived from the header: the alphabet by
-    registered id, the shift from the row count and n-rule.  Raises
+    The alphabet comes from the header's registered id.  Raises
     TamperDetected, naming the block, at the first row with a kept code out
     of range or no exact in-range solution.
     """
-    if coded.dim < 2 or coded.dim % 2:
-        raise HeaderMismatch(f"dimension must be even and >= 2, got {coded.dim}")
-    expected = (coded.dim // 2) ** 2
-    if len(coded.rows) != expected:
-        raise HeaderMismatch(
-            f"dimension {coded.dim} implies {expected} rows, payload has {len(coded.rows)}"
-        )
-    size = _resolve_table(coded, table).alphabet.size
+    size = get_alphabet(coded.alphabet_id).size
 
     blocks: list[Block] = []
     for index, row in enumerate(coded.rows, start=1):
@@ -203,11 +194,9 @@ def decode(coded: CodedMessage, table: CharTable | None = None) -> MessageMatrix
     return reassemble(blocks, coded.dim)
 
 
-def decode_with_trace(
-    coded: CodedMessage, table: CharTable | None = None
-) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
+def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
     """Decode and also return the paper's per-block solving record."""
-    matrix = decode(coded, table)
+    matrix = decode(coded)
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
@@ -239,5 +228,5 @@ def encode_text(
 
 def decode_text(coded: CodedMessage) -> str:
     """Full receiver pipeline: decode and render the symbol string."""
-    table = _resolve_table(coded, None)
-    return to_symbols(decode(coded, table), table)
+    table = CharTable(get_alphabet(coded.alphabet_id), coded.n)
+    return to_symbols(decode(coded), table)

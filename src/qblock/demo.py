@@ -117,13 +117,12 @@ def run_demo(number: int) -> tuple[str, bool]:
     check("dim", coded.dim, example.dim)
     check("rows", tuple((r.d, r.k1, r.k2, r.k3) for r in coded.rows), example.f_rows)
 
-    table = CharTable(alphabet, coded.n)
-    matrix, traces = decode_with_trace(coded, table)
+    matrix, traces = decode_with_trace(coded)
     check("matrix", matrix.cells, example.matrix_rows)
     check("e1", tuple(t.e1 for t in traces), example.e1)
     check("e2", tuple(t.e2 for t in traces), example.e2)
     check("x", tuple(t.x for t in traces), example.x)
-    recovered = to_symbols(matrix, table)
+    recovered = to_symbols(matrix, CharTable(alphabet, coded.n))
     check("recovered symbols", recovered, example.symbols)
 
     blocks = to_blocks(matrix)

@@ -39,8 +39,8 @@ class TamperDetected(QblockError):
 
 
 class HeaderMismatch(QblockError):
-    """Payload header is internally inconsistent (row count, dimension)
-    or disagrees with the supplied decoding context."""
+    """Payload header is internally inconsistent: the dimension is not
+    even and >= 2, or the row count does not match it."""
 
 
 class UnknownAlphabet(QblockError):

@@ -90,15 +90,16 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
                 new_row = replace(rows[i], **{field: new})
                 return replace(coded, rows=_replace_row(rows, i, new_row))
 
-    # SWAP_ROWS: exchange two rows that differ in value
+    # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
+    # rejection so a trial stays linear in the row count
     if len(rows) < 2:
         raise NotEnoughRows("need at least 2 rows to swap")
-    pairs = [
-        (i, j) for i in range(len(rows)) for j in range(i + 1, len(rows)) if rows[i] != rows[j]
-    ]
-    if not pairs:
+    if all(row == rows[0] for row in rows):
         raise NotEnoughRows("all rows are identical, swapping changes nothing")
-    i, j = pairs[rng.randrange(len(pairs))]
+    while True:
+        i, j = rng.sample(range(len(rows)), 2)
+        if rows[i] != rows[j]:
+            break
     swapped = list(rows)
     swapped[i], swapped[j] = swapped[j], swapped[i]
     return replace(coded, rows=tuple(swapped))

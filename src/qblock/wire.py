@@ -13,7 +13,7 @@ import re
 
 from .alphabet import get_alphabet
 from .codec import CodedMessage, FRow, Scheme
-from .errors import HeaderMismatch, MalformedPayload
+from .errors import MalformedPayload
 from .layout import NRule
 
 MAGIC = "QBLK1"
@@ -37,7 +37,10 @@ def serialize(coded: CodedMessage) -> str:
 def _parse_int(token: str, line_no: int) -> int:
     if not _INT_RE.match(token):
         raise MalformedPayload(f"line {line_no}: {token!r} is not a canonical integer")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise MalformedPayload(f"line {line_no}: {len(token)}-digit integer is too long") from None
 
 
 def parse(text: str) -> CodedMessage:
@@ -51,9 +54,7 @@ def parse(text: str) -> CodedMessage:
     if header is None:
         raise MalformedPayload(f"bad header line {lines[0]!r}")
     scheme_tag, nrule_tag, dim_str, alphabet_id = header.groups()
-    dim = int(dim_str)
-    if dim < 2 or dim % 2:
-        raise HeaderMismatch(f"dimension must be even and >= 2, got {dim}")
+    dim = _parse_int(dim_str, 1)
 
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -63,9 +64,7 @@ def parse(text: str) -> CodedMessage:
         d, k1, k2, k3 = (_parse_int(p, line_no) for p in parts)
         rows.append(FRow(d, k1, k2, k3))
 
-    expected = (dim // 2) ** 2
-    if len(rows) != expected:
-        raise HeaderMismatch(f"dimension {dim} implies {expected} rows, payload has {len(rows)}")
+    # HeaderMismatch on a bad dimension or row count
+    coded = CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id, tuple(rows))
     get_alphabet(alphabet_id)  # UnknownAlphabet if not registered here
-
-    return CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id, tuple(rows))
+    return coded

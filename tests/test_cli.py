@@ -99,6 +99,31 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert run_cli(["encode", "--scheme", "nope"], capsys, monkeypatch)[0] == 2
     assert run_cli(["demo"], capsys, monkeypatch)[0] == 2
     assert run_cli(["demo", "--example", "3"], capsys, monkeypatch)[0] == 2
+    # no alphabet but the default is registered in a CLI process
+    assert run_cli(["encode", "--scheme", "lucas", "--alphabet", "default"],
+                   capsys, monkeypatch)[0] == 2
+    harness = ["harness", "--scheme", "lucas", "--strategy", "perturb-d"]
+    assert run_cli([*harness, "--alphabet", "default"], capsys, monkeypatch)[0] == 2
+    for flag in ("--trials", "--magnitude"):
+        for value in ("0", "-3"):
+            assert run_cli([*harness, flag, value], capsys, monkeypatch)[0] == 2
+
+
+def test_file_errors_exit_1(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.qblk")
+    no_dir = str(tmp_path / "no-such-dir" / "out")
+    binary = tmp_path / "msg.bin"
+    binary.write_bytes(b"\xff\xfe")
+    harness = ["harness", "--scheme", "lucas", "--strategy", "perturb-d", "--trials", "3"]
+    cases = [
+        (["decode", "-i", missing], "", "FileNotFoundError", missing),
+        (["decode", "-o", no_dir], golden.EX1_PAYLOAD, "FileNotFoundError", no_dir),
+        ([*harness, "--csv", no_dir], "", "FileNotFoundError", no_dir),
+        (["encode", "--scheme", "lucas", "-i", str(binary)], "", "UnicodeDecodeError", ""),
+    ]
+    for argv, stdin, kind, path in cases:
+        code, _, err = run_cli(argv, capsys, monkeypatch, stdin=stdin)
+        assert code == 1 and err.startswith(f"error: {kind}: ") and path in err, argv
 
 
 @pytest.mark.parametrize("example", [1, 2])

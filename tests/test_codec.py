@@ -6,7 +6,7 @@ import pytest
 import golden
 from bruteforce import scan_lucas, scan_mine
 from qblock import numtheory
-from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
+from qblock.alphabet import Alphabet, register_alphabet
 from qblock.codec import (
     CodedMessage,
     FRow,
@@ -227,18 +227,11 @@ def test_coefficient_identities_per_block():
 
 
 def test_decode_header_mismatch_on_row_count():
-    bad = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", EX1_CODED.rows[:3])
-    with pytest.raises(HeaderMismatch):
-        decode(bad)
-
-
-def test_decode_header_mismatch_on_wrong_table():
-    with pytest.raises(HeaderMismatch):
-        decode(EX1_CODED, CharTable(DEFAULT_ALPHABET, shift=5))
-    other = Alphabet("codec-test-other", tuple("ABCD"))
-    register_alphabet(other)
-    with pytest.raises(HeaderMismatch):
-        decode(EX1_CODED, CharTable(other, shift=2))
+    # a message whose row count disagrees with its dimension cannot be built,
+    # including the header-only one
+    for dim, rows in ((4, EX1_CODED.rows[:3]), (2, ())):
+        with pytest.raises(HeaderMismatch, match=f"dimension {dim} implies"):
+            CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, dim, "default", rows)
 
 
 def test_decode_unknown_alphabet():

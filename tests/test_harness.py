@@ -100,6 +100,32 @@ def test_swap_rows_needs_two_distinct_rows():
         corrupt(same, CorruptionSpec(Strategy.SWAP_ROWS, seed=0))
 
 
+def test_swap_rows_compares_rows_linearly():
+    # counts row comparisons instead of timing: listing every unequal pair
+    # costs b(b-1)/2 of them, the all-equal check and rejection draws O(b)
+    rows_n = 4096
+    budget = 2 * rows_n
+    count = 0
+
+    class CountingRow(FRow):
+        def __eq__(self, other):
+            nonlocal count
+            count += 1
+            assert count <= budget, f"corrupt made more than {budget} row comparisons"
+            return super().__eq__(other)
+
+    # 64 distinct values, so some draws hit an equal pair and are redrawn
+    rows = tuple(CountingRow(i % 64, 1, 1, 1) for i in range(rows_n))
+    coded = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 128, "default", rows)
+    for seed in range(20):
+        count = 0
+        damaged = corrupt(coded, CorruptionSpec(Strategy.SWAP_ROWS, seed=seed))
+        changed = [k for k in range(rows_n) if damaged.rows[k].d != rows[k].d]
+        assert len(changed) == 2
+        i, j = changed
+        assert damaged.rows[i] is rows[j] and damaged.rows[j] is rows[i]
+
+
 def test_corrupt_is_deterministic():
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=9, seed=31337)
     assert corrupt(EX1_CODED, spec) == corrupt(EX1_CODED, spec)

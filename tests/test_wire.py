@@ -62,11 +62,10 @@ def test_row_count_must_match_dim():
     long = golden.EX1_PAYLOAD + "1,2,3,4\n"
     with pytest.raises(HeaderMismatch):
         parse(long)
-
-
-def test_serialize_empty_rows_is_header_only():
-    empty = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", ())
-    assert serialize(empty) == "QBLK1;scheme=lucas;nrule=half;dim=2;alpha=default\n"
+    # a dimension whose row count has too many digits to print
+    wide = golden.EX1_PAYLOAD.replace("dim=4", "dim=" + "4" * 3000)
+    with pytest.raises(HeaderMismatch, match="implies too many rows"):
+        parse(wide)
 
 
 def test_header_only_rejected():
@@ -83,6 +82,23 @@ def test_odd_or_small_dim_rejected():
         parse("QBLK1;scheme=lucas;nrule=half;dim=3;alpha=default\n1,2,3,4\n")
     with pytest.raises(HeaderMismatch):
         parse("QBLK1;scheme=lucas;nrule=half;dim=0;alpha=default\n")
+
+
+def test_malformed_rows_reported_before_bad_dim():
+    # rows are parsed before the message, and so its header, is checked
+    with pytest.raises(MalformedPayload, match="line 2"):
+        parse("QBLK1;scheme=lucas;nrule=half;dim=3;alpha=default\nx,2,3,4\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [("54,9,10,16", "5" * 5000 + ",9,10,16", 2), ("dim=4", "dim=" + "4" * 5000, 1)],
+    ids=["row", "dim"],
+)
+def test_oversized_integer_is_malformed(old, new, line):
+    # longer than the interpreter's int-string limit, where int() fails
+    with pytest.raises(MalformedPayload, match=f"line {line}: 5000-digit"):
+        parse(golden.EX1_PAYLOAD.replace(old, new))
 
 
 @pytest.mark.parametrize(
