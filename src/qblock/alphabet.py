@@ -64,25 +64,33 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
 
 @dataclass
 class CharTable:
-    """An alphabet together with its shift n: symbol k codes to (n + k) mod size."""
+    """An alphabet together with its shift n: symbol k codes to (n + k) mod size.
+
+    Both directions are tabulated once, at construction.
+    """
 
     alphabet: Alphabet
     shift: int
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _codes: dict[str, int] = field(init=False, repr=False, compare=False)
+    _symbols: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shift < 1:
             raise ValueError(f"shift must be >= 1, got {self.shift}")
-        self._index = {s: k for k, s in enumerate(self.alphabet.symbols)}
+        size = self.alphabet.size
+        start = self.shift % size
+        codes = [*range(start, size), *range(start)]  # (shift + k) mod size, k = 0, 1, ...
+        self._codes = dict(zip(self.alphabet.symbols, codes))
+        self._symbols = dict(zip(codes, self.alphabet.symbols))
 
     def code_of(self, symbol: str) -> int:
         try:
-            k = self._index[symbol]
+            return self._codes[symbol]
         except KeyError:
             raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {self.alphabet.id!r}") from None
-        return (self.shift + k) % self.alphabet.size
 
     def symbol_of(self, code: int) -> str:
-        if not 0 <= code < self.alphabet.size:
-            raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})")
-        return self.alphabet.symbols[(code - self.shift) % self.alphabet.size]
+        try:
+            return self._symbols[code]
+        except KeyError:
+            raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})") from None

@@ -9,7 +9,6 @@ import csv
 import sys
 
 from .codec import Scheme, decode_text, encode_text
-from .demo import run_demo
 from .errors import QblockError
 from .harness import CorruptionSpec, Strategy, detection_rate
 from .layout import NRule
@@ -59,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path):
     if path is None:
-        return sys.stdin.read()
+        # the universal-newline translation open() gives a file
+        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
     with open(path, encoding="utf-8") as handle:
         return handle.read()
 
@@ -94,6 +94,8 @@ def _run_decode(args) -> int:
 
 
 def _run_demo(args) -> int:
+    from .demo import run_demo  # only this command needs it; keeps start-up small
+
     report, ok = run_demo(args.example)
     sys.stdout.write(report)
     return 0 if ok else 1

@@ -8,10 +8,12 @@ dropped one:
   LUCAS_BLOCKING   keeps (b1, b2, b4), drops b3:   b3 = (b1*b4 - d) / b2
   MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
-`decode` uses these identities directly.  The dropped element is unique
-exactly when the pivot (b2, resp. b1) is nonzero, so encoding refuses
-zero-pivot blocks up front; any corruption that leaves no exact in-range
-solution is reported as tampering.
+The rows go out in `to_blocks` order.  `encode` reads each block's four
+codes straight from the matrix rows, and `decode` solves each row by these
+identities and writes the four codes straight back into the code grid.
+The dropped element is unique exactly when the pivot (b2, resp. b1) is
+nonzero, so encoding refuses zero-pivot blocks up front; any corruption
+that leaves no exact in-range solution is reported as tampering.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -35,12 +37,10 @@ from . import numtheory
 from .alphabet import CharTable, get_alphabet
 from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
-    Block,
     MessageMatrix,
     NRule,
     choose_n,
     preprocess,
-    reassemble,
     to_blocks,
     to_matrix,
     to_symbols,
@@ -105,30 +105,34 @@ class DecodeTrace:
     key: KeyMatrix
 
 
-def _pivot(scheme: Scheme, block: Block) -> int:
-    return block.b2 if scheme is Scheme.LUCAS_BLOCKING else block.b1
-
-
 def encode(
     matrix: MessageMatrix,
     scheme: Scheme,
     n_rule: NRule = NRule.HALF,
     alphabet_id: str = "default",
 ) -> CodedMessage:
-    """Turn a code matrix into the transmitted rows.
+    """Turn a code matrix into the transmitted rows, one per block in
+    `to_blocks` order.
 
     Raises DegenerateBlock listing every block whose pivot is zero: for
     those the determinant carries no information about the dropped element,
     so the message cannot be encoded under this scheme.
     """
-    blocks = to_blocks(matrix)
-    degenerate = [b.index for b in blocks if _pivot(scheme, b) == 0]
+    cells = matrix.cells
+    blocks = [
+        block
+        for top, bottom in zip(cells[0::2], cells[1::2])
+        for block in zip(top[0::2], top[1::2], bottom[0::2], bottom[1::2])
+    ]
+    lucas = scheme is Scheme.LUCAS_BLOCKING
+    pivot = 1 if lucas else 0  # b2, resp. b1
+    degenerate = [index for index, block in enumerate(blocks, start=1) if block[pivot] == 0]
     if degenerate:
         raise DegenerateBlock(degenerate)
-    if scheme is Scheme.LUCAS_BLOCKING:
-        rows = tuple(FRow(b.determinant(), b.b1, b.b2, b.b4) for b in blocks)
+    if lucas:
+        rows = tuple(FRow(b1 * b4 - b2 * b3, b1, b2, b4) for b1, b2, b3, b4 in blocks)
     else:
-        rows = tuple(FRow(b.determinant(), b.b1, b.b2, b.b3) for b in blocks)
+        rows = tuple(FRow(b1 * b4 - b2 * b3, b1, b2, b3) for b1, b2, b3, b4 in blocks)
     return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, rows)
 
 
@@ -175,23 +179,27 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     of range or no exact in-range solution.
     """
     size = get_alphabet(coded.alphabet_id).size
-
-    blocks: list[Block] = []
+    scheme = coded.scheme
+    lucas = scheme is Scheme.LUCAS_BLOCKING
+    dim = coded.dim
+    m = dim // 2
+    grid = [[0] * dim for _ in range(dim)]
     for index, row in enumerate(coded.rows, start=1):
-        for kept in (row.k1, row.k2, row.k3):
+        k1, k2, k3 = row.k1, row.k2, row.k3
+        for kept in (k1, k2, k3):
             if not 0 <= kept < size:
                 raise TamperDetected(
                     f"block {index}: kept code {kept} outside [0, {size})", block_index=index
                 )
         try:
-            x = _recover(coded.scheme, row, size)
+            x = _recover(scheme, row, size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
-        if coded.scheme is Scheme.LUCAS_BLOCKING:
-            blocks.append(Block(index, row.k1, row.k2, x, row.k3))
-        else:
-            blocks.append(Block(index, row.k1, row.k2, row.k3, x))
-    return reassemble(blocks, coded.dim)
+        br, bc = divmod(index - 1, m)
+        top, bottom, c = grid[2 * br], grid[2 * br + 1], 2 * bc
+        top[c], top[c + 1] = k1, k2
+        bottom[c], bottom[c + 1] = (x, k3) if lucas else (k3, x)
+    return MessageMatrix(dim, tuple(map(tuple, grid)))
 
 
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:

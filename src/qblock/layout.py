@@ -9,6 +9,7 @@ top to bottom.  The number of blocks b fixes the key index n.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .alphabet import Alphabet, CharTable
 from .errors import BadLength, EmptyMessage, UnknownSymbol
@@ -76,11 +77,12 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     substituted = text.upper().replace(" ", PAD_SYMBOL)
     side = square_side(len(substituted))
     padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
-    for pos, symbol in enumerate(padded):
-        if symbol not in alphabet:
-            raise UnknownSymbol(
-                f"symbol {symbol!r} at position {pos} is not in alphabet {alphabet.id!r}"
-            )
+    if not set(padded).issubset(alphabet.symbols):
+        for pos, symbol in enumerate(padded):
+            if symbol not in alphabet:
+                raise UnknownSymbol(
+                    f"symbol {symbol!r} at position {pos} is not in alphabet {alphabet.id!r}"
+                )
     return padded
 
 
@@ -89,16 +91,14 @@ def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:
     side = math.isqrt(len(symbols))
     if side * side != len(symbols) or side % 2 or side < 2:
         raise BadLength(f"symbol count {len(symbols)} is not an even perfect square")
-    cells = tuple(
-        tuple(table.code_of(s) for s in symbols[r * side : (r + 1) * side])
-        for r in range(side)
-    )
+    codes = list(map(table.code_of, symbols))
+    cells = tuple(tuple(codes[r * side : (r + 1) * side]) for r in range(side))
     return MessageMatrix(side, cells)
 
 
 def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     """Row-major symbol string of a code matrix (inverse of to_matrix)."""
-    return "".join(table.symbol_of(c) for row in matrix.cells for c in row)
+    return "".join(map(table.symbol_of, chain.from_iterable(matrix.cells)))
 
 
 def to_blocks(matrix: MessageMatrix) -> list[Block]:

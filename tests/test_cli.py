@@ -79,6 +79,16 @@ def test_file_io(tmp_path, capsys, monkeypatch):
     assert recovered.read_text(encoding="utf-8") == golden.EX1_SYMBOLS + "\n"
 
 
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_decode_stdin_accepts_cr_line_ends_like_a_file(line_end, tmp_path, capsys, monkeypatch):
+    payload = golden.EX1_PAYLOAD.replace("\n", line_end)
+    payload_file = tmp_path / "payload.qblk"
+    payload_file.write_bytes(payload.encode("utf-8"))
+    expected = (0, golden.EX1_SYMBOLS + "\n", "")
+    assert run_cli(["decode"], capsys, monkeypatch, stdin=payload) == expected
+    assert run_cli(["decode", "-i", str(payload_file)], capsys, monkeypatch) == expected
+
+
 def test_decode_tampered_payload_exits_1(capsys, monkeypatch):
     tampered = golden.EX1_PAYLOAD.replace("54,9,10,16", "55,9,10,16")
     code, out, err = run_cli(["decode"], capsys, monkeypatch, stdin=tampered)

@@ -2,14 +2,47 @@
 
 The CLI's argv is left out on purpose: `-o` and `--csv` would write to
 whatever path a generated argument names.
+
+The second half checks the flat kernels (the symbol tables, `preprocess`,
+`to_matrix`, `to_symbols`, `encode`, `decode`) against per-element and
+per-block models built from the public pieces they replace.
 """
+
+import dataclasses
 
 import pytest
 
-from qblock.alphabet import DEFAULT_ALPHABET
-from qblock.codec import Scheme, decode_text, encode_text
-from qblock.errors import DegenerateBlock, QblockError
-from qblock.layout import NRule, preprocess
+from qblock.alphabet import DEFAULT_ALPHABET, CharTable
+from qblock.codec import (
+    CodedMessage,
+    FRow,
+    Scheme,
+    decode,
+    decode_text,
+    encode,
+    encode_text,
+    solve_missing_lucas,
+    solve_missing_mine,
+)
+from qblock.errors import (
+    CodeOutOfRange,
+    DegenerateBlock,
+    QblockError,
+    TamperDetected,
+    UnknownSymbol,
+)
+from qblock.layout import (
+    PAD_SYMBOL,
+    Block,
+    MessageMatrix,
+    NRule,
+    preprocess,
+    reassemble,
+    square_side,
+    to_blocks,
+    to_matrix,
+    to_symbols,
+)
 from qblock.wire import parse, serialize
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -101,3 +134,161 @@ def test_parse_and_decode_give_a_result_or_a_qblock_error(payload):
         assert isinstance(decode_text(coded), str)
     except QblockError:
         pass
+
+
+# ---- the flat kernels against per-element and per-block models ----
+
+SIZE = DEFAULT_ALPHABET.size
+shifts = st.integers(1, 200)
+# mostly alphabet symbols, sometimes one that is not
+symbols = st.sampled_from(DEFAULT_ALPHABET.symbols + ("a", " ", "#"))
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type, text and block index it raised."""
+    try:
+        return f(*args)
+    except QblockError as exc:
+        return type(exc), str(exc), getattr(exc, "block_index", None)
+
+
+@st.composite
+def matrices(draw, codes=st.integers(0, SIZE - 1)):
+    dim = draw(st.sampled_from([2, 4, 6, 8]))
+    cells = draw(st.lists(st.lists(codes, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    return MessageMatrix(dim, tuple(map(tuple, cells)))
+
+
+@FUZZ
+@given(shifts)
+def test_char_table_matches_shift_formula(shift):
+    table = CharTable(DEFAULT_ALPHABET, shift)
+    for k, symbol in enumerate(DEFAULT_ALPHABET.symbols):
+        assert table.code_of(symbol) == (shift + k) % SIZE
+    for code in range(-2, SIZE + 2):
+        if 0 <= code < SIZE:
+            assert table.symbol_of(code) == DEFAULT_ALPHABET.symbols[(code - shift) % SIZE]
+        else:
+            assert outcome(table.symbol_of, code) == (
+                CodeOutOfRange, f"code {code} outside [0, {SIZE})", None
+            )
+    assert outcome(table.code_of, "a") == (
+        UnknownSymbol, "symbol 'a' is not in alphabet 'default'", None
+    )
+
+
+@FUZZ
+@given(st.text(symbols, min_size=1, max_size=40))
+def test_preprocess_matches_per_symbol_model(text):
+    def model():
+        substituted = text.upper().replace(" ", PAD_SYMBOL)
+        side = square_side(len(substituted))
+        padded = substituted.ljust(side * side, PAD_SYMBOL)
+        for pos, symbol in enumerate(padded):
+            if symbol not in DEFAULT_ALPHABET:
+                raise UnknownSymbol(
+                    f"symbol {symbol!r} at position {pos} is not in alphabet 'default'"
+                )
+        return padded
+
+    assert outcome(preprocess, text, DEFAULT_ALPHABET) == outcome(model)
+
+
+square_texts = st.sampled_from([2, 4, 6, 8]).flatmap(
+    lambda side: st.text(symbols, min_size=side * side, max_size=side * side)
+)
+
+
+@FUZZ
+@given(square_texts, shifts)
+def test_to_matrix_matches_per_symbol_model(text, shift):
+    # the length check before the codes is unchanged and tested in test_layout
+    table = CharTable(DEFAULT_ALPHABET, shift)
+
+    def model():
+        side = square_side(len(text))
+        rows = [text[r * side : (r + 1) * side] for r in range(side)]
+        return MessageMatrix(side, tuple(tuple(table.code_of(s) for s in row) for row in rows))
+
+    assert outcome(to_matrix, text, table) == outcome(model)
+
+
+@FUZZ
+@given(matrices(st.integers(-2, SIZE + 1)), shifts)
+def test_to_symbols_matches_per_code_model(matrix, shift):
+    table = CharTable(DEFAULT_ALPHABET, shift)
+
+    def model():
+        return "".join(table.symbol_of(code) for row in matrix.cells for code in row)
+
+    assert outcome(to_symbols, matrix, table) == outcome(model)
+
+
+def kept(scheme, block):
+    if scheme is Scheme.LUCAS_BLOCKING:
+        return block.b1, block.b2, block.b4
+    return block.b1, block.b2, block.b3
+
+
+def encode_model(matrix, scheme):
+    blocks = to_blocks(matrix)
+    pivot = 1 if scheme is Scheme.LUCAS_BLOCKING else 0
+    degenerate = [b.index for b in blocks if kept(scheme, b)[pivot] == 0]
+    if degenerate:
+        raise DegenerateBlock(degenerate)
+    return tuple(FRow(b.determinant(), *kept(scheme, b)) for b in blocks)
+
+
+def decode_model(coded):
+    blocks = []
+    for index, row in enumerate(coded.rows, start=1):
+        for code in (row.k1, row.k2, row.k3):
+            if not 0 <= code < SIZE:
+                raise TamperDetected(
+                    f"block {index}: kept code {code} outside [0, {SIZE})", block_index=index
+                )
+        try:
+            if coded.scheme is Scheme.LUCAS_BLOCKING:
+                x = solve_missing_lucas(row, coded.n, SIZE)
+                blocks.append(Block(index, row.k1, row.k2, x, row.k3))
+            else:
+                x = solve_missing_mine(row, coded.n, index, SIZE)
+                blocks.append(Block(index, row.k1, row.k2, row.k3, x))
+        except TamperDetected as exc:
+            raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
+    return reassemble(blocks, coded.dim)
+
+
+@FUZZ
+@given(matrices(), st.sampled_from(list(Scheme)))
+def test_encode_matches_per_block_model(matrix, scheme):
+    def rows():
+        return encode(matrix, scheme).rows
+
+    assert outcome(rows) == outcome(encode_model, matrix, scheme)
+
+
+# (block, field, value) edits: kept codes out of range, zero pivots, wrong d
+edits = st.lists(
+    st.tuples(
+        st.integers(0, 15),
+        st.sampled_from(["d", "k1", "k2", "k3"]),
+        st.one_of(st.integers(-2, SIZE + 1), st.just(0), st.integers(-900, 900)),
+    ),
+    max_size=3,
+)
+
+
+@FUZZ
+@given(matrices(), st.sampled_from(list(Scheme)), st.sampled_from(list(NRule)), edits)
+def test_decode_matches_per_block_model(matrix, scheme, n_rule, changes):
+    # rows of the matrix, zero pivots included, then a few fields replaced
+    rows = [FRow(b.determinant(), *kept(scheme, b)) for b in to_blocks(matrix)]
+    for index, name, value in changes:
+        index %= len(rows)
+        rows[index] = dataclasses.replace(rows[index], **{name: value})
+    coded = CodedMessage(scheme, n_rule, matrix.dim, "default", tuple(rows))
+    expected = outcome(decode_model, coded)
+    assert outcome(decode, coded) == expected
+    if not changes and isinstance(expected, MessageMatrix):
+        assert expected == matrix

@@ -102,6 +102,24 @@ def test_oversized_integer_is_malformed(old, new, line):
 
 
 @pytest.mark.parametrize(
+    "payload, line",
+    [
+        (golden.EX1_PAYLOAD.replace("\n", "\r\n"), 1),
+        (golden.EX1_PAYLOAD.replace("\n", "\r"), 1),
+        (golden.EX1_PAYLOAD.replace("140,29,28,28\n", "140,29,28,28\r\n"), 3),
+    ],
+    ids=["crlf", "cr", "one-crlf-row"],
+)
+def test_carriage_returns_are_named(payload, line):
+    # parse stays strict; the CLI translates line ends read from stdin
+    with pytest.raises(MalformedPayload) as info:
+        parse(payload)
+    assert str(info.value) == (
+        f"line {line} contains a carriage return: lines must end in '\\n' alone, not CRLF"
+    )
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         "",
