@@ -62,11 +62,11 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
         raise UnknownAlphabet(f"no alphabet registered under id {alphabet_id!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharTable:
     """An alphabet together with its shift n: symbol k codes to (n + k) mod size.
 
-    Both directions are tabulated once, at construction.
+    Both directions are tabulated once, at construction; the table is frozen.
     """
 
     alphabet: Alphabet
@@ -80,8 +80,8 @@ class CharTable:
         size = self.alphabet.size
         start = self.shift % size
         codes = [*range(start, size), *range(start)]  # (shift + k) mod size, k = 0, 1, ...
-        self._codes = dict(zip(self.alphabet.symbols, codes))
-        self._symbols = dict(zip(codes, self.alphabet.symbols))
+        object.__setattr__(self, "_codes", dict(zip(self.alphabet.symbols, codes)))
+        object.__setattr__(self, "_symbols", dict(zip(codes, self.alphabet.symbols)))
 
     def code_of(self, symbol: str) -> int:
         try:

@@ -8,9 +8,9 @@ dropped one:
   LUCAS_BLOCKING   keeps (b1, b2, b4), drops b3:   b3 = (b1*b4 - d) / b2
   MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
-The rows go out in `to_blocks` order.  `encode` reads each block's four
-codes straight from the matrix rows, and `decode` solves each row by these
-identities and writes the four codes straight back into the code grid.
+The rows, `FRow` named tuples, go out in `to_blocks` order.  `encode` reads
+each block's four codes straight from the matrix rows; `decode` unpacks
+each row, solves it and writes the four codes back into the code grid.
 The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks up front; any corruption
 that leaves no exact in-range solution is reported as tampering.
@@ -32,6 +32,7 @@ e1, e2 and the recovered x.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import numtheory
 from .alphabet import CharTable, get_alphabet
@@ -41,7 +42,6 @@ from .layout import (
     NRule,
     choose_n,
     preprocess,
-    to_blocks,
     to_matrix,
     to_symbols,
 )
@@ -53,8 +53,7 @@ class Scheme(Enum):
     MINESWEEPER = "mine"
 
 
-@dataclass(frozen=True)
-class FRow:
+class FRow(NamedTuple):
     """One transmitted row: block determinant plus the three kept codes."""
 
     d: int
@@ -130,24 +129,24 @@ def encode(
     if degenerate:
         raise DegenerateBlock(degenerate)
     if lucas:
-        rows = tuple(FRow(b1 * b4 - b2 * b3, b1, b2, b4) for b1, b2, b3, b4 in blocks)
+        rows = [(b1 * b4 - b2 * b3, b1, b2, b4) for b1, b2, b3, b4 in blocks]
     else:
-        rows = tuple(FRow(b1 * b4 - b2 * b3, b1, b2, b3) for b1, b2, b3, b4 in blocks)
-    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, rows)
+        rows = [(b1 * b4 - b2 * b3, b1, b2, b3) for b1, b2, b3, b4 in blocks]
+    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, tuple(map(FRow._make, rows)))
 
 
-def _recover(scheme: Scheme, row: FRow, size: int) -> int:
+def _recover(scheme: Scheme, d: int, k1: int, k2: int, k3: int, size: int) -> int:
     """The dropped element of one row, from the determinant identity."""
     if scheme is Scheme.LUCAS_BLOCKING:
-        pivot, numerator = row.k2, row.k1 * row.k3 - row.d
+        pivot, numerator = k2, k1 * k3 - d
     else:
-        pivot, numerator = row.k1, row.d + row.k2 * row.k3
+        pivot, numerator = k1, d + k2 * k3
     if pivot == 0:
         # the determinant does not involve the dropped element
-        raise TamperDetected(f"zero pivot, dropped element unrecoverable (d={row.d})")
+        raise TamperDetected(f"zero pivot, dropped element unrecoverable (d={d})")
     x, remainder = divmod(numerator, pivot)
     if remainder != 0:
-        raise TamperDetected(f"no exact solution for dropped element (d={row.d})")
+        raise TamperDetected(f"no exact solution for dropped element (d={d})")
     if not 0 <= x < size:
         raise TamperDetected(f"recovered code {x} outside [0, {size})")
     return x
@@ -159,7 +158,7 @@ def solve_missing_lucas(row: FRow, n: int, size: int = 30) -> int:
     The key index `n` does not change the result: the key cancels from the
     decode equation.
     """
-    return _recover(Scheme.LUCAS_BLOCKING, row, size)
+    return _recover(Scheme.LUCAS_BLOCKING, *row, size)
 
 
 def solve_missing_mine(row: FRow, n: int, block_index: int, size: int = 30) -> int:
@@ -168,7 +167,7 @@ def solve_missing_mine(row: FRow, n: int, block_index: int, size: int = 30) -> i
     Neither the key index `n` nor `block_index`, which picks the key family,
     changes the result: the key cancels from the decode equation.
     """
-    return _recover(Scheme.MINESWEEPER, row, size)
+    return _recover(Scheme.MINESWEEPER, *row, size)
 
 
 def decode(coded: CodedMessage) -> MessageMatrix:
@@ -184,15 +183,14 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     dim = coded.dim
     m = dim // 2
     grid = [[0] * dim for _ in range(dim)]
-    for index, row in enumerate(coded.rows, start=1):
-        k1, k2, k3 = row.k1, row.k2, row.k3
+    for index, (d, k1, k2, k3) in enumerate(coded.rows, start=1):
         for kept in (k1, k2, k3):
             if not 0 <= kept < size:
                 raise TamperDetected(
                     f"block {index}: kept code {kept} outside [0, {size})", block_index=index
                 )
         try:
-            x = _recover(scheme, row, size)
+            x = _recover(scheme, d, k1, k2, k3, size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
         br, bc = divmod(index - 1, m)
@@ -209,13 +207,14 @@ def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeT
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
     odd_key = rmat if lucas else numtheory.q_power(coded.n)
+    # x, in block order: b3 (LUCAS_BLOCKING) or b4 from the blocks' bottom rows
+    dropped = [x for bottom in matrix.cells[1::2] for x in bottom[0 if lucas else 1 :: 2]]
     traces = []
-    for row, block in zip(coded.rows, to_blocks(matrix)):
-        key = odd_key if block.index % 2 else rmat
-        e1 = key.m11 * row.k1 + key.m21 * row.k2
-        e2 = key.m12 * row.k1 + key.m22 * row.k2
-        x = block.b3 if lucas else block.b4
-        traces.append(DecodeTrace(block.index, e1, e2, x, key))
+    for index, ((_, k1, k2, _), x) in enumerate(zip(coded.rows, dropped), start=1):
+        key = odd_key if index % 2 else rmat
+        e1 = key.m11 * k1 + key.m21 * k2
+        e2 = key.m12 * k1 + key.m22 * k2
+        traces.append(DecodeTrace(index, e1, e2, x, key))
     return matrix, tuple(traces)
 
 

@@ -75,7 +75,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     if spec.strategy is Strategy.PERTURB_D:
         i = rng.randrange(len(rows))
         delta = rng.randint(1, spec.magnitude) * rng.choice((1, -1))
-        new_row = replace(rows[i], d=rows[i].d + delta)
+        new_row = rows[i]._replace(d=rows[i].d + delta)
         return replace(coded, rows=_replace_row(rows, i, new_row))
 
     if spec.strategy is Strategy.PERTURB_KEPT:
@@ -87,7 +87,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
             old = getattr(rows[i], field)
             new = (old + delta) % size
             if new != old:  # magnitude >= size can draw a full wrap
-                new_row = replace(rows[i], **{field: new})
+                new_row = rows[i]._replace(**{field: new})
                 return replace(coded, rows=_replace_row(rows, i, new_row))
 
     # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by

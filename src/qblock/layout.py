@@ -103,21 +103,10 @@ def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
 
 def to_blocks(matrix: MessageMatrix) -> list[Block]:
     """Split into 2x2 blocks, left to right within a row of blocks, rows top down."""
-    m = matrix.dim // 2
-    blocks = []
-    for br in range(m):
-        top, bottom = matrix.cells[2 * br], matrix.cells[2 * br + 1]
-        for bc in range(m):
-            blocks.append(
-                Block(
-                    index=br * m + bc + 1,
-                    b1=top[2 * bc],
-                    b2=top[2 * bc + 1],
-                    b3=bottom[2 * bc],
-                    b4=bottom[2 * bc + 1],
-                )
-            )
-    return blocks
+    cells = matrix.cells
+    pairs = zip(cells[0::2], cells[1::2])
+    quads = (q for top, bot in pairs for q in zip(top[0::2], top[1::2], bot[0::2], bot[1::2]))
+    return [Block(index, *quad) for index, quad in enumerate(quads, start=1)]
 
 
 def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:

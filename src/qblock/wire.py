@@ -8,6 +8,9 @@ Grammar (newline-terminated lines, no padding, no trailing whitespace):
 Equal messages serialize to byte-identical payloads, and parse is the
 exact inverse on everything serialize can emit.  Lines end in '\\n' alone:
 parse refuses a carriage return, naming the first line that has one.
+
+parse finds any non-canonical row with one search and converts all tokens
+at once; it reads line by line only to name a fault.
 """
 
 import re
@@ -23,8 +26,10 @@ _HEADER_RE = re.compile(
     r"^QBLK1;scheme=(lucas|mine);nrule=(half|tas);dim=(0|[1-9][0-9]*);alpha=([^;\s]+)$"
 )
 # canonical signed decimal: no '+', no leading zeros, no '-0'
-_INT = r"(0|-?[1-9][0-9]*)"
-_ROW_RE = re.compile(",".join([_INT] * 4))
+_INT = r"(?:0|-?[1-9][0-9]*)"
+# the start of the first body line that is not exactly one canonical row;
+# a lookahead keeps no backtracking state from line to line
+_NON_ROW_RE = re.compile(rf"^(?!{_INT},{_INT},{_INT},{_INT}$|\Z)", re.MULTILINE)
 
 
 def serialize(coded: CodedMessage) -> str:
@@ -32,7 +37,8 @@ def serialize(coded: CodedMessage) -> str:
         f"{MAGIC};scheme={coded.scheme.value};nrule={coded.n_rule.value}"
         f";dim={coded.dim};alpha={coded.alphabet_id}"
     ]
-    lines.extend(f"{row.d},{row.k1},{row.k2},{row.k3}" for row in coded.rows)
+    # % formats the row whole: unpacking a tuple subclass is slower
+    lines.extend("%s,%s,%s,%s" % row for row in coded.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -53,33 +59,38 @@ def _parse_row(line: str, line_no: int) -> FRow:
     return FRow(*(_parse_int(p, line_no) for p in parts))
 
 
+def _parse_rows(body: str) -> tuple[FRow, ...]:
+    """The rows of `body`, the lines after the header, each ending in '\\n'."""
+    if _NON_ROW_RE.search(body) is None:
+        tokens = body.replace("\n", ",").split(",")
+        tokens.pop()  # after the final newline
+        ints = map(int, tokens)
+        try:
+            return tuple(map(FRow._make, zip(ints, ints, ints, ints)))
+        except ValueError:  # int() refuses a token past the interpreter's int-string limit
+            pass
+    lines = body.split("\n")[:-1]
+    return tuple(_parse_row(line, line_no) for line_no, line in enumerate(lines, start=2))
+
+
 def parse(text: str) -> CodedMessage:
     if "\r" in text:
         line_no = text.count("\n", 0, text.index("\r")) + 1
         raise MalformedPayload(
             f"line {line_no} contains a carriage return: lines must end in '\\n' alone, not CRLF"
         )
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline
-    if not lines:
+    if not text:
         raise MalformedPayload("empty payload")
+    # from here on every line ends in '\n', the last one too
+    first, _, body = (text if text.endswith("\n") else text + "\n").partition("\n")
 
-    header = _HEADER_RE.match(lines[0])
+    header = _HEADER_RE.match(first)
     if header is None:
-        raise MalformedPayload(f"bad header line {lines[0]!r}")
+        raise MalformedPayload(f"bad header line {first!r}")
     scheme_tag, nrule_tag, dim_str, alphabet_id = header.groups()
     dim = _parse_int(dim_str, 1)
 
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        match = _ROW_RE.fullmatch(line)
-        try:
-            rows.append(FRow(*map(int, match.groups())) if match else _parse_row(line, line_no))
-        except ValueError:  # int() refuses a token past the interpreter's int-string limit
-            rows.append(_parse_row(line, line_no))
-
     # HeaderMismatch on a bad dimension or row count
-    coded = CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id, tuple(rows))
+    coded = CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id, _parse_rows(body))
     get_alphabet(alphabet_id)  # UnknownAlphabet if not registered here
     return coded

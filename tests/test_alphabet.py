@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qblock.alphabet import (
@@ -63,6 +65,14 @@ def test_shift_periodicity_mod_size():
 def test_shift_must_be_positive():
     with pytest.raises(ValueError):
         CharTable(DEFAULT_ALPHABET, 0)
+
+
+def test_char_table_is_frozen():
+    # both lookups are built at construction, so a new shift needs a new table
+    table = CharTable(DEFAULT_ALPHABET, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.shift = 3
+    assert table.shift == 2 and table.code_of("A") == 2 and table.symbol_of(2) == "A"
 
 
 def test_alphabet_validation():

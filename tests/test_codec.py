@@ -25,8 +25,9 @@ from qblock.errors import (
     TamperDetected,
     UnknownAlphabet,
 )
-from qblock.layout import MessageMatrix, NRule
+from qblock.layout import MessageMatrix, NRule, to_blocks
 from qblock.numtheory import key_determinant
+from qblock.wire import parse, serialize
 
 
 def coded_from(f_rows, scheme, dim):
@@ -81,6 +82,28 @@ def test_encode_rejects_zero_pivot():
     with pytest.raises(DegenerateBlock) as info:
         encode(matrix2, Scheme.MINESWEEPER)
     assert info.value.indices == (1, 4)
+
+
+# ---- the row type ----
+
+def test_frow_is_a_named_tuple():
+    row = FRow(54, 9, 10, 16)
+    assert FRow._fields == ("d", "k1", "k2", "k3")
+    assert row == FRow(d=54, k1=9, k2=10, k3=16) == (54, 9, 10, 16)
+    assert (row.d, row.k1, row.k2, row.k3) == (54, 9, 10, 16)
+    assert row._replace(k2=0) == FRow(54, 9, 0, 16) and row.k2 == 10
+    assert hash(row) == hash(FRow(d=54, k1=9, k2=10, k3=16))
+    # AttributeError, which dataclasses.FrozenInstanceError subclasses, so
+    # callers that caught the frozen dataclass's error still catch it
+    with pytest.raises(AttributeError):
+        row.d = 0
+
+
+def test_encode_and_parse_build_frows():
+    coded = encode_text(golden.EX2_MESSAGE, Scheme.MINESWEEPER)
+    parsed = parse(serialize(coded))
+    assert parsed == coded
+    assert all(type(row) is FRow for row in coded.rows + parsed.rows)
 
 
 # ---- solvers ----
@@ -226,6 +249,27 @@ def test_coefficient_identities_per_block():
                     assert trace.e1 * key.m22 - trace.e2 * key.m21 == row.k1 * det
 
 
+def test_trace_x_is_the_dropped_element():
+    # dims up to 10 so the block grid has rows and columns enough to tell
+    # block order from its transpose
+    rng = random.Random(11)
+    for scheme in Scheme:
+        done = 0
+        while done < 50:
+            matrix = random_matrix(rng)
+            try:
+                coded = encode(matrix, scheme)
+            except DegenerateBlock:
+                continue
+            done += 1
+            decoded, traces = decode_with_trace(coded)
+            assert decoded == matrix
+            blocks = to_blocks(matrix)
+            assert [t.index for t in traces] == [b.index for b in blocks]
+            dropped = [b.b3 if scheme is Scheme.LUCAS_BLOCKING else b.b4 for b in blocks]
+            assert [t.x for t in traces] == dropped
+
+
 def test_decode_header_mismatch_on_row_count():
     # a message whose row count disagrees with its dimension cannot be built,
     # including the header-only one
@@ -254,7 +298,7 @@ def test_decode_rejects_out_of_range_kept_code():
 def with_row(coded, index, **fields):
     """`coded` with the given fields of block `index` (1-based) replaced."""
     rows = list(coded.rows)
-    rows[index - 1] = dataclasses.replace(rows[index - 1], **fields)
+    rows[index - 1] = rows[index - 1]._replace(**fields)
     return dataclasses.replace(coded, rows=tuple(rows))
 
 

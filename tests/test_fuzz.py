@@ -3,16 +3,18 @@
 The CLI's argv is left out on purpose: `-o` and `--csv` would write to
 whatever path a generated argument names.
 
-The second half checks the flat kernels (the symbol tables, `preprocess`,
+The second part checks the flat kernels (the symbol tables, `preprocess`,
 `to_matrix`, `to_symbols`, `encode`, `decode`) against per-element and
-per-block models built from the public pieces they replace.
+per-block models built from the public pieces they replace, and the last
+checks `parse`, which converts a whole body at once, against a model that
+reads the wire grammar line by line.
 """
 
-import dataclasses
+import re
 
 import pytest
 
-from qblock.alphabet import DEFAULT_ALPHABET, CharTable
+from qblock.alphabet import DEFAULT_ALPHABET, CharTable, get_alphabet
 from qblock.codec import (
     CodedMessage,
     FRow,
@@ -27,6 +29,7 @@ from qblock.codec import (
 from qblock.errors import (
     CodeOutOfRange,
     DegenerateBlock,
+    MalformedPayload,
     QblockError,
     TamperDetected,
     UnknownSymbol,
@@ -286,9 +289,100 @@ def test_decode_matches_per_block_model(matrix, scheme, n_rule, changes):
     rows = [FRow(b.determinant(), *kept(scheme, b)) for b in to_blocks(matrix)]
     for index, name, value in changes:
         index %= len(rows)
-        rows[index] = dataclasses.replace(rows[index], **{name: value})
+        rows[index] = rows[index]._replace(**{name: value})
     coded = CodedMessage(scheme, n_rule, matrix.dim, "default", tuple(rows))
     expected = outcome(decode_model, coded)
     assert outcome(decode, coded) == expected
     if not changes and isinstance(expected, MessageMatrix):
         assert expected == matrix
+
+
+# ---- parse against a per-line model of the wire grammar ----
+
+
+def _model_int(token, line_no):
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", token):
+        raise MalformedPayload(f"line {line_no}: {token!r} is not a canonical integer")
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedPayload(f"line {line_no}: {len(token)}-digit integer is too long") from None
+
+
+def parse_model(text):
+    """The wire grammar checked one line, then one token, at a time."""
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if "\r" in line:
+            raise MalformedPayload(
+                f"line {line_no} contains a carriage return: lines must end in '\\n' alone, not CRLF"
+            )
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MalformedPayload("empty payload")
+    header = re.fullmatch(
+        r"QBLK1;scheme=(lucas|mine);nrule=(half|tas);dim=(0|[1-9][0-9]*);alpha=([^;\s]+)", lines[0]
+    )
+    if header is None:
+        raise MalformedPayload(f"bad header line {lines[0]!r}")
+    scheme, n_rule, dim, alphabet_id = header.groups()
+    dim = _model_int(dim, 1)
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        tokens = line.split(",")
+        if len(tokens) != 4:
+            raise MalformedPayload(f"line {line_no}: expected 4 comma-separated integers")
+        rows.append(FRow(*(_model_int(token, line_no) for token in tokens)))
+    coded = CodedMessage(Scheme(scheme), NRule(n_rule), dim, alphabet_id, tuple(rows))
+    get_alphabet(alphabet_id)
+    return coded
+
+
+# token edits: longer than, or exactly at, the interpreter's 4300-digit
+# int-string limit, or one step off the canonical form
+token_edits = st.sampled_from(
+    [
+        lambda t: "5" * 5000,
+        lambda t: "-" + "7" * 5000,
+        lambda t: "9" * 4300,
+        lambda t: "-" + "1" * 4300,
+        lambda t: "0" + t,
+        lambda t: "-" + t,
+        lambda t: "+" + t,
+        lambda t: t + " ",
+        lambda t: t + ",1",
+        lambda t: "",
+        None,  # a blank line instead
+    ]
+)
+
+
+@st.composite
+def edited_payloads(draw):
+    """Valid payloads, then blank lines, edited tokens or no final newline."""
+    dim = draw(st.sampled_from([2, 4, 6, 8]))
+    row = st.tuples(*[st.integers(-900, 900)] * 4).map(lambda r: ",".join(map(str, r)))
+    lines = [f"QBLK1;scheme={draw(st.sampled_from(['lucas', 'mine']))};nrule=half;dim={dim}"
+             ";alpha=default"]
+    lines += draw(st.lists(row, min_size=(dim // 2) ** 2, max_size=(dim // 2) ** 2))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines) - 1))
+        edit = draw(token_edits)
+        if edit is None:
+            lines.insert(at, "")
+        else:
+            tokens = lines[at].split(",")
+            i = draw(st.integers(0, len(tokens) - 1))
+            tokens[i] = edit(tokens[i])
+            lines[at] = ",".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@FUZZ
+@given(st.one_of(payloads, edited_payloads()))
+def test_parse_matches_per_line_model(payload):
+    got = outcome(parse, payload)
+    assert got == outcome(parse_model, payload)
+    if isinstance(got, CodedMessage):
+        assert all(type(row) is FRow for row in got.rows)

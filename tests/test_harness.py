@@ -108,11 +108,19 @@ def test_swap_rows_compares_rows_linearly():
     count = 0
 
     class CountingRow(FRow):
-        def __eq__(self, other):
+        # a tuple subclass's != calls tuple.__ne__, not __eq__, so count both
+        def _count(self):
             nonlocal count
             count += 1
             assert count <= budget, f"corrupt made more than {budget} row comparisons"
+
+        def __eq__(self, other):
+            self._count()
             return super().__eq__(other)
+
+        def __ne__(self, other):
+            self._count()
+            return super().__ne__(other)
 
     # 64 distinct values, so some draws hit an equal pair and are redrawn
     rows = tuple(CountingRow(i % 64, 1, 1, 1) for i in range(rows_n))

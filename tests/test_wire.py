@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 import golden
@@ -148,6 +151,50 @@ def test_malformed_rows(row_line):
     )
     with pytest.raises(MalformedPayload):
         parse(payload)
+
+
+HEADER = "QBLK1;scheme=lucas;nrule=half;dim=2;alpha=default"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("\n", "bad header line ''"),
+        (HEADER + "\n\n", "line 2: expected 4 comma-separated integers"),
+        (HEADER + "\n1,2,3,4\n\n", "line 3: expected 4 comma-separated integers"),
+        (HEADER + "\n\n1,2,3,4\n", "line 2: expected 4 comma-separated integers"),
+        (HEADER + "\n1,2,3,4\n5,x,7,8\n" + "9" * 5000 + ",1,1,1\n",
+         "line 3: 'x' is not a canonical integer"),
+        (HEADER + "\n1,2,3,4\n" + "9" * 5000 + ",1,1,1\n5,x,7,8\n",
+         "line 3: 5000-digit integer is too long"),
+    ],
+    ids=["newline-only", "blank-row", "trailing-blank", "leading-blank", "bad-first", "long-first"],
+)
+def test_first_faulty_line_is_named(payload, message):
+    # a blank line is a malformed row, and of several faults the first wins
+    with pytest.raises(MalformedPayload) as info:
+        parse(payload)
+    assert str(info.value) == message
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_payload():
+    # 4096 rows: one canonical-row check over the body may keep no state
+    # per line (a body-wide greedy regex peaks near 75x the payload)
+    rng = random.Random(7)
+    rows = "".join(
+        f"{rng.randint(-841, 841)},{rng.randrange(30)},{rng.randrange(1, 30)},{rng.randrange(30)}\n"
+        for _ in range(64 * 64)
+    )
+    payload = "QBLK1;scheme=lucas;nrule=half;dim=128;alpha=default\n" + rows
+    parse(payload)  # compile the regexes outside the measurement
+    tracemalloc.start()
+    try:
+        coded = parse(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coded.rows) == 4096
+    assert peak < 32 * len(payload)
 
 
 def test_unknown_alphabet_in_header():
