@@ -28,6 +28,8 @@ class Alphabet:
     def __post_init__(self):
         if not self.id or any(c in ";\n\r\t " for c in self.id):
             raise ValueError(f"alphabet id {self.id!r} must be non-empty, no ';' or whitespace")
+        if any(len(symbol) != 1 for symbol in self.symbols):
+            raise ValueError("alphabet symbols must be single characters")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
         if len(self.symbols) < 2:

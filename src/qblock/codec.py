@@ -8,9 +8,9 @@ dropped one:
   LUCAS_BLOCKING   keeps (b1, b2, b4), drops b3:   b3 = (b1*b4 - d) / b2
   MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
-The rows, `FRow` named tuples, go out in `to_blocks` order.  `encode` reads
-each block's four codes straight from the matrix rows; `decode` unpacks
-each row, solves it and writes the four codes back into the code grid.
+The rows, `FRow` named tuples, go out in block order, which `layout` alone
+writes down: `encode` reads blocks from `_quads`; `decode` transposes the
+rows and hands `_grid` the columns (k1, k2, x, k3), resp. (k1, k2, k3, x).
 The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks up front; any corruption
 that leaves no exact in-range solution is reported as tampering.
@@ -40,6 +40,8 @@ from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
     MessageMatrix,
     NRule,
+    _grid,
+    _quads,
     choose_n,
     preprocess,
     to_matrix,
@@ -93,8 +95,7 @@ class CodedMessage:
         return choose_n(len(self.rows), self.n_rule)
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(NamedTuple):
     """Per-block decoding record: helper products, recovered code, key used."""
 
     index: int
@@ -117,12 +118,7 @@ def encode(
     those the determinant carries no information about the dropped element,
     so the message cannot be encoded under this scheme.
     """
-    cells = matrix.cells
-    blocks = [
-        block
-        for top, bottom in zip(cells[0::2], cells[1::2])
-        for block in zip(top[0::2], top[1::2], bottom[0::2], bottom[1::2])
-    ]
+    blocks = _quads(matrix.cells)
     lucas = scheme is Scheme.LUCAS_BLOCKING
     pivot = 1 if lucas else 0  # b2, resp. b1
     degenerate = [index for index, block in enumerate(blocks, start=1) if block[pivot] == 0]
@@ -179,11 +175,9 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     """
     size = get_alphabet(coded.alphabet_id).size
     scheme = coded.scheme
-    lucas = scheme is Scheme.LUCAS_BLOCKING
-    dim = coded.dim
-    m = dim // 2
-    grid = [[0] * dim for _ in range(dim)]
-    for index, (d, k1, k2, k3) in enumerate(coded.rows, start=1):
+    ds, k1s, k2s, k3s = zip(*coded.rows)
+    xs = []
+    for index, (d, k1, k2, k3) in enumerate(zip(ds, k1s, k2s, k3s), start=1):
         for kept in (k1, k2, k3):
             if not 0 <= kept < size:
                 raise TamperDetected(
@@ -193,11 +187,9 @@ def decode(coded: CodedMessage) -> MessageMatrix:
             x = _recover(scheme, d, k1, k2, k3, size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
-        br, bc = divmod(index - 1, m)
-        top, bottom, c = grid[2 * br], grid[2 * br + 1], 2 * bc
-        top[c], top[c + 1] = k1, k2
-        bottom[c], bottom[c + 1] = (x, k3) if lucas else (k3, x)
-    return MessageMatrix(dim, tuple(map(tuple, grid)))
+        xs.append(x)
+    columns = (k1s, k2s, xs, k3s) if scheme is Scheme.LUCAS_BLOCKING else (k1s, k2s, k3s, xs)
+    return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
 
 
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
@@ -207,14 +199,12 @@ def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeT
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
     odd_key = rmat if lucas else numtheory.q_power(coded.n)
-    # x, in block order: b3 (LUCAS_BLOCKING) or b4 from the blocks' bottom rows
-    dropped = [x for bottom in matrix.cells[1::2] for x in bottom[0 if lucas else 1 :: 2]]
     traces = []
-    for index, ((_, k1, k2, _), x) in enumerate(zip(coded.rows, dropped), start=1):
+    for index, (b1, b2, b3, b4) in enumerate(_quads(matrix.cells), start=1):
         key = odd_key if index % 2 else rmat
-        e1 = key.m11 * k1 + key.m21 * k2
-        e2 = key.m12 * k1 + key.m22 * k2
-        traces.append(DecodeTrace(index, e1, e2, x, key))
+        e1 = key.m11 * b1 + key.m21 * b2
+        e2 = key.m12 * b1 + key.m22 * b2
+        traces.append(DecodeTrace(index, e1, e2, b3 if lucas else b4, key))
     return matrix, tuple(traces)
 
 

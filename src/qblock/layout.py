@@ -3,7 +3,9 @@
 A message becomes a string of alphabet symbols (spaces turn into '0', the
 tail is padded with '0'), the string fills an even-sided square matrix
 row-major, and the matrix splits into 2x2 blocks numbered left to right,
-top to bottom.  The number of blocks b fixes the key index n.
+top to bottom.  The number of blocks b fixes the key index n.  That order
+is written only here: `_quads` cuts the rows into blocks and `_grid` builds
+the rows from block columns, for `to_blocks`, `reassemble` and the codec.
 """
 
 import math
@@ -36,10 +38,6 @@ class MessageMatrix:
             raise BadLength(f"matrix dimension must be even and >= 2, got {self.dim}")
         if len(self.cells) != self.dim or any(len(row) != self.dim for row in self.cells):
             raise BadLength(f"cell grid does not match dimension {self.dim}")
-
-    @property
-    def block_count(self) -> int:
-        return (self.dim // 2) ** 2
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,27 @@ def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     return "".join(map(table.symbol_of, chain.from_iterable(matrix.cells)))
 
 
+def _quads(cells) -> list[tuple[int, int, int, int]]:
+    """(b1, b2, b3, b4) of each 2x2 block of the row tuples, in block order."""
+    pairs = zip(cells[0::2], cells[1::2])
+    return [q for top, bot in pairs for q in zip(top[0::2], top[1::2], bot[0::2], bot[1::2])]
+
+
+def _grid(b1, b2, b3, b4, dim: int) -> tuple[tuple[int, ...], ...]:
+    """Row tuples of a dim x dim grid from its blocks' element columns."""
+    m = dim // 2
+    row = [0] * dim
+    rows = []
+    for start in range(0, m * m, m):  # one row of blocks: its top row, then its bottom row
+        for left, right in ((b1, b2), (b3, b4)):
+            row[0::2], row[1::2] = left[start : start + m], right[start : start + m]
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
 def to_blocks(matrix: MessageMatrix) -> list[Block]:
     """Split into 2x2 blocks, left to right within a row of blocks, rows top down."""
-    cells = matrix.cells
-    pairs = zip(cells[0::2], cells[1::2])
-    quads = (q for top, bot in pairs for q in zip(top[0::2], top[1::2], bot[0::2], bot[1::2]))
-    return [Block(index, *quad) for index, quad in enumerate(quads, start=1)]
+    return [Block(index, *quad) for index, quad in enumerate(_quads(matrix.cells), start=1)]
 
 
 def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:
@@ -116,14 +129,9 @@ def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:
     m = dim // 2
     if len(blocks) != m * m:
         raise BadLength(f"expected {m * m} blocks for dimension {dim}, got {len(blocks)}")
-    rows = [[0] * dim for _ in range(dim)]
-    for pos, block in enumerate(blocks):
-        br, bc = divmod(pos, m)
-        rows[2 * br][2 * bc] = block.b1
-        rows[2 * br][2 * bc + 1] = block.b2
-        rows[2 * br + 1][2 * bc] = block.b3
-        rows[2 * br + 1][2 * bc + 1] = block.b4
-    return MessageMatrix(dim, tuple(tuple(r) for r in rows))
+    # one list per element column: no tuple per block for the collector to track
+    columns = ([getattr(b, f) for b in blocks] for f in ("b1", "b2", "b3", "b4"))
+    return MessageMatrix(dim, _grid(*columns, dim))
 
 
 def choose_n(b: int, rule: NRule) -> int:

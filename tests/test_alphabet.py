@@ -86,6 +86,17 @@ def test_alphabet_validation():
         Alphabet("semi;colon", tuple("AB"))
 
 
+@pytest.mark.parametrize(
+    "symbols",
+    [("AB", "C", "0"), ("", "C", "0"), ("A", "C", "00")],
+    ids=["two-char", "empty", "two-char-last"],
+)
+def test_alphabet_symbols_are_single_characters(symbols):
+    # a longer symbol would render more characters than the grid has cells
+    with pytest.raises(ValueError, match="single characters"):
+        Alphabet("multi", symbols)
+
+
 def test_registry_roundtrip():
     assert get_alphabet("default") is DEFAULT_ALPHABET
     custom = Alphabet("digits10", tuple("0123456789"))

@@ -3,7 +3,7 @@ import io
 import pytest
 
 import golden
-from qblock.cli import main
+from qblock.cli import entrypoint, main
 
 
 def run_cli(argv, capsys, monkeypatch, stdin=""):
@@ -117,6 +117,20 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     for flag in ("--trials", "--magnitude"):
         for value in ("0", "-3"):
             assert run_cli([*harness, flag, value], capsys, monkeypatch)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["demo", "--example", "1"], 0), (["decode", "-i", "missing.txt"], 1), (["demo"], 2)],
+    ids=["ok", "error", "usage"],
+)
+def test_entrypoint_exits_with_main_code(argv, code, tmp_path, capsys, monkeypatch):
+    # the `qblock` console script of [project.scripts] runs entrypoint()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["qblock", *argv])
+    with pytest.raises(SystemExit) as info:
+        entrypoint()
+    assert info.value.code == code == main(argv)
 
 
 def test_file_errors_exit_1(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from qblock import numtheory
 from qblock.alphabet import Alphabet, register_alphabet
 from qblock.codec import (
     CodedMessage,
+    DecodeTrace,
     FRow,
     Scheme,
     decode,
@@ -268,6 +269,44 @@ def test_trace_x_is_the_dropped_element():
             assert [t.index for t in traces] == [b.index for b in blocks]
             dropped = [b.b3 if scheme is Scheme.LUCAS_BLOCKING else b.b4 for b in blocks]
             assert [t.x for t in traces] == dropped
+
+
+def test_decode_trace_is_a_named_tuple():
+    _, traces = decode_with_trace(EX1_CODED)
+    trace = traces[0]
+    assert DecodeTrace._fields == ("index", "e1", "e2", "x", "key")
+    assert trace == (trace.index, trace.e1, trace.e2, trace.x, trace.key)
+    with pytest.raises(AttributeError):
+        trace.x = 0
+    again = decode_with_trace(EX1_CODED)[1]
+    assert again == traces and hash(again) == hash(traces)
+
+
+def test_decode_with_trace_raises_what_decode_raises():
+    rng = random.Random(23)
+    detected = 0
+    for scheme in Scheme:
+        done = 0
+        while done < 200:
+            matrix = random_matrix(rng)
+            try:
+                coded = encode(matrix, scheme)
+            except DegenerateBlock:
+                continue
+            done += 1
+            index = rng.randrange(1, len(coded.rows) + 1)
+            field = rng.choice(FRow._fields)
+            bad = with_row(coded, index, **{field: rng.randrange(-40, 40)})
+            try:
+                expected = decode(bad)
+            except TamperDetected as exc:
+                detected += 1
+                with pytest.raises(TamperDetected) as info:
+                    decode_with_trace(bad)
+                assert (str(info.value), info.value.block_index) == (str(exc), exc.block_index)
+            else:
+                assert decode_with_trace(bad)[0] == expected
+    assert 0 < detected < 400
 
 
 def test_decode_header_mismatch_on_row_count():

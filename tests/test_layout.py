@@ -5,6 +5,7 @@ import pytest
 
 import golden
 from qblock.alphabet import DEFAULT_ALPHABET, CharTable
+from qblock.codec import CodedMessage, FRow, Scheme, decode, encode
 from qblock.errors import BadLength, EmptyMessage, UnknownSymbol
 from qblock.layout import (
     Block,
@@ -133,6 +134,38 @@ def test_reassemble_block_count_checked():
         reassemble(blocks, 4)
     with pytest.raises(BadLength):
         reassemble(blocks, 3)
+
+
+@pytest.mark.parametrize("dim", [*range(2, 17, 2), 64])
+def test_block_order_matches_index_formula(dim):
+    # block i (0-based) is cells[2*(i//m)+r][2*(i%m)+c], r, c in (0, 1);
+    # the blocks here come from that formula alone
+    m = dim // 2
+    rng = random.Random(dim)
+
+    def quads(cells):
+        return [
+            tuple(cells[2 * (i // m) + r][2 * (i % m) + c] for r in (0, 1) for c in (0, 1))
+            for i in range(m * m)
+        ]
+
+    # distinct cells, so any misplaced element shows
+    distinct = MessageMatrix(dim, tuple(tuple(range(r * dim, (r + 1) * dim)) for r in range(dim)))
+    blocks = [Block(i + 1, *quad) for i, quad in enumerate(quads(distinct.cells))]
+    assert to_blocks(distinct) == blocks
+    assert reassemble(blocks, dim) == distinct
+
+    # codes 1..29: every pivot is nonzero and every code is in range
+    cells = tuple(tuple(rng.randrange(1, 30) for _ in range(dim)) for _ in range(dim))
+    matrix = MessageMatrix(dim, cells)
+    for scheme, kept in ((Scheme.LUCAS_BLOCKING, (0, 1, 3)), (Scheme.MINESWEEPER, (0, 1, 2))):
+        rows = tuple(
+            FRow(b1 * b4 - b2 * b3, *((b1, b2, b3, b4)[k] for k in kept))
+            for b1, b2, b3, b4 in quads(cells)
+        )
+        assert encode(matrix, scheme).rows == rows
+        assert decode(CodedMessage(scheme, NRule.HALF, dim, "default", rows)) == matrix
+        assert decode(encode(matrix, scheme)) == matrix
 
 
 def test_matrix_shape_checked():
