@@ -4,6 +4,9 @@ The default alphabet has 30 symbols, A..Z then 0 ! ? .   A table with shift n
 maps the k-th symbol to (n + k) mod size, so the whole mapping slides with the
 key index and changes from message to message.
 
+`_codes_of`/`_symbols_of` map a whole sequence through a table in one pass,
+and name the first miss just as `code_of`/`symbol_of` name theirs.
+
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
 symbols do not).
@@ -86,13 +89,21 @@ class CharTable:
         object.__setattr__(self, "_symbols", dict(zip(codes, self.alphabet.symbols)))
 
     def code_of(self, symbol: str) -> int:
-        try:
-            return self._codes[symbol]
-        except KeyError:
-            raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {self.alphabet.id!r}") from None
+        return self._codes_of((symbol,))[0]
 
     def symbol_of(self, code: int) -> str:
+        return self._symbols_of((code,))[0]
+
+    def _codes_of(self, symbols) -> list[int]:
         try:
-            return self._symbols[code]
-        except KeyError:
-            raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})") from None
+            return list(map(self._codes.__getitem__, symbols))
+        except KeyError as exc:  # it carries the first missing item
+            raise UnknownSymbol(
+                f"symbol {exc.args[0]!r} is not in alphabet {self.alphabet.id!r}"
+            ) from None
+
+    def _symbols_of(self, codes) -> list[str]:
+        try:
+            return list(map(self._symbols.__getitem__, codes))
+        except KeyError as exc:
+            raise CodeOutOfRange(f"code {exc.args[0]} outside [0, {self.alphabet.size})") from None

@@ -15,6 +15,11 @@ The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks up front; any corruption
 that leaves no exact in-range solution is reported as tampering.
 
+`decode` checks columns, not rows: the kept codes by the min and max of
+their set, the pivots for a zero, and every x from one `map(divmod, ...)`
+over the rows before those faults.  The earliest first-failing row of any
+check goes through the per-row checks, which name the fault.
+
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
 
@@ -32,6 +37,8 @@ e1, e2 and the recovered x.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import numtheory
@@ -166,6 +173,14 @@ def solve_missing_mine(row: FRow, n: int, block_index: int, size: int = 30) -> i
     return _recover(Scheme.MINESWEEPER, *row, size)
 
 
+def _first_outside(size: int, *columns) -> int:
+    """0-based index of the first row with a value v in any column that fails
+    0 <= v < size, the per-row test, for non-int values too; at least one
+    value must fail it."""
+    bad = (column for column in columns if min(column) < 0 or max(column) >= size)
+    return min(next(i for i, v in enumerate(column) if not 0 <= v < size) for column in bad)
+
+
 def decode(coded: CodedMessage) -> MessageMatrix:
     """Recover the full code matrix from a payload.
 
@@ -174,21 +189,40 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     of range or no exact in-range solution.
     """
     size = get_alphabet(coded.alphabet_id).size
-    scheme = coded.scheme
+    lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     ds, k1s, k2s, k3s = zip(*coded.rows)
-    xs = []
-    for index, (d, k1, k2, k3) in enumerate(zip(ds, k1s, k2s, k3s), start=1):
-        for kept in (k1, k2, k3):
-            if not 0 <= kept < size:
-                raise TamperDetected(
-                    f"block {index}: kept code {kept} outside [0, {size})", block_index=index
-                )
+    pivots = k2s if lucas else k1s
+    # 0-based first failing row of each check that fails
+    firsts = []
+    kept = set(k1s).union(k2s, k3s)
+    if min(kept) < 0 or max(kept) >= size:
+        firsts.append(_first_outside(size, k1s, k2s, k3s))
+    if 0 in pivots:
+        firsts.append(pivots.index(0))
+    # no arithmetic from the first bad row on: map stops at the shortest column
+    end = min(firsts, default=len(ds))
+    if end:
+        if lucas:
+            numerators = map(sub, map(mul, k1s[:end], k3s), ds)
+        else:
+            numerators = map(add, ds[:end], map(mul, k2s, k3s))
+        xs, remainders = zip(*map(divmod, numerators, pivots))
+        if any(remainders):
+            firsts.append(next(compress(count(), remainders)))
+        if min(xs) < 0 or max(xs) >= size:
+            firsts.append(_first_outside(size, xs))
+    if firsts:
+        # the per-row checks, in their order, on the first bad row name its fault
+        index = min(firsts) + 1
+        d, k1, k2, k3 = coded.rows[index - 1]
         try:
-            x = _recover(scheme, d, k1, k2, k3, size)
+            for code in (k1, k2, k3):
+                if not 0 <= code < size:
+                    raise TamperDetected(f"kept code {code} outside [0, {size})")
+            _recover(coded.scheme, d, k1, k2, k3, size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
-        xs.append(x)
-    columns = (k1s, k2s, xs, k3s) if scheme is Scheme.LUCAS_BLOCKING else (k1s, k2s, k3s, xs)
+    columns = (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
     return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
 
 

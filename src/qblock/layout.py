@@ -6,6 +6,7 @@ row-major, and the matrix splits into 2x2 blocks numbered left to right,
 top to bottom.  The number of blocks b fixes the key index n.  That order
 is written only here: `_quads` cuts the rows into blocks and `_grid` builds
 the rows from block columns, for `to_blocks`, `reassemble` and the codec.
+`to_matrix`/`to_symbols` map whole sequences through the table at once.
 """
 
 import math
@@ -89,14 +90,14 @@ def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:
     side = math.isqrt(len(symbols))
     if side * side != len(symbols) or side % 2 or side < 2:
         raise BadLength(f"symbol count {len(symbols)} is not an even perfect square")
-    codes = list(map(table.code_of, symbols))
+    codes = table._codes_of(symbols)
     cells = tuple(tuple(codes[r * side : (r + 1) * side]) for r in range(side))
     return MessageMatrix(side, cells)
 
 
 def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     """Row-major symbol string of a code matrix (inverse of to_matrix)."""
-    return "".join(map(table.symbol_of, chain.from_iterable(matrix.cells)))
+    return "".join(table._symbols_of(chain.from_iterable(matrix.cells)))
 
 
 def _quads(cells) -> list[tuple[int, int, int, int]]:

@@ -14,6 +14,7 @@ at once; it reads line by line only to name a fault.
 """
 
 import re
+from itertools import repeat
 
 from .alphabet import get_alphabet
 from .codec import CodedMessage, FRow, Scheme
@@ -65,8 +66,8 @@ def _parse_rows(body: str) -> tuple[FRow, ...]:
         tokens = body.replace("\n", ",").split(",")
         tokens.pop()  # after the final newline
         ints = map(int, tokens)
-        try:
-            return tuple(map(FRow._make, zip(ints, ints, ints, ints)))
+        try:  # tuple.__new__ makes each FRow without _make's per-row call and length check
+            return tuple(map(tuple.__new__, repeat(FRow), zip(ints, ints, ints, ints)))
         except ValueError:  # int() refuses a token past the interpreter's int-string limit
             pass
     lines = body.split("\n")[:-1]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -376,3 +377,79 @@ def test_decode_builds_no_key(monkeypatch, scheme, n_rule):
     monkeypatch.setattr(numtheory, "q_power", refuse)
     monkeypatch.setattr(numtheory, "r_matrix", refuse)
     assert decode(coded) == matrix
+
+
+# ---- the first fault names the error ----
+
+# a dim-6 grid with every cell >= 2: each pivot is at least 2, so d + 1 never
+# has an exact solution
+CLEAN_CELLS = tuple(tuple(2 + (5 * r + 7 * c) % 27 for c in range(6)) for r in range(6))
+
+
+def damage(kind, scheme, row):
+    """`row` with one fault of `kind`, and the text decode gives it (without the block)."""
+    d, k1, k2, k3 = row
+    lucas = scheme is Scheme.LUCAS_BLOCKING
+    if kind == "kept":
+        return row._replace(k3=30), "kept code 30 outside [0, 30)"
+    if kind == "zero-pivot":
+        bad = row._replace(k2=0) if lucas else row._replace(k1=0)
+        return bad, f"zero pivot, dropped element unrecoverable (d={d})"
+    if kind == "no-solution":
+        return row._replace(d=d + 1), f"no exact solution for dropped element (d={d + 1})"
+    # recovered code 30: lucas x = (k1*k3 - d)/k2, mine x = (d + k2*k3)/k1
+    d = k1 * k3 - 30 * k2 if lucas else 30 * k1 - k2 * k3
+    return row._replace(d=d), "recovered code 30 outside [0, 30)"
+
+
+FAULT_KINDS = ("kept", "zero-pivot", "no-solution", "out-of-range")
+
+
+@pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "first,second", list(itertools.permutations(FAULT_KINDS, 2)), ids="-then-".join
+)
+def test_decode_names_the_first_of_two_faults(decoder, scheme, first, second):
+    # the kind checked first per row must not win over an earlier row
+    coded = encode(MessageMatrix(6, CLEAN_CELLS), scheme)
+    i, j = 3, 7
+    rows = list(coded.rows)
+    rows[i - 1], text = damage(first, scheme, rows[i - 1])
+    rows[j - 1], _ = damage(second, scheme, rows[j - 1])
+    with pytest.raises(TamperDetected) as info:
+        decoder(dataclasses.replace(coded, rows=tuple(rows)))
+    assert (str(info.value), info.value.block_index) == (f"block {i}: {text}", i)
+
+
+class Hostile(int):
+    """An int that refuses the arithmetic decode does to recover a row."""
+
+    def _refuse(self, *args):
+        raise AssertionError("decode did arithmetic on a row past the first fault")
+
+    __mul__ = __rmul__ = __sub__ = __rsub__ = __add__ = __radd__ = _refuse
+    __divmod__ = __rdivmod__ = __floordiv__ = __mod__ = _refuse
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("kind", ["kept", "zero-pivot"])
+@pytest.mark.parametrize("index", [1, 2])
+def test_decode_does_no_arithmetic_past_a_kept_code_fault(scheme, kind, index):
+    # a hostile payload costs no more than the rows up to its first bad one
+    coded = encode(MessageMatrix(6, CLEAN_CELLS), scheme)
+    rows = list(coded.rows)
+    rows[index - 1], text = damage(kind, scheme, rows[index - 1])
+    rows[index:] = [FRow(*map(Hostile, row)) for row in rows[index:]]
+    with pytest.raises(TamperDetected) as info:
+        decode(dataclasses.replace(coded, rows=tuple(rows)))
+    assert (str(info.value), info.value.block_index) == (f"block {index}: {text}", index)
+
+
+def test_decode_names_the_row_of_an_out_of_range_code_after_a_fractional_one():
+    # 9.5 is not an int in range(30) but passes 0 <= code < 30, so the row
+    # named is the one with 99, as the per-row checks name it
+    rows = (FRow(52, 9.5, 10, 16), FRow(140, 99, 28, 28)) + EX1_CODED.rows[2:]
+    with pytest.raises(TamperDetected) as info:
+        decode(dataclasses.replace(EX1_CODED, rows=rows))
+    assert (str(info.value), info.value.block_index) == ("block 2: kept code 99 outside [0, 30)", 2)
