@@ -25,8 +25,7 @@ from .codec import (
     decode_with_trace,
     encode,
     encode_text,
-    solve_missing_lucas,
-    solve_missing_mine,
+    solve_missing,
 )
 from .errors import (
     BadLength,
@@ -100,8 +99,7 @@ __all__ = [
     "reassemble",
     "register_alphabet",
     "serialize",
-    "solve_missing_lucas",
-    "solve_missing_mine",
+    "solve_missing",
     "to_blocks",
     "to_matrix",
     "to_symbols",

@@ -102,6 +102,14 @@ def _run_demo(args) -> int:
 
 
 def _run_harness(args) -> int:
+    if args.csv is None:
+        return _harness(args, None)
+    # opened before the trials run: a path that cannot be written prints nothing
+    with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+        return _harness(args, csv.writer(handle))
+
+
+def _harness(args, writer) -> int:
     spec = CorruptionSpec(Strategy(args.strategy), magnitude=args.magnitude, seed=args.seed)
     report = detection_rate(
         args.message, Scheme(args.scheme), spec, args.trials, NRule(args.n_rule)
@@ -110,12 +118,10 @@ def _run_harness(args) -> int:
         f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
         f"magnitude={args.magnitude} {report.summary()}"
     )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["trial", "strategy", "outcome"])
-            for trial, outcome in enumerate(report.outcomes):
-                writer.writerow([trial, args.strategy, outcome])
+    if writer is not None:
+        writer.writerow(["trial", "strategy", "outcome"])
+        for trial, outcome in enumerate(report.outcomes):
+            writer.writerow([trial, args.strategy, outcome])
     return 0
 
 

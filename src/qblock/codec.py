@@ -18,7 +18,8 @@ that leaves no exact in-range solution is reported as tampering.
 `decode` checks columns, not rows: the kept codes by the min and max of
 their set, the pivots for a zero, and every x from one `map(divmod, ...)`
 over the rows before those faults.  The earliest first-failing row of any
-check goes through the per-row checks, which name the fault.
+check goes through `solve_missing`, the one per-row verdict, which names
+the fault.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -42,7 +43,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import numtheory
-from .alphabet import CharTable, get_alphabet
+from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, get_alphabet
 from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
     MessageMatrix,
@@ -116,7 +117,7 @@ def encode(
     matrix: MessageMatrix,
     scheme: Scheme,
     n_rule: NRule = NRule.HALF,
-    alphabet_id: str = "default",
+    alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> CodedMessage:
     """Turn a code matrix into the transmitted rows, one per block in
     `to_blocks` order.
@@ -138,8 +139,20 @@ def encode(
     return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, tuple(map(FRow._make, rows)))
 
 
-def _recover(scheme: Scheme, d: int, k1: int, k2: int, k3: int, size: int) -> int:
-    """The dropped element of one row, from the determinant identity."""
+def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.size) -> int:
+    """The dropped element of one row: b3 of a LUCAS_BLOCKING row
+    (d, b1, b2, b4), b4 of a MINESWEEPER row (d, b1, b2, b3).
+
+    This is the whole per-row verdict.  It reads the row alone: the key
+    cancels from the paper's decode equation, so neither the key index n nor
+    the block index enters.  Raises TamperDetected at the first failing
+    check: kept codes k1, k2, k3 in [0, size), a nonzero pivot, exact
+    division, then the recovered code in [0, size).
+    """
+    d, k1, k2, k3 = row
+    for code in (k1, k2, k3):
+        if not 0 <= code < size:
+            raise TamperDetected(f"kept code {code} outside [0, {size})")
     if scheme is Scheme.LUCAS_BLOCKING:
         pivot, numerator = k2, k1 * k3 - d
     else:
@@ -153,24 +166,6 @@ def _recover(scheme: Scheme, d: int, k1: int, k2: int, k3: int, size: int) -> in
     if not 0 <= x < size:
         raise TamperDetected(f"recovered code {x} outside [0, {size})")
     return x
-
-
-def solve_missing_lucas(row: FRow, n: int, size: int = 30) -> int:
-    """Recover b3 of a LUCAS_BLOCKING row from (d, b1, b2, b4).
-
-    The key index `n` does not change the result: the key cancels from the
-    decode equation.
-    """
-    return _recover(Scheme.LUCAS_BLOCKING, *row, size)
-
-
-def solve_missing_mine(row: FRow, n: int, block_index: int, size: int = 30) -> int:
-    """Recover b4 of a MINESWEEPER row from (d, b1, b2, b3).
-
-    Neither the key index `n` nor `block_index`, which picks the key family,
-    changes the result: the key cancels from the decode equation.
-    """
-    return _recover(Scheme.MINESWEEPER, *row, size)
 
 
 def _first_outside(size: int, *columns) -> int:
@@ -212,14 +207,10 @@ def decode(coded: CodedMessage) -> MessageMatrix:
         if min(xs) < 0 or max(xs) >= size:
             firsts.append(_first_outside(size, xs))
     if firsts:
-        # the per-row checks, in their order, on the first bad row name its fault
+        # the per-row verdict on the first bad row names its fault
         index = min(firsts) + 1
-        d, k1, k2, k3 = coded.rows[index - 1]
         try:
-            for code in (k1, k2, k3):
-                if not 0 <= code < size:
-                    raise TamperDetected(f"kept code {code} outside [0, {size})")
-            _recover(coded.scheme, d, k1, k2, k3, size)
+            solve_missing(coded.rows[index - 1], coded.scheme, size=size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
     columns = (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
@@ -246,7 +237,7 @@ def encode_text(
     text: str,
     scheme: Scheme,
     n_rule: NRule = NRule.HALF,
-    alphabet_id: str = "default",
+    alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> CodedMessage:
     """Full sender pipeline: preprocess, derive the table, fill, encode."""
     alphabet = get_alphabet(alphabet_id)

@@ -8,7 +8,7 @@ self-test of the installed package.
 
 from dataclasses import dataclass
 
-from .alphabet import CharTable, get_alphabet
+from .alphabet import DEFAULT_ALPHABET, CharTable
 from .codec import Scheme, decode_with_trace, encode_text
 from .layout import NRule, preprocess, to_blocks, to_symbols
 from .wire import serialize
@@ -108,8 +108,7 @@ def run_demo(number: int) -> tuple[str, bool]:
         if got != want:
             mismatches.append(f"{name}: computed {got!r} != pinned {want!r}")
 
-    alphabet = get_alphabet("default")
-    symbols = preprocess(example.message, alphabet)
+    symbols = preprocess(example.message, DEFAULT_ALPHABET)
     check("symbols", symbols, example.symbols)
 
     coded = encode_text(example.message, example.scheme, example.n_rule)
@@ -122,7 +121,7 @@ def run_demo(number: int) -> tuple[str, bool]:
     check("e1", tuple(t.e1 for t in traces), example.e1)
     check("e2", tuple(t.e2 for t in traces), example.e2)
     check("x", tuple(t.x for t in traces), example.x)
-    recovered = to_symbols(matrix, CharTable(alphabet, coded.n))
+    recovered = to_symbols(matrix, CharTable(DEFAULT_ALPHABET, coded.n))
     check("recovered symbols", recovered, example.symbols)
 
     blocks = to_blocks(matrix)

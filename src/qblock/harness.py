@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .alphabet import get_alphabet
+from .alphabet import DEFAULT_ALPHABET_ID, get_alphabet
 from .codec import CodedMessage, FRow, Scheme, decode, encode_text
 from .errors import NotEnoughRows, TamperDetected
 from .layout import NRule
@@ -68,7 +68,9 @@ def _replace_row(rows: tuple[FRow, ...], index: int, row: FRow) -> tuple[FRow, .
 def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     """Deterministically damage one field of the payload.
 
-    The result always differs from the input in at least one field.
+    The result always differs from the input in at least one field.  SWAP_ROWS
+    is never detected: `solve_missing` reads only the row, so a moved row
+    decodes to the same block at its new index.
     """
     rng = random.Random(spec.seed)
     rows = coded.rows
@@ -116,7 +118,7 @@ def detection_rate(
     spec: CorruptionSpec,
     trials: int,
     n_rule: NRule = NRule.HALF,
-    alphabet_id: str = "default",
+    alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> DetectionReport:
     """Corrupt-then-decode `trials` times and tally the outcomes."""
     if trials < 1:

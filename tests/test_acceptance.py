@@ -21,8 +21,7 @@ from qblock.codec import (
     decode_with_trace,
     encode,
     encode_text,
-    solve_missing_lucas,
-    solve_missing_mine,
+    solve_missing,
 )
 from qblock.errors import DegenerateBlock, TamperDetected
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate, trial_spec
@@ -154,21 +153,21 @@ def test_criterion_7_oracle_equivalence():
             sols = scan_lucas(d, b1, b2, b4, n)
             if b2 != 0:
                 assert sols == [b3]
-                assert solve_missing_lucas(FRow(d, b1, b2, b4), n) == b3
+                assert solve_missing(FRow(d, b1, b2, b4), Scheme.LUCAS_BLOCKING) == b3
             else:
                 assert sols == list(range(30))  # no unique solution
                 with pytest.raises(TamperDetected):
-                    solve_missing_lucas(FRow(d, b1, b2, b4), n)
+                    solve_missing(FRow(d, b1, b2, b4), Scheme.LUCAS_BLOCKING)
 
             i = rng.randint(1, 9)
             sols = scan_mine(d, b1, b2, b3, n, i)
             if b1 != 0:
                 assert sols == [b4]
-                assert solve_missing_mine(FRow(d, b1, b2, b3), n, i) == b4
+                assert solve_missing(FRow(d, b1, b2, b3), Scheme.MINESWEEPER) == b4
             else:
                 assert sols == list(range(30))
                 with pytest.raises(TamperDetected):
-                    solve_missing_mine(FRow(d, b1, b2, b3), n, i)
+                    solve_missing(FRow(d, b1, b2, b3), Scheme.MINESWEEPER)
 
 
 def test_criterion_8_tamper_detection_consistency():

@@ -150,6 +150,22 @@ def test_file_errors_exit_1(tmp_path, capsys, monkeypatch):
         assert code == 1 and err.startswith(f"error: {kind}: ") and path in err, argv
 
 
+@pytest.mark.parametrize(
+    "name,kind",
+    [(".", "IsADirectoryError"), ("", "FileNotFoundError")],
+    ids=["directory", "empty-name"],
+)
+def test_harness_csv_that_cannot_be_written_prints_no_summary(
+    name, kind, tmp_path, capsys, monkeypatch
+):
+    # the file is opened before the trials run, and an empty name is a name
+    monkeypatch.chdir(tmp_path)
+    argv = ["harness", "--scheme", "mine", "--strategy", "perturb-kept", "--trials", "3"]
+    code, out, err = run_cli([*argv, "--csv", name], capsys, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {kind}: ")
+
+
 @pytest.mark.parametrize("example", [1, 2])
 def test_demo_passes_and_is_stable(example, capsys, monkeypatch):
     code1, out1, _ = run_cli(["demo", "--example", str(example)], capsys, monkeypatch)

@@ -18,8 +18,7 @@ from qblock.codec import (
     decode_with_trace,
     encode,
     encode_text,
-    solve_missing_lucas,
-    solve_missing_mine,
+    solve_missing,
 )
 from qblock.errors import (
     DegenerateBlock,
@@ -120,24 +119,24 @@ def test_encode_and_parse_build_frows():
     ],
 )
 def test_solve_missing_lucas_example_1(row, expected):
-    assert solve_missing_lucas(row, n=2) == expected
+    assert solve_missing(row, Scheme.LUCAS_BLOCKING) == expected
 
 
 def test_solve_missing_lucas_detects_bad_determinant():
     # (9 * 16 - 55) / 10 is not an integer
     with pytest.raises(TamperDetected):
-        solve_missing_lucas(FRow(55, 9, 10, 16), n=2)
+        solve_missing(FRow(55, 9, 10, 16), Scheme.LUCAS_BLOCKING)
 
 
 def test_solve_missing_lucas_zero_pivot():
     with pytest.raises(TamperDetected):
-        solve_missing_lucas(FRow(6, 2, 0, 3), n=2)
+        solve_missing(FRow(6, 2, 0, 3), Scheme.LUCAS_BLOCKING)
 
 
 def test_solve_missing_lucas_out_of_range():
     # division is exact, (3*7 - 23) / 1 = -2, but -2 is not a valid code
     with pytest.raises(TamperDetected):
-        solve_missing_lucas(FRow(23, 3, 1, 7), n=2)
+        solve_missing(FRow(23, 3, 1, 7), Scheme.LUCAS_BLOCKING)
 
 
 @pytest.mark.parametrize(
@@ -150,12 +149,12 @@ def test_solve_missing_lucas_out_of_range():
     ],
 )
 def test_solve_missing_mine_example_2(row, i, expected):
-    assert solve_missing_mine(row, n=4, block_index=i) == expected
+    assert solve_missing(row, Scheme.MINESWEEPER) == expected
 
 
 def test_solve_missing_mine_detects_bad_determinant():
     with pytest.raises(TamperDetected):
-        solve_missing_mine(FRow(97, 16, 12, 16), n=4, block_index=1)
+        solve_missing(FRow(97, 16, 12, 16), Scheme.MINESWEEPER)
 
 
 def test_solvers_match_bruteforce_scan():
@@ -166,11 +165,13 @@ def test_solvers_match_bruteforce_scan():
         d = b1 * b4 - b2 * b3
         if b2 != 0:
             row = FRow(d, b1, b2, b4)
-            assert scan_lucas(d, b1, b2, b4, n) == [solve_missing_lucas(row, n)] == [b3]
+            x = solve_missing(row, Scheme.LUCAS_BLOCKING)
+            assert scan_lucas(d, b1, b2, b4, n) == [x] == [b3]
         if b1 != 0:
             i = rng.randint(1, 9)
             row = FRow(d, b1, b2, b3)
-            assert scan_mine(d, b1, b2, b3, n, i) == [solve_missing_mine(row, n, i)] == [b4]
+            x = solve_missing(row, Scheme.MINESWEEPER)
+            assert scan_mine(d, b1, b2, b3, n, i) == [x] == [b4]
 
 
 # ---- decoding ----

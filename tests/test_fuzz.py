@@ -1,19 +1,22 @@
 """Property-based fuzz gate: any input gives a result or a QblockError.
 
-The CLI's argv is left out on purpose: `-o` and `--csv` would write to
-whatever path a generated argument names.
-
 The second part checks the flat kernels (the symbol tables, `preprocess`,
 `to_matrix`, `to_symbols`, `encode`, `decode`) against per-element and
-per-block models built from the public pieces they replace, and the last
-checks `parse`, which converts a whole body at once, against a model that
-reads the wire grammar line by line.
+per-block models built from the public pieces they replace, `solve_missing`
+against `decode` of its one row, and swap-rows corruption against the
+matrix with two blocks exchanged.  The third checks `parse`, which converts
+a whole body at once, against a model that reads the wire grammar line by
+line.  The last runs the CLI on argv drawn from a fixed vocabulary whose
+file names are all relative, inside a temporary working directory.
 """
 
+import io
 import re
+from dataclasses import replace
 
 import pytest
 
+import golden
 from qblock.alphabet import DEFAULT_ALPHABET, CharTable, get_alphabet
 from qblock.codec import (
     CodedMessage,
@@ -23,17 +26,19 @@ from qblock.codec import (
     decode_text,
     encode,
     encode_text,
-    solve_missing_lucas,
-    solve_missing_mine,
+    solve_missing,
 )
+from qblock.cli import main
 from qblock.errors import (
     CodeOutOfRange,
     DegenerateBlock,
     MalformedPayload,
+    NotEnoughRows,
     QblockError,
     TamperDetected,
     UnknownSymbol,
 )
+from qblock.harness import CorruptionSpec, Strategy, corrupt
 from qblock.layout import (
     PAD_SYMBOL,
     Block,
@@ -156,8 +161,8 @@ def outcome(f, *args):
 
 
 @st.composite
-def matrices(draw, codes=st.integers(0, SIZE - 1)):
-    dim = draw(st.sampled_from([2, 4, 6, 8]))
+def matrices(draw, codes=st.integers(0, SIZE - 1), dims=(2, 4, 6, 8)):
+    dim = draw(st.sampled_from(dims))
     cells = draw(st.lists(st.lists(codes, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
     return MessageMatrix(dim, tuple(map(tuple, cells)))
 
@@ -251,14 +256,13 @@ def decode_model(coded):
                     f"block {index}: kept code {code} outside [0, {SIZE})", block_index=index
                 )
         try:
-            if coded.scheme is Scheme.LUCAS_BLOCKING:
-                x = solve_missing_lucas(row, coded.n, SIZE)
-                blocks.append(Block(index, row.k1, row.k2, x, row.k3))
-            else:
-                x = solve_missing_mine(row, coded.n, index, SIZE)
-                blocks.append(Block(index, row.k1, row.k2, row.k3, x))
+            x = solve_missing(row, coded.scheme, size=SIZE)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
+        if coded.scheme is Scheme.LUCAS_BLOCKING:
+            blocks.append(Block(index, row.k1, row.k2, x, row.k3))
+        else:
+            blocks.append(Block(index, row.k1, row.k2, row.k3, x))
     return reassemble(blocks, coded.dim)
 
 
@@ -295,6 +299,62 @@ def test_decode_matches_per_block_model(matrix, scheme, n_rule, changes):
     assert outcome(decode, coded) == expected
     if not changes and isinstance(expected, MessageMatrix):
         assert expected == matrix
+
+
+# ---- the row verdict: solve_missing is what decode decides for one row ----
+
+row_codes = st.integers(-2, SIZE + 1)
+
+
+@FUZZ
+@given(
+    st.builds(FRow, st.integers(-900, 900), row_codes, row_codes, row_codes),
+    st.sampled_from(list(Scheme)),
+    st.sampled_from(list(NRule)),
+)
+@hypothesis.example(FRow(-5, 31, 1, 0), Scheme.LUCAS_BLOCKING, NRule.HALF)
+@hypothesis.example(FRow(-5, 31, 1, 0), Scheme.MINESWEEPER, NRule.HALF)
+@hypothesis.example(FRow(54, 9, 10, 16), Scheme.LUCAS_BLOCKING, NRule.HALF)
+@hypothesis.example(FRow(96, 16, 12, 16), Scheme.MINESWEEPER, NRule.TAS)
+def test_solve_missing_agrees_with_decode_of_its_row(row, scheme, n_rule):
+    decoded = outcome(decode, CodedMessage(scheme, n_rule, 2, "default", (row,)))
+    solved = outcome(solve_missing, row, scheme)
+    if isinstance(decoded, MessageMatrix):
+        (_, _), (b3, b4) = decoded.cells
+        assert solved == (b3 if scheme is Scheme.LUCAS_BLOCKING else b4)
+    else:
+        kind, text, index = decoded
+        assert kind is TamperDetected and index == 1 and text.startswith("block 1: ")
+        assert solved == (TamperDetected, text.removeprefix("block 1: "), None)
+
+
+def with_nonzero_pivots(matrix, scheme):
+    pivot = "b2" if scheme is Scheme.LUCAS_BLOCKING else "b1"
+    blocks = [replace(b, **{pivot: getattr(b, pivot) or 1}) for b in to_blocks(matrix)]
+    return reassemble(blocks, matrix.dim)
+
+
+@FUZZ
+@given(
+    matrices(dims=range(2, 17, 2)),
+    st.sampled_from(list(Scheme)),
+    st.sampled_from(list(NRule)),
+    st.integers(0, 2**16),
+)
+def test_swap_rows_is_never_detected(matrix, scheme, n_rule, seed):
+    # solve_missing reads only the row, so each moved row decodes to its own
+    # block at the other's index
+    matrix = with_nonzero_pivots(matrix, scheme)
+    coded = encode(matrix, scheme, n_rule)
+    spec = CorruptionSpec(Strategy.SWAP_ROWS, seed=seed)
+    if len(set(coded.rows)) < 2:
+        assert outcome(corrupt, coded, spec)[0] is NotEnoughRows
+        return
+    damaged = corrupt(coded, spec)
+    i, j = (k for k, pair in enumerate(zip(coded.rows, damaged.rows)) if pair[0] != pair[1])
+    blocks = to_blocks(matrix)
+    blocks[i], blocks[j] = blocks[j], blocks[i]
+    assert decode(damaged) == reassemble(blocks, matrix.dim)
 
 
 # ---- parse against a per-line model of the wire grammar ----
@@ -386,3 +446,72 @@ def test_parse_matches_per_line_model(payload):
     assert got == outcome(parse_model, payload)
     if isinstance(got, CodedMessage):
         assert all(type(row) is FRow for row in got.rows)
+
+
+# ---- the CLI's argv ----
+
+# every subcommand with its required and its optional flags, every flag with
+# valid and invalid values, file names relative to the working directory
+# only, and no --trials above 5
+ARGV_COMMANDS = {
+    "encode": (("--scheme",), ("--n-rule", "-i", "--input", "-o", "--output")),
+    "decode": ((), ("-i", "--input", "-o", "--output", "--render", "--spaces")),
+    "demo": (("--example",), ("--example",)),
+    "harness": (
+        ("--scheme", "--strategy", "--trials"),
+        ("--trials", "--seed", "--magnitude", "--message", "--n-rule", "--csv"),
+    ),
+    "bogus": ((), ("--alphabet",)),
+}
+ARGV_NAMES = ("in.txt", "out.txt", ".", "missing/x", "")
+ARGV_FLAGS = {
+    "--scheme": ("lucas", "mine", "nope"),
+    "--n-rule": ("half", "tas", "x"),
+    "-i": ARGV_NAMES,
+    "--input": ARGV_NAMES,
+    "-o": ARGV_NAMES,
+    "--output": ARGV_NAMES,
+    "--csv": ARGV_NAMES,
+    "--render": ("text", "grid", "x"),
+    "--spaces": ("restore", "keep", "x"),
+    "--example": ("1", "2", "3"),
+    "--strategy": ("perturb-d", "perturb-kept", "swap-rows", "x"),
+    "--trials": ("1", "5", "0", "x"),
+    "--seed": ("0", "-3", "x"),
+    "--magnitude": ("1", "5", "0", "-3"),
+    "--message": ("HI", "A", "a b", "", golden.EX1_MESSAGE),
+    "--alphabet": ("default",),
+}
+ARGV_WORDS = ("-h", "--help", "x", *ARGV_COMMANDS, *ARGV_FLAGS)
+
+
+@st.composite
+def argvs(draw):
+    def pair(flag):
+        return [flag, draw(st.sampled_from(ARGV_FLAGS[flag]))]
+
+    command = draw(st.sampled_from(sorted(ARGV_COMMANDS)))
+    required, optional = ARGV_COMMANDS[command]
+    argv = [command]
+    for flag in (*required, *draw(st.lists(st.sampled_from(optional), max_size=3))):
+        argv += pair(flag)
+    # a few stray words: a flag of another command, a missing value, -h
+    return argv + draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=2))
+
+
+@hypothesis.settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@given(argvs())
+def test_cli_argv_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    # the same readable files for every example: a payload and a message
+    (tmp_path / "in.txt").write_text(golden.EX1_PAYLOAD, encoding="utf-8")
+    (tmp_path / "out.txt").write_text(golden.EX1_MESSAGE + "\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(golden.EX1_PAYLOAD))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
