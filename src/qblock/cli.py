@@ -7,6 +7,7 @@ be opened, written or read as UTF-8 (message on stderr), 2 usage errors.
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 from .codec import Scheme, decode_text, encode_text
 from .errors import QblockError
@@ -102,26 +103,26 @@ def _run_demo(args) -> int:
 
 
 def _run_harness(args) -> int:
-    if args.csv is None:
-        return _harness(args, None)
-    # opened before the trials run: a path that cannot be written prints nothing
-    with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-        return _harness(args, csv.writer(handle))
-
-
-def _harness(args, writer) -> int:
     spec = CorruptionSpec(Strategy(args.strategy), magnitude=args.magnitude, seed=args.seed)
     report = detection_rate(
         args.message, Scheme(args.scheme), spec, args.trials, NRule(args.n_rule)
     )
-    print(
-        f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
-        f"magnitude={args.magnitude} {report.summary()}"
-    )
-    if writer is not None:
-        writer.writerow(["trial", "strategy", "outcome"])
-        for trial, outcome in enumerate(report.outcomes):
-            writer.writerow([trial, args.strategy, outcome])
+    # opened after the trials, so a run that fails leaves an existing file as
+    # it was, and before the summary, so a name that cannot be written prints
+    # nothing
+    with (
+        nullcontext() if args.csv is None
+        else open(args.csv, "w", encoding="utf-8", newline="")
+    ) as handle:
+        print(
+            f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
+            f"magnitude={args.magnitude} {report.summary()}"
+        )
+        if handle is not None:
+            writer = csv.writer(handle)
+            writer.writerow(["trial", "strategy", "outcome"])
+            for trial, outcome in enumerate(report.outcomes):
+                writer.writerow([trial, args.strategy, outcome])
     return 0
 
 

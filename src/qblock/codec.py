@@ -15,11 +15,10 @@ The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks up front; any corruption
 that leaves no exact in-range solution is reported as tampering.
 
-`decode` checks columns, not rows: the kept codes by the min and max of
-their set, the pivots for a zero, and every x from one `map(divmod, ...)`
-over the rows before those faults.  The earliest first-failing row of any
-check goes through `solve_missing`, the one per-row verdict, which names
-the fault.
+`decode` accepts a payload by one test over whole columns: kept codes in
+range, no zero pivot, and every x from one `map(divmod, ...)` exact and in
+range.  Otherwise `solve_missing`, the one per-row verdict, rescans the rows
+from a lower bound on the first bad one and names the first it rejects.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -38,7 +37,6 @@ e1, e2 and the recovered x.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -49,6 +47,7 @@ from .layout import (
     MessageMatrix,
     NRule,
     _grid,
+    _member,
     _quads,
     choose_n,
     preprocess,
@@ -77,8 +76,9 @@ class CodedMessage:
     """The full payload: scheme/context header plus the rows in block order.
 
     The key index n is never carried; both sides derive it from the row
-    count and the n-rule.  Raises HeaderMismatch unless the dimension is
-    even and >= 2 and there is one row per block.
+    count and the n-rule.  Raises TypeError unless scheme and n_rule are
+    members of their enums, and HeaderMismatch unless the dimension is even
+    and >= 2 and there is one row per block.
     """
 
     scheme: Scheme
@@ -88,6 +88,8 @@ class CodedMessage:
     rows: tuple[FRow, ...]
 
     def __post_init__(self):
+        _member(self.scheme, Scheme)
+        _member(self.n_rule, NRule)
         if self.dim < 2 or self.dim % 2:
             raise HeaderMismatch(f"dimension must be even and >= 2, got {self.dim}")
         expected = (self.dim // 2) ** 2
@@ -126,8 +128,8 @@ def encode(
     those the determinant carries no information about the dropped element,
     so the message cannot be encoded under this scheme.
     """
+    lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
     blocks = _quads(matrix.cells)
-    lucas = scheme is Scheme.LUCAS_BLOCKING
     pivot = 1 if lucas else 0  # b2, resp. b1
     degenerate = [index for index, block in enumerate(blocks, start=1) if block[pivot] == 0]
     if degenerate:
@@ -149,11 +151,12 @@ def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.siz
     check: kept codes k1, k2, k3 in [0, size), a nonzero pivot, exact
     division, then the recovered code in [0, size).
     """
+    lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
     d, k1, k2, k3 = row
     for code in (k1, k2, k3):
         if not 0 <= code < size:
             raise TamperDetected(f"kept code {code} outside [0, {size})")
-    if scheme is Scheme.LUCAS_BLOCKING:
+    if lucas:
         pivot, numerator = k2, k1 * k3 - d
     else:
         pivot, numerator = k1, d + k2 * k3
@@ -168,14 +171,6 @@ def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.siz
     return x
 
 
-def _first_outside(size: int, *columns) -> int:
-    """0-based index of the first row with a value v in any column that fails
-    0 <= v < size, the per-row test, for non-int values too; at least one
-    value must fail it."""
-    bad = (column for column in columns if min(column) < 0 or max(column) >= size)
-    return min(next(i for i, v in enumerate(column) if not 0 <= v < size) for column in bad)
-
-
 def decode(coded: CodedMessage) -> MessageMatrix:
     """Recover the full code matrix from a payload.
 
@@ -187,34 +182,24 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     ds, k1s, k2s, k3s = zip(*coded.rows)
     pivots = k2s if lucas else k1s
-    # 0-based first failing row of each check that fails
-    firsts = []
     kept = set(k1s).union(k2s, k3s)
-    if min(kept) < 0 or max(kept) >= size:
-        firsts.append(_first_outside(size, k1s, k2s, k3s))
-    if 0 in pivots:
-        firsts.append(pivots.index(0))
-    # no arithmetic from the first bad row on: map stops at the shortest column
-    end = min(firsts, default=len(ds))
-    if end:
+    start = 0
+    if 0 <= min(kept) and max(kept) < size and 0 not in pivots:
         if lucas:
-            numerators = map(sub, map(mul, k1s[:end], k3s), ds)
+            numerators = map(sub, map(mul, k1s, k3s), ds)
         else:
-            numerators = map(add, ds[:end], map(mul, k2s, k3s))
+            numerators = map(add, ds, map(mul, k2s, k3s))
         xs, remainders = zip(*map(divmod, numerators, pivots))
-        if any(remainders):
-            firsts.append(next(compress(count(), remainders)))
-        if min(xs) < 0 or max(xs) >= size:
-            firsts.append(_first_outside(size, xs))
-    if firsts:
-        # the per-row verdict on the first bad row names its fault
-        index = min(firsts) + 1
+        if not any(remainders) and 0 <= min(xs) and max(xs) < size:
+            columns = (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
+            return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
+        start = next(i for i, (x, r) in enumerate(zip(xs, remainders)) if r or not 0 <= x < size)
+    # from start, a lower bound on the first bad row, the per-row verdict names it
+    for index, row in enumerate(coded.rows[start:], start + 1):
         try:
-            solve_missing(coded.rows[index - 1], coded.scheme, size=size)
+            solve_missing(row, coded.scheme, size=size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
-    columns = (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
-    return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
 
 
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:

@@ -135,10 +135,19 @@ def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:
     return MessageMatrix(dim, _grid(*columns, dim))
 
 
+def _member(value, kind: type[Enum]):
+    """`value` itself if it is a member of the enum `kind`.  Raises TypeError
+    otherwise: a code or a string would fall through to another member's
+    branch."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__} member, got {value!r}")
+    return value
+
+
 def choose_n(b: int, rule: NRule) -> int:
     """Key index for b blocks under the selected rule."""
     if b < 1:
         raise ValueError(f"block count must be >= 1, got {b}")
-    if rule is NRule.HALF:
+    if _member(rule, NRule) is NRule.HALF:
         return b if b <= 3 else b // 2
     return 3 if b <= 3 else b

@@ -158,12 +158,23 @@ def test_file_errors_exit_1(tmp_path, capsys, monkeypatch):
 def test_harness_csv_that_cannot_be_written_prints_no_summary(
     name, kind, tmp_path, capsys, monkeypatch
 ):
-    # the file is opened before the trials run, and an empty name is a name
+    # the file is opened before the summary prints, and an empty name is a name
     monkeypatch.chdir(tmp_path)
     argv = ["harness", "--scheme", "mine", "--strategy", "perturb-kept", "--trials", "3"]
     code, out, err = run_cli([*argv, "--csv", name], capsys, monkeypatch)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {kind}: ")
+
+
+def test_harness_that_fails_leaves_an_existing_csv_as_it_was(tmp_path, capsys, monkeypatch):
+    # the trials run before the file is opened
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("trial,strategy,outcome\n0,perturb-d,detected\n")
+    argv = ["harness", "--scheme", "lucas", "--strategy", "perturb-d", "--message", ""]
+    code, out, err = run_cli([*argv, "--csv", "x.csv"], capsys, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: EmptyMessage: ")
+    assert (tmp_path / "x.csv").read_text() == "trial,strategy,outcome\n0,perturb-d,detected\n"
 
 
 @pytest.mark.parametrize("example", [1, 2])

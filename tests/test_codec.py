@@ -26,7 +26,7 @@ from qblock.errors import (
     TamperDetected,
     UnknownAlphabet,
 )
-from qblock.layout import MessageMatrix, NRule, to_blocks
+from qblock.layout import MessageMatrix, NRule, choose_n, to_blocks
 from qblock.numtheory import key_determinant
 from qblock.wire import parse, serialize
 
@@ -83,6 +83,31 @@ def test_encode_rejects_zero_pivot():
     with pytest.raises(DegenerateBlock) as info:
         encode(matrix2, Scheme.MINESWEEPER)
     assert info.value.indices == (1, 4)
+
+
+# b1 = 0: minesweeper, the branch a non-member used to fall into, refuses it
+ZERO_B1 = MessageMatrix(2, ((0, 1), (1, 1)))
+# lucas recovers x = 2 from this row, minesweeper 0
+ONE_ROW = (FRow(-1, 1, 1, 1),)
+NOT_A_MEMBER = {
+    "solve_missing": lambda value: solve_missing(ONE_ROW[0], value),
+    "encode": lambda value: encode(ZERO_B1, value),
+    "CodedMessage-scheme": lambda value: CodedMessage(value, NRule.HALF, 2, "default", ONE_ROW),
+    "CodedMessage-n_rule": lambda value: CodedMessage(
+        Scheme.LUCAS_BLOCKING, value, 2, "default", ONE_ROW
+    ),
+    "choose_n": lambda value: choose_n(8, value),
+    "encode_text-scheme": lambda value: encode_text("HI", value),
+    "encode_text-n_rule": lambda value: encode_text("HI", Scheme.LUCAS_BLOCKING, value),
+}
+
+
+@pytest.mark.parametrize("value", ["lucas", 2, "half", None], ids=repr)
+@pytest.mark.parametrize("call", NOT_A_MEMBER.values(), ids=NOT_A_MEMBER.keys())
+def test_a_scheme_or_n_rule_that_is_not_a_member_is_a_type_error(call, value):
+    # a value that is not a member must not fall through to another member's branch
+    with pytest.raises(TypeError, match=f"member, got {value!r}$"):
+        call(value)
 
 
 # ---- the row type ----
@@ -382,9 +407,10 @@ def test_decode_builds_no_key(monkeypatch, scheme, n_rule):
 
 # ---- the first fault names the error ----
 
-# a dim-6 grid with every cell >= 2: each pivot is at least 2, so d + 1 never
-# has an exact solution
-CLEAN_CELLS = tuple(tuple(2 + (5 * r + 7 * c) % 27 for c in range(6)) for r in range(6))
+def clean_cells(dim):
+    """A grid with every cell >= 2: each pivot is at least 2, so d + 1 never
+    has an exact solution."""
+    return tuple(tuple(2 + (5 * r + 7 * c) % 27 for c in range(dim)) for r in range(dim))
 
 
 def damage(kind, scheme, row):
@@ -404,17 +430,17 @@ def damage(kind, scheme, row):
 
 
 FAULT_KINDS = ("kept", "zero-pivot", "no-solution", "out-of-range")
+FAULT_PAIRS = list(itertools.permutations(FAULT_KINDS, 2))
 
 
 @pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-@pytest.mark.parametrize(
-    "first,second", list(itertools.permutations(FAULT_KINDS, 2)), ids="-then-".join
-)
-def test_decode_names_the_first_of_two_faults(decoder, scheme, first, second):
-    # the kind checked first per row must not win over an earlier row
-    coded = encode(MessageMatrix(6, CLEAN_CELLS), scheme)
-    i, j = 3, 7
+@pytest.mark.parametrize("first,second", FAULT_PAIRS, ids=[f"{a}-then-{b}" for a, b in FAULT_PAIRS])
+@pytest.mark.parametrize("dim,i,j", [(6, 3, 7), (32, 100, 200)], ids=["dim6", "dim32"])
+def test_decode_names_the_first_of_two_faults(decoder, scheme, first, second, dim, i, j):
+    # the kind checked first per row must not win over an earlier row, near
+    # row 1 or far from it
+    coded = encode(MessageMatrix(dim, clean_cells(dim)), scheme)
     rows = list(coded.rows)
     rows[i - 1], text = damage(first, scheme, rows[i - 1])
     rows[j - 1], _ = damage(second, scheme, rows[j - 1])
@@ -438,7 +464,7 @@ class Hostile(int):
 @pytest.mark.parametrize("index", [1, 2])
 def test_decode_does_no_arithmetic_past_a_kept_code_fault(scheme, kind, index):
     # a hostile payload costs no more than the rows up to its first bad one
-    coded = encode(MessageMatrix(6, CLEAN_CELLS), scheme)
+    coded = encode(MessageMatrix(6, clean_cells(6)), scheme)
     rows = list(coded.rows)
     rows[index - 1], text = damage(kind, scheme, rows[index - 1])
     rows[index:] = [FRow(*map(Hostile, row)) for row in rows[index:]]
