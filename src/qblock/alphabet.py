@@ -29,7 +29,8 @@ class Alphabet:
     symbols: tuple[str, ...] = _DEFAULT_SYMBOLS
 
     def __post_init__(self):
-        if not self.id or any(c in ";\n\r\t " for c in self.id):
+        # what the wire header refuses: its \s is exactly str.isspace()
+        if not self.id or any(c == ";" or c.isspace() for c in self.id):
             raise ValueError(f"alphabet id {self.id!r} must be non-empty, no ';' or whitespace")
         if any(len(symbol) != 1 for symbol in self.symbols):
             raise ValueError("alphabet symbols must be single characters")

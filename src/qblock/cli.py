@@ -5,17 +5,18 @@ be opened, written or read as UTF-8 (message on stderr), 2 usage errors.
 """
 
 import argparse
-import csv
 import sys
 from contextlib import nullcontext
 
 from .codec import Scheme, decode_text, encode_text
 from .errors import QblockError
-from .harness import CorruptionSpec, Strategy, detection_rate
 from .layout import NRule
 from .wire import parse, serialize
 
 DEFAULT_HARNESS_MESSAGE = "HI! HOW ARE YOU?"
+# the values of harness.Strategy, spelled out so that building the parser does
+# not import the harness; tests/test_package.py holds the two equal
+STRATEGIES = ("perturb-d", "perturb-kept", "swap-rows")
 
 
 def positive_int(text: str) -> int:
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     har = sub.add_parser("harness", help="measure corruption detection")
     har.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
-    har.add_argument("--strategy", required=True, choices=[s.value for s in Strategy])
+    har.add_argument("--strategy", required=True, choices=STRATEGIES)
     har.add_argument("--trials", type=positive_int, default=100)
     har.add_argument("--seed", type=int, default=0)
     har.add_argument("--magnitude", type=positive_int, default=1)
@@ -103,6 +104,10 @@ def _run_demo(args) -> int:
 
 
 def _run_harness(args) -> int:
+    import csv  # like demo, only this command needs these
+
+    from .harness import CorruptionSpec, Strategy, detection_rate
+
     spec = CorruptionSpec(Strategy(args.strategy), magnitude=args.magnitude, seed=args.seed)
     report = detection_rate(
         args.message, Scheme(args.scheme), spec, args.trials, NRule(args.n_rule)

@@ -31,16 +31,16 @@ carries the factor det(K), so the key cancels and the equation reduces to
 the identities above.  `decode_with_trace` reports the paper's per-block
 record: the key (r_matrix(n) for every LUCAS_BLOCKING block; for
 MINESWEEPER q_power(n) on odd-indexed blocks, r_matrix(n) on even ones),
-e1, e2 and the recovered x.
+e1, e2 and the recovered x.  It is the only user of `numtheory` and imports
+it when called, so encode and decode never load the key matrices.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, mul, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import numtheory
 from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, get_alphabet
 from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
@@ -54,7 +54,9 @@ from .layout import (
     to_matrix,
     to_symbols,
 )
-from .numtheory import KeyMatrix
+
+if TYPE_CHECKING:
+    from .numtheory import KeyMatrix
 
 
 class Scheme(Enum):
@@ -112,7 +114,7 @@ class DecodeTrace(NamedTuple):
     e1: int
     e2: int
     x: int
-    key: KeyMatrix
+    key: "KeyMatrix"
 
 
 def encode(
@@ -204,6 +206,8 @@ def decode(coded: CodedMessage) -> MessageMatrix:
 
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
     """Decode and also return the paper's per-block solving record."""
+    from . import numtheory
+
     matrix = decode(coded)
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     rmat = numtheory.r_matrix(coded.n)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -9,7 +10,11 @@ from qblock.alphabet import (
     get_alphabet,
     register_alphabet,
 )
+from qblock.codec import Scheme, encode_text
 from qblock.errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
+from qblock.wire import parse, serialize
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
 def test_default_alphabet_contents():
@@ -110,3 +115,17 @@ def test_registry_roundtrip():
 def test_unknown_alphabet_id():
     with pytest.raises(UnknownAlphabet):
         get_alphabet("nope")
+
+
+@pytest.mark.parametrize("char", [";", *WHITESPACE], ids=lambda c: f"U+{ord(c):04X}")
+def test_alphabet_id_refuses_what_the_wire_header_cannot_carry(char):
+    # the header would serialize, and parse would refuse it as a bad header line
+    with pytest.raises(ValueError, match="no ';' or whitespace"):
+        Alphabet(f"a{char}b")
+
+
+@pytest.mark.parametrize("alphabet_id", ["a=b", "ä"])
+def test_unusual_alphabet_id_survives_the_wire(alphabet_id):
+    register_alphabet(Alphabet(alphabet_id))
+    coded = encode_text("HI THERE", Scheme.MINESWEEPER, alphabet_id=alphabet_id)
+    assert parse(serialize(coded)) == coded

@@ -1,0 +1,71 @@
+"""The package root loads its modules lazily, and the CLI loads only what it runs."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qblock
+from qblock.cli import build_parser
+from qblock.harness import Strategy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_after(statement):
+    """The modules a fresh interpreter has loaded after running `statement`."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("name", qblock.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"qblock.{qblock._HOME[name]}")
+    value = getattr(qblock, name)
+    assert value is getattr(home, name)
+    # defined there, not merely imported there
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qblock import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qblock.__all__)
+    assert len(qblock.__all__) == 45 and qblock.__all__ == sorted(qblock.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(qblock.__all__) <= set(dir(qblock))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        qblock.nope
+
+
+def test_import_qblock_loads_no_submodule():
+    assert not {m for m in loaded_after("import qblock") if m.startswith("qblock.")}
+
+
+def test_cli_loads_neither_harness_nor_key_matrices():
+    loaded = loaded_after("import qblock.cli")
+    assert "qblock.cli" in loaded
+    assert not loaded & {"qblock.harness", "qblock.numtheory", "qblock.demo", "csv"}
+
+
+def test_strategy_choices_are_the_strategy_values():
+    from qblock.cli import STRATEGIES
+
+    assert list(STRATEGIES) == [s.value for s in Strategy]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["harness", "--scheme", "lucas", "--strategy", "nope"])
+    for value in STRATEGIES:
+        args = build_parser().parse_args(["harness", "--scheme", "lucas", "--strategy", value])
+        assert args.strategy == value
