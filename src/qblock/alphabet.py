@@ -12,7 +12,7 @@ register the same table up front (the id travels in the wire header, the
 symbols do not).
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
 
@@ -21,23 +21,38 @@ DEFAULT_ALPHABET_ID = "default"
 _DEFAULT_SYMBOLS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ0!?.")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """Base of the namedtuple records whose `__new__` checks the fields.
+
+    A namedtuple's own `_make`, and so `_replace`, builds the tuple without
+    calling `__new__`; this one calls it, so a changed copy is checked too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # a list: from `_replace`'s map CPython would shrink a guessed
+        # 10-tuple per call, and the shrunk tuples fill its tuple free lists
+        return cls(*list(iterable))
+
+
+class Alphabet(_Record, namedtuple("Alphabet", "id symbols")):
     """An ordered set of distinct symbols, identified by a short id."""
 
-    id: str
-    symbols: tuple[str, ...] = _DEFAULT_SYMBOLS
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, id: str, symbols: tuple[str, ...] = _DEFAULT_SYMBOLS):
         # what the wire header refuses: its \s is exactly str.isspace()
-        if not self.id or any(c == ";" or c.isspace() for c in self.id):
-            raise ValueError(f"alphabet id {self.id!r} must be non-empty, no ';' or whitespace")
-        if any(len(symbol) != 1 for symbol in self.symbols):
+        if not id or any(c == ";" or c.isspace() for c in id):
+            raise ValueError(f"alphabet id {id!r} must be non-empty, no ';' or whitespace")
+        if any(len(symbol) != 1 for symbol in symbols):
             raise ValueError("alphabet symbols must be single characters")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
-        if len(self.symbols) < 2:
+        if len(symbols) < 2:
             raise ValueError("alphabet needs at least two symbols")
+        return super().__new__(cls, id, symbols)
 
     @property
     def size(self) -> int:
@@ -68,26 +83,46 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
         raise UnknownAlphabet(f"no alphabet registered under id {alphabet_id!r}") from None
 
 
-@dataclass(frozen=True)
 class CharTable:
     """An alphabet together with its shift n: symbol k codes to (n + k) mod size.
 
-    Both directions are tabulated once, at construction; the table is frozen.
+    Both directions are tabulated once, at construction.  The table is
+    frozen, and it compares, hashes and prints as (alphabet, shift) alone.
     """
 
-    alphabet: Alphabet
-    shift: int
-    _codes: dict[str, int] = field(init=False, repr=False, compare=False)
-    _symbols: dict[int, str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("alphabet", "shift", "_codes", "_symbols")
 
-    def __post_init__(self):
-        if self.shift < 1:
-            raise ValueError(f"shift must be >= 1, got {self.shift}")
-        size = self.alphabet.size
-        start = self.shift % size
+    def __init__(self, alphabet: Alphabet, shift: int):
+        if shift < 1:
+            raise ValueError(f"shift must be >= 1, got {shift}")
+        size = alphabet.size
+        start = shift % size
         codes = [*range(start, size), *range(start)]  # (shift + k) mod size, k = 0, 1, ...
-        object.__setattr__(self, "_codes", dict(zip(self.alphabet.symbols, codes)))
-        object.__setattr__(self, "_symbols", dict(zip(codes, self.alphabet.symbols)))
+        init = object.__setattr__  # the class's own __setattr__ refuses
+        init(self, "alphabet", alphabet)
+        init(self, "shift", shift)
+        init(self, "_codes", dict(zip(alphabet.symbols, codes)))
+        init(self, "_symbols", dict(zip(codes, alphabet.symbols)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.shift) == (other.alphabet, other.shift)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.shift))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(alphabet={self.alphabet!r}, shift={self.shift!r})"
+
+    def __reduce__(self):  # copy and pickle build a new table rather than assign
+        return type(self), (self.alphabet, self.shift)
 
     def code_of(self, symbol: str) -> int:
         return self._codes_of((symbol,))[0]

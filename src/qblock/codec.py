@@ -36,12 +36,11 @@ it when called, so encode and decode never load the key matrices.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, NamedTuple
 
-from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, get_alphabet
+from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, _Record, get_alphabet
 from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
     MessageMatrix,
@@ -55,26 +54,19 @@ from .layout import (
     to_symbols,
 )
 
-if TYPE_CHECKING:
-    from .numtheory import KeyMatrix
-
 
 class Scheme(Enum):
     LUCAS_BLOCKING = "lucas"
     MINESWEEPER = "mine"
 
 
-class FRow(NamedTuple):
+class FRow(namedtuple("FRow", "d k1 k2 k3")):
     """One transmitted row: block determinant plus the three kept codes."""
 
-    d: int
-    k1: int
-    k2: int
-    k3: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CodedMessage:
+class CodedMessage(_Record, namedtuple("CodedMessage", "scheme n_rule dim alphabet_id rows")):
     """The full payload: scheme/context header plus the rows in block order.
 
     The key index n is never carried; both sides derive it from the row
@@ -83,38 +75,33 @@ class CodedMessage:
     and >= 2 and there is one row per block.
     """
 
-    scheme: Scheme
-    n_rule: NRule
-    dim: int
-    alphabet_id: str
-    rows: tuple[FRow, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _member(self.scheme, Scheme)
-        _member(self.n_rule, NRule)
-        if self.dim < 2 or self.dim % 2:
-            raise HeaderMismatch(f"dimension must be even and >= 2, got {self.dim}")
-        expected = (self.dim // 2) ** 2
-        if len(self.rows) != expected:
+    def __new__(cls, scheme: Scheme, n_rule: NRule, dim: int, alphabet_id: str,
+                rows: tuple[FRow, ...]):
+        _member(scheme, Scheme)
+        _member(n_rule, NRule)
+        if dim < 2 or dim % 2:
+            raise HeaderMismatch(f"dimension must be even and >= 2, got {dim}")
+        expected = (dim // 2) ** 2
+        if len(rows) != expected:
             # past ~4300 digits Python refuses to print an int
             implied = expected if expected.bit_length() <= 10_000 else "too many"
             raise HeaderMismatch(
-                f"dimension {self.dim} implies {implied} rows, payload has {len(self.rows)}"
+                f"dimension {dim} implies {implied} rows, payload has {len(rows)}"
             )
+        return super().__new__(cls, scheme, n_rule, dim, alphabet_id, rows)
 
     @property
     def n(self) -> int:
         return choose_n(len(self.rows), self.n_rule)
 
 
-class DecodeTrace(NamedTuple):
-    """Per-block decoding record: helper products, recovered code, key used."""
+class DecodeTrace(namedtuple("DecodeTrace", "index e1 e2 x key")):
+    """Per-block decoding record: helper products, recovered code, and the
+    `numtheory.KeyMatrix` used."""
 
-    index: int
-    e1: int
-    e2: int
-    x: int
-    key: "KeyMatrix"
+    __slots__ = ()
 
 
 def encode(

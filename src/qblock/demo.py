@@ -6,7 +6,7 @@ whole pipeline and reports any deviation, so the demo doubles as a
 self-test of the installed package.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .alphabet import DEFAULT_ALPHABET, CharTable
 from .codec import Scheme, decode_with_trace, encode_text
@@ -14,20 +14,12 @@ from .layout import NRule, preprocess, to_blocks, to_symbols
 from .wire import serialize
 
 
-@dataclass(frozen=True)
-class DemoExample:
-    number: int
-    message: str
-    scheme: Scheme
-    n_rule: NRule
-    dim: int
-    n: int
-    symbols: str
-    matrix_rows: tuple[tuple[int, ...], ...]
-    f_rows: tuple[tuple[int, int, int, int], ...]
-    e1: tuple[int, ...]
-    e2: tuple[int, ...]
-    x: tuple[int, ...]
+class DemoExample(
+    namedtuple(
+        "DemoExample", "number message scheme n_rule dim n symbols matrix_rows f_rows e1 e2 x"
+    )
+):
+    __slots__ = ()
 
 
 EXAMPLE_1 = DemoExample(

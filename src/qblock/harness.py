@@ -13,10 +13,10 @@ independently reproducible.
 """
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 
-from .alphabet import DEFAULT_ALPHABET_ID, get_alphabet
+from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
 from .codec import CodedMessage, FRow, Scheme, decode, encode_text
 from .errors import NotEnoughRows, TamperDetected
 from .layout import NRule
@@ -32,23 +32,19 @@ class Strategy(Enum):
     SWAP_ROWS = "swap-rows"
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    strategy: Strategy
-    magnitude: int = 1
-    seed: int = 0
+class CorruptionSpec(_Record, namedtuple("CorruptionSpec", "strategy magnitude seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.magnitude < 1:
-            raise ValueError(f"magnitude must be >= 1, got {self.magnitude}")
+    def __new__(cls, strategy: Strategy, magnitude: int = 1, seed: int = 0):
+        if magnitude < 1:
+            raise ValueError(f"magnitude must be >= 1, got {magnitude}")
+        return super().__new__(cls, strategy, magnitude, seed)
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    detected: int
-    miscorrected: int
-    trials: int
-    outcomes: tuple[str, ...] = ()
+class DetectionReport(
+    namedtuple("DetectionReport", "detected miscorrected trials outcomes", defaults=((),))
+):
+    __slots__ = ()
 
     @property
     def undetected_equal(self) -> int:
@@ -78,7 +74,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
         i = rng.randrange(len(rows))
         delta = rng.randint(1, spec.magnitude) * rng.choice((1, -1))
         new_row = rows[i]._replace(d=rows[i].d + delta)
-        return replace(coded, rows=_replace_row(rows, i, new_row))
+        return coded._replace(rows=_replace_row(rows, i, new_row))
 
     if spec.strategy is Strategy.PERTURB_KEPT:
         size = get_alphabet(coded.alphabet_id).size
@@ -90,7 +86,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
             new = (old + delta) % size
             if new != old:  # magnitude >= size can draw a full wrap
                 new_row = rows[i]._replace(**{field: new})
-                return replace(coded, rows=_replace_row(rows, i, new_row))
+                return coded._replace(rows=_replace_row(rows, i, new_row))
 
     # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
     # rejection so a trial stays linear in the row count
@@ -104,12 +100,12 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
             break
     swapped = list(rows)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    return replace(coded, rows=tuple(swapped))
+    return coded._replace(rows=tuple(swapped))
 
 
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:
     """The spec actually used for trial number `trial` (0-based)."""
-    return replace(spec, seed=spec.seed + trial)
+    return spec._replace(seed=spec.seed + trial)
 
 
 def detection_rate(

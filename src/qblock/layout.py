@@ -10,11 +10,11 @@ the rows from block columns, for `to_blocks`, `reassemble` and the codec.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import chain
 
-from .alphabet import Alphabet, CharTable
+from .alphabet import Alphabet, CharTable, _Record
 from .errors import BadLength, EmptyMessage, UnknownSymbol
 
 PAD_SYMBOL = "0"
@@ -27,29 +27,23 @@ class NRule(Enum):
     TAS = "tas"    # n = 3 if b <= 3 else b
 
 
-@dataclass(frozen=True)
-class MessageMatrix:
+class MessageMatrix(_Record, namedtuple("MessageMatrix", "dim cells")):
     """Square grid of codes with even side, stored as row tuples."""
 
-    dim: int
-    cells: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2:
-            raise BadLength(f"matrix dimension must be even and >= 2, got {self.dim}")
-        if len(self.cells) != self.dim or any(len(row) != self.dim for row in self.cells):
-            raise BadLength(f"cell grid does not match dimension {self.dim}")
+    def __new__(cls, dim: int, cells: tuple[tuple[int, ...], ...]):
+        if dim < 2 or dim % 2:
+            raise BadLength(f"matrix dimension must be even and >= 2, got {dim}")
+        if len(cells) != dim or any(len(row) != dim for row in cells):
+            raise BadLength(f"cell grid does not match dimension {dim}")
+        return super().__new__(cls, dim, cells)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "index b1 b2 b3 b4")):
     """One 2x2 submatrix, row-major b1 b2 / b3 b4, with its 1-based index."""
 
-    index: int
-    b1: int
-    b2: int
-    b3: int
-    b4: int
+    __slots__ = ()
 
     def determinant(self) -> int:
         return self.b1 * self.b4 - self.b2 * self.b3

@@ -14,7 +14,7 @@ equation (see codec):
 Everything is plain Python int, so the identities hold exactly for any n.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -25,16 +25,10 @@ class Family(Enum):
     RMAT = "rmat"
 
 
-@dataclass(frozen=True)
-class KeyMatrix:
+class KeyMatrix(namedtuple("KeyMatrix", "family n m11 m12 m21 m22")):
     """A symmetric 2x2 integer key matrix, entries row-major m11 m12 / m21 m22."""
 
-    family: Family
-    n: int
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+    __slots__ = ()
 
     def entry_determinant(self) -> int:
         """Determinant computed from the entries (not the closed form)."""

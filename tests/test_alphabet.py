@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -75,7 +74,7 @@ def test_shift_must_be_positive():
 def test_char_table_is_frozen():
     # both lookups are built at construction, so a new shift needs a new table
     table = CharTable(DEFAULT_ALPHABET, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         table.shift = 3
     assert table.shift == 2 and table.code_of("A") == 2 and table.symbol_of(2) == "A"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -119,8 +118,7 @@ def test_frow_is_a_named_tuple():
     assert (row.d, row.k1, row.k2, row.k3) == (54, 9, 10, 16)
     assert row._replace(k2=0) == FRow(54, 9, 0, 16) and row.k2 == 10
     assert hash(row) == hash(FRow(d=54, k1=9, k2=10, k3=16))
-    # AttributeError, which dataclasses.FrozenInstanceError subclasses, so
-    # callers that caught the frozen dataclass's error still catch it
+    # immutable, as every record of the package is
     with pytest.raises(AttributeError):
         row.d = 0
 
@@ -365,7 +363,7 @@ def with_row(coded, index, **fields):
     """`coded` with the given fields of block `index` (1-based) replaced."""
     rows = list(coded.rows)
     rows[index - 1] = rows[index - 1]._replace(**fields)
-    return dataclasses.replace(coded, rows=tuple(rows))
+    return coded._replace(rows=tuple(rows))
 
 
 @pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
@@ -445,7 +443,7 @@ def test_decode_names_the_first_of_two_faults(decoder, scheme, first, second, di
     rows[i - 1], text = damage(first, scheme, rows[i - 1])
     rows[j - 1], _ = damage(second, scheme, rows[j - 1])
     with pytest.raises(TamperDetected) as info:
-        decoder(dataclasses.replace(coded, rows=tuple(rows)))
+        decoder(coded._replace(rows=tuple(rows)))
     assert (str(info.value), info.value.block_index) == (f"block {i}: {text}", i)
 
 
@@ -469,7 +467,7 @@ def test_decode_does_no_arithmetic_past_a_kept_code_fault(scheme, kind, index):
     rows[index - 1], text = damage(kind, scheme, rows[index - 1])
     rows[index:] = [FRow(*map(Hostile, row)) for row in rows[index:]]
     with pytest.raises(TamperDetected) as info:
-        decode(dataclasses.replace(coded, rows=tuple(rows)))
+        decode(coded._replace(rows=tuple(rows)))
     assert (str(info.value), info.value.block_index) == (f"block {index}: {text}", index)
 
 
@@ -478,5 +476,5 @@ def test_decode_names_the_row_of_an_out_of_range_code_after_a_fractional_one():
     # named is the one with 99, as the per-row checks name it
     rows = (FRow(52, 9.5, 10, 16), FRow(140, 99, 28, 28)) + EX1_CODED.rows[2:]
     with pytest.raises(TamperDetected) as info:
-        decode(dataclasses.replace(EX1_CODED, rows=rows))
+        decode(EX1_CODED._replace(rows=rows))
     assert (str(info.value), info.value.block_index) == ("block 2: kept code 99 outside [0, 30)", 2)

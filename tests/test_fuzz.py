@@ -12,7 +12,6 @@ file names are all relative, inside a temporary working directory.
 
 import io
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -330,7 +329,7 @@ def test_solve_missing_agrees_with_decode_of_its_row(row, scheme, n_rule):
 
 def with_nonzero_pivots(matrix, scheme):
     pivot = "b2" if scheme is Scheme.LUCAS_BLOCKING else "b1"
-    blocks = [replace(b, **{pivot: getattr(b, pivot) or 1}) for b in to_blocks(matrix)]
+    blocks = [b._replace(**{pivot: getattr(b, pivot) or 1}) for b in to_blocks(matrix)]
     return reassemble(blocks, matrix.dim)
 
 

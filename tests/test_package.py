@@ -15,12 +15,13 @@ from qblock.harness import Strategy
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_after(statement):
-    """The modules a fresh interpreter has loaded after running `statement`."""
+def loaded_after(statement, *flags):
+    """The modules a fresh interpreter, started with `flags`, has loaded
+    after running `statement`."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return set(out.stdout.split())
 
@@ -58,6 +59,25 @@ def test_cli_loads_neither_harness_nor_key_matrices():
     loaded = loaded_after("import qblock.cli")
     assert "qblock.cli" in loaded
     assert not loaded & {"qblock.harness", "qblock.numtheory", "qblock.demo", "csv"}
+
+
+START_UP = {
+    "cli": "import qblock.cli\nqblock.cli.build_parser()",
+    "round-trip": "import qblock\n"
+    "coded = qblock.encode_text('HI! HOW ARE YOU?', qblock.Scheme.LUCAS_BLOCKING)\n"
+    "assert qblock.decode_text(qblock.parse(qblock.serialize(coded))) == 'HI!0HOW0ARE0YOU?'",
+}
+
+
+@pytest.mark.parametrize("statement", START_UP.values(), ids=START_UP.keys())
+def test_start_up_loads_neither_dataclasses_nor_inspect(statement):
+    assert not loaded_after(statement) & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("statement", START_UP.values(), ids=START_UP.keys())
+def test_start_up_without_site_loads_no_typing(statement):
+    # -S: no site, so no .pth file of an installed package imports typing first
+    assert not loaded_after(statement, "-S") & {"dataclasses", "inspect", "typing"}
 
 
 def test_strategy_choices_are_the_strategy_values():
