@@ -9,8 +9,9 @@ dropped one:
   MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
 The rows, `FRow` named tuples, go out in block order, which `layout` alone
-writes down: `encode` reads blocks from `_quads`; `decode` transposes the
-rows and hands `_grid` the columns (k1, k2, x, k3), resp. (k1, k2, k3, x).
+writes down: `encode` maps whole block columns from `_columns`; `decode`
+transposes the rows and hands `_grid` the columns (k1, k2, x, k3), resp.
+(k1, k2, k3, x).
 The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks up front; any corruption
 that leaves no exact in-range solution is reported as tampering.
@@ -38,6 +39,7 @@ it when called, so encode and decode never load the key matrices.
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import count, repeat
 from operator import add, mul, sub
 
 from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, _Record, get_alphabet
@@ -45,9 +47,9 @@ from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
     MessageMatrix,
     NRule,
+    _columns,
     _grid,
     _member,
-    _quads,
     choose_n,
     preprocess,
     to_matrix,
@@ -118,16 +120,14 @@ def encode(
     so the message cannot be encoded under this scheme.
     """
     lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
-    blocks = _quads(matrix.cells)
-    pivot = 1 if lucas else 0  # b2, resp. b1
-    degenerate = [index for index, block in enumerate(blocks, start=1) if block[pivot] == 0]
-    if degenerate:
-        raise DegenerateBlock(degenerate)
-    if lucas:
-        rows = [(b1 * b4 - b2 * b3, b1, b2, b4) for b1, b2, b3, b4 in blocks]
-    else:
-        rows = [(b1 * b4 - b2 * b3, b1, b2, b3) for b1, b2, b3, b4 in blocks]
-    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, tuple(map(FRow._make, rows)))
+    b1s, b2s, b3s, b4s = _columns(matrix.cells)
+    pivots = b2s if lucas else b1s
+    if 0 in pivots:
+        raise DegenerateBlock([index for index, p in enumerate(pivots, start=1) if p == 0])
+    ds = map(sub, map(mul, b1s, b4s), map(mul, b2s, b3s))
+    # tuple.__new__ makes each FRow without _make's per-row call and length check
+    rows = map(tuple.__new__, repeat(FRow), zip(ds, b1s, b2s, b4s if lucas else b3s))
+    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, tuple(rows))
 
 
 def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.size) -> int:
@@ -200,12 +200,13 @@ def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeT
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
     odd_key = rmat if lucas else numtheory.q_power(coded.n)
+    b1s, b2s, b3s, b4s = _columns(matrix.cells)
     traces = []
-    for index, (b1, b2, b3, b4) in enumerate(_quads(matrix.cells), start=1):
+    for index, b1, b2, x in zip(count(1), b1s, b2s, b3s if lucas else b4s):
         key = odd_key if index % 2 else rmat
         e1 = key.m11 * b1 + key.m21 * b2
         e2 = key.m12 * b1 + key.m22 * b2
-        traces.append(DecodeTrace(index, e1, e2, b3 if lucas else b4, key))
+        traces.append(DecodeTrace(index, e1, e2, x, key))
     return matrix, tuple(traces)
 
 

@@ -4,15 +4,16 @@ A message becomes a string of alphabet symbols (spaces turn into '0', the
 tail is padded with '0'), the string fills an even-sided square matrix
 row-major, and the matrix splits into 2x2 blocks numbered left to right,
 top to bottom.  The number of blocks b fixes the key index n.  That order
-is written only here: `_quads` cuts the rows into blocks and `_grid` builds
-the rows from block columns, for `to_blocks`, `reassemble` and the codec.
+is written only here, in one inverse pair: `_columns` cuts the rows into the
+blocks' element columns and `_grid` builds the rows from them, for
+`to_blocks`, `reassemble` and the codec.
 `to_matrix`/`to_symbols` map whole sequences through the table at once.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import chain
+from itertools import chain, count
 
 from .alphabet import Alphabet, CharTable, _Record
 from .errors import BadLength, EmptyMessage, UnknownSymbol
@@ -94,10 +95,12 @@ def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     return "".join(table._symbols_of(chain.from_iterable(matrix.cells)))
 
 
-def _quads(cells) -> list[tuple[int, int, int, int]]:
-    """(b1, b2, b3, b4) of each 2x2 block of the row tuples, in block order."""
-    pairs = zip(cells[0::2], cells[1::2])
-    return [q for top, bot in pairs for q in zip(top[0::2], top[1::2], bot[0::2], bot[1::2])]
+def _columns(cells) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(b1s, b2s, b3s, b4s) of the row tuples' blocks, in block order (inverse of _grid)."""
+    # rows have even length, so in the top rows end to end b1 is at even offsets, b2 at odd
+    tops = [*chain.from_iterable(cells[0::2])]
+    bottoms = [*chain.from_iterable(cells[1::2])]
+    return tops[0::2], tops[1::2], bottoms[0::2], bottoms[1::2]
 
 
 def _grid(b1, b2, b3, b4, dim: int) -> tuple[tuple[int, ...], ...]:
@@ -114,7 +117,7 @@ def _grid(b1, b2, b3, b4, dim: int) -> tuple[tuple[int, ...], ...]:
 
 def to_blocks(matrix: MessageMatrix) -> list[Block]:
     """Split into 2x2 blocks, left to right within a row of blocks, rows top down."""
-    return [Block(index, *quad) for index, quad in enumerate(_quads(matrix.cells), start=1)]
+    return list(map(Block, count(1), *_columns(matrix.cells)))
 
 
 def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:

@@ -9,12 +9,16 @@ Equal messages serialize to byte-identical payloads, and parse is the
 exact inverse on everything serialize can emit.  Lines end in '\\n' alone:
 parse refuses a carriage return, naming the first line that has one.
 
-parse finds any non-canonical row with one search and converts all tokens
-at once; it reads line by line only to name a fault.
+parse gates the body with one search for a line that is not one canonical
+row; JSON would also take '-0', floats and spaces.  Past the gate, the C
+scanner of `_json` converts every token as one JSON array.  parse reads line
+by line only to name a fault.
 """
 
 import re
 from itertools import repeat
+
+from _json import make_scanner  # the json package costs ~7x as much to import
 
 from .alphabet import get_alphabet
 from .codec import CodedMessage, FRow, Scheme
@@ -31,6 +35,14 @@ _INT = r"(?:0|-?[1-9][0-9]*)"
 # the start of the first body line that is not exactly one canonical row;
 # a lookahead keeps no backtracking state from line to line
 _NON_ROW_RE = re.compile(rf"^(?!{_INT},{_INT},{_INT},{_INT}$|\Z)", re.MULTILINE)
+
+
+class _IntArrays:  # what make_scanner reads; int itself keeps the conversion in C
+    strict, parse_int, parse_float = True, int, float
+    object_hook = object_pairs_hook = parse_constant = None
+
+
+_scan_json = make_scanner(_IntArrays)
 
 
 def serialize(coded: CodedMessage) -> str:
@@ -63,13 +75,12 @@ def _parse_row(line: str, line_no: int) -> FRow:
 def _parse_rows(body: str) -> tuple[FRow, ...]:
     """The rows of `body`, the lines after the header, each ending in '\\n'."""
     if _NON_ROW_RE.search(body) is None:
-        tokens = body.replace("\n", ",").split(",")
-        tokens.pop()  # after the final newline
-        ints = map(int, tokens)
-        try:  # tuple.__new__ makes each FRow without _make's per-row call and length check
-            return tuple(map(tuple.__new__, repeat(FRow), zip(ints, ints, ints, ints)))
-        except ValueError:  # int() refuses a token past the interpreter's int-string limit
+        try:
+            ints = iter(_scan_json("[" + body[:-1].replace("\n", ",") + "]", 0)[0])
+        except ValueError:  # a token past the interpreter's int-string limit
             pass
+        else:  # tuple.__new__ makes each FRow without _make's per-row call and length check
+            return tuple(map(tuple.__new__, repeat(FRow), zip(ints, ints, ints, ints)))
     lines = body.split("\n")[:-1]
     return tuple(_parse_row(line, line_no) for line_no, line in enumerate(lines, start=2))
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from qblock.alphabet import DEFAULT_ALPHABET, CharTable
@@ -11,6 +13,8 @@ from qblock.layout import (
     Block,
     MessageMatrix,
     NRule,
+    _columns,
+    _grid,
     choose_n,
     preprocess,
     reassemble,
@@ -166,6 +170,19 @@ def test_block_order_matches_index_formula(dim):
         assert encode(matrix, scheme).rows == rows
         assert decode(CodedMessage(scheme, NRule.HALF, dim, "default", rows)) == matrix
         assert decode(encode(matrix, scheme)) == matrix
+
+
+@pytest.mark.parametrize("dim", range(2, 33, 2))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_columns_and_grid_invert_each_other(dim, data):
+    # distinct codes, so any misplaced element shows
+    codes = data.draw(st.permutations(range(dim * dim)), label="codes")
+    cells = tuple(tuple(codes[r * dim : (r + 1) * dim]) for r in range(dim))
+    assert _grid(*_columns(cells), dim) == cells
+    block_count = len(codes) // 4
+    columns = tuple(codes[i * block_count : (i + 1) * block_count] for i in range(4))
+    assert _columns(_grid(*columns, dim)) == columns
 
 
 def test_matrix_shape_checked():

@@ -80,6 +80,13 @@ def test_start_up_without_site_loads_no_typing(statement):
     assert not loaded_after(statement, "-S") & {"dataclasses", "inspect", "typing"}
 
 
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_round_trip_loads_the_json_scanner_but_not_the_json_package(flags):
+    # parse converts rows with _json's C scanner; the json package costs far more to import
+    loaded = loaded_after(START_UP["round-trip"], *flags)
+    assert "_json" in loaded and "json" not in loaded
+
+
 def test_strategy_choices_are_the_strategy_values():
     from qblock.cli import STRATEGIES
 

@@ -7,7 +7,7 @@ import golden
 from qblock.codec import CodedMessage, FRow, Scheme
 from qblock.errors import HeaderMismatch, MalformedPayload, UnknownAlphabet
 from qblock.layout import NRule
-from qblock.wire import parse, serialize
+from qblock.wire import _scan_json, parse, serialize
 
 
 def ex1_coded():
@@ -195,6 +195,50 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_payload():
         tracemalloc.stop()
     assert len(coded.rows) == 4096
     assert peak < 32 * len(payload)
+
+
+CANONICAL_TOKENS = ["0", "7", "-1", "-841", "1" + "0" * 4299, "-" + "9" * 4300]
+
+
+def test_json_scanner_converts_canonical_tokens_like_int():
+    # parse hands the C scanner of _json every token of a body past the gate
+    text = "[" + ",".join(CANONICAL_TOKENS) + "]"
+    assert _scan_json(text, 0) == (list(map(int, CANONICAL_TOKENS)), len(text))
+
+
+def test_json_scanner_refuses_a_token_past_the_int_string_limit():
+    with pytest.raises(ValueError):
+        _scan_json("[1," + "9" * 4301 + "]", 0)
+    rows = ["1,2,3,4", "5,6,7," + "9" * 4301, "1,2,3,4", "1,2,3,4"]
+    with pytest.raises(MalformedPayload) as info:
+        parse("\n".join([HEADER.replace("dim=2", "dim=4"), *rows]) + "\n")
+    assert str(info.value) == "line 3: 4301-digit integer is too long"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("-0,2,3,4", "'-0' is not a canonical integer"),
+        ("1.5,2,3,4", "'1.5' is not a canonical integer"),
+        ("1,1e3,3,4", "'1e3' is not a canonical integer"),
+        ("1,2,1E3,4", "'1E3' is not a canonical integer"),
+        ("1,2,3, 1", "' 1' is not a canonical integer"),
+        ("true,2,3,4", "'true' is not a canonical integer"),
+        ("1,null,3,4", "'null' is not a canonical integer"),
+        ('"1",2,3,4', "'\"1\"' is not a canonical integer"),
+        ("[1],2,3,4", "'[1]' is not a canonical integer"),
+        ("1,2,3,{}", "'{}' is not a canonical integer"),
+        ("1,2,3,4,", "expected 4 comma-separated integers"),
+        ("", "expected 4 comma-separated integers"),
+    ],
+)
+def test_tokens_json_takes_are_still_malformed(row, message):
+    # JSON, which converts the body past the gate, takes each of these rows
+    # or tokens; the canonical grammar refuses them
+    payload = golden.EX1_PAYLOAD.replace("140,29,28,28\n", row + "\n")
+    with pytest.raises(MalformedPayload) as info:
+        parse(payload)
+    assert str(info.value) == f"line 3: {message}"
 
 
 def test_unknown_alphabet_in_header():
