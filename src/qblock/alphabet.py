@@ -2,9 +2,9 @@
 
 The default alphabet has 30 symbols, A..Z then 0 ! ? .   A table with shift n
 maps the k-th symbol to (n + k) mod size, so the whole mapping slides with the
-key index and changes from message to message.
-
-`_codes_of`/`_symbols_of` map a whole sequence through a table in one pass,
+key index and changes from message to message.  A `CharTable` is the record
+(alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` each build
+the one direction they need, map a whole sequence through it in one pass,
 and name the first miss just as `code_of`/`symbol_of` name theirs.
 
 Alternative alphabets can be registered under an id; both endpoints must
@@ -83,26 +83,18 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
         raise UnknownAlphabet(f"no alphabet registered under id {alphabet_id!r}") from None
 
 
-class CharTable:
+class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
     """An alphabet together with its shift n: symbol k codes to (n + k) mod size.
 
-    Both directions are tabulated once, at construction.  The table is
-    frozen, and it compares, hashes and prints as (alphabet, shift) alone.
+    Each lookup builds the one direction it needs when it is called.
     """
 
-    __slots__ = ("alphabet", "shift", "_codes", "_symbols")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, shift: int):
+    def __new__(cls, alphabet: Alphabet, shift: int):
         if shift < 1:
             raise ValueError(f"shift must be >= 1, got {shift}")
-        size = alphabet.size
-        start = shift % size
-        codes = [*range(start, size), *range(start)]  # (shift + k) mod size, k = 0, 1, ...
-        init = object.__setattr__  # the class's own __setattr__ refuses
-        init(self, "alphabet", alphabet)
-        init(self, "shift", shift)
-        init(self, "_codes", dict(zip(alphabet.symbols, codes)))
-        init(self, "_symbols", dict(zip(codes, alphabet.symbols)))
+        return super().__new__(cls, alphabet, shift)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,36 +102,28 @@ class CharTable:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.shift) == (other.alphabet, other.shift)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.shift))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(alphabet={self.alphabet!r}, shift={self.shift!r})"
-
-    def __reduce__(self):  # copy and pickle build a new table rather than assign
-        return type(self), (self.alphabet, self.shift)
-
     def code_of(self, symbol: str) -> int:
         return self._codes_of((symbol,))[0]
 
     def symbol_of(self, code: int) -> str:
         return self._symbols_of((code,))[0]
 
+    def _shifted_codes(self) -> list[int]:  # (shift + k) mod size, k = 0, 1, ...
+        start = self.shift % self.alphabet.size
+        return [*range(start, self.alphabet.size), *range(start)]
+
     def _codes_of(self, symbols) -> list[int]:
+        codes = dict(zip(self.alphabet.symbols, self._shifted_codes()))
         try:
-            return list(map(self._codes.__getitem__, symbols))
+            return list(map(codes.__getitem__, symbols))
         except KeyError as exc:  # it carries the first missing item
             raise UnknownSymbol(
                 f"symbol {exc.args[0]!r} is not in alphabet {self.alphabet.id!r}"
             ) from None
 
     def _symbols_of(self, codes) -> list[str]:
+        symbols = dict(zip(self._shifted_codes(), self.alphabet.symbols))
         try:
-            return list(map(self._symbols.__getitem__, codes))
+            return list(map(symbols.__getitem__, codes))
         except KeyError as exc:
             raise CodeOutOfRange(f"code {exc.args[0]} outside [0, {self.alphabet.size})") from None

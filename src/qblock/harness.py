@@ -122,19 +122,20 @@ def detection_rate(
     coded = encode_text(message, scheme, n_rule, alphabet_id)
     original = decode(coded)
 
-    detected = miscorrected = 0
     outcomes = []
     for trial in range(trials):
         damaged = corrupt(coded, trial_spec(spec, trial))
         try:
             result = decode(damaged)
         except TamperDetected:
-            detected += 1
             outcomes.append(OUTCOME_DETECTED)
-            continue
-        if result != original:
-            miscorrected += 1
-            outcomes.append(OUTCOME_MISCORRECTED)
         else:
-            outcomes.append(OUTCOME_UNDETECTED_EQUAL)
-    return DetectionReport(detected, miscorrected, trials, tuple(outcomes))
+            outcomes.append(
+                OUTCOME_MISCORRECTED if result != original else OUTCOME_UNDETECTED_EQUAL
+            )
+    return DetectionReport(
+        outcomes.count(OUTCOME_DETECTED),
+        outcomes.count(OUTCOME_MISCORRECTED),
+        trials,
+        tuple(outcomes),
+    )

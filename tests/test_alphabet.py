@@ -72,7 +72,7 @@ def test_shift_must_be_positive():
 
 
 def test_char_table_is_frozen():
-    # both lookups are built at construction, so a new shift needs a new table
+    # a table is the record (alphabet, shift), so a new shift needs a new table
     table = CharTable(DEFAULT_ALPHABET, 2)
     with pytest.raises(AttributeError):
         table.shift = 3
@@ -88,6 +88,10 @@ def test_alphabet_validation():
         Alphabet("has space", tuple("AB"))
     with pytest.raises(ValueError):
         Alphabet("semi;colon", tuple("AB"))
+    with pytest.raises(ValueError, match="at least two symbols"):
+        Alphabet("one", ("A",))
+    with pytest.raises(ValueError, match="at least two symbols"):
+        Alphabet("none", ())
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,20 @@ def test_demo_1_contains_trace(capsys, monkeypatch):
     assert "key=R_2 e1=66 e2=37 x=9" in out
 
 
+def test_demo_reports_a_wrong_pinned_value_and_exits_1(capsys, monkeypatch):
+    from qblock import demo
+
+    wrong = demo.EXAMPLE_1._replace(e1=(67, 200, 65, 108))
+    monkeypatch.setitem(demo.DEMO_EXAMPLES, 1, wrong)
+    code, out, err = run_cli(["demo", "--example", "1"], capsys, monkeypatch)
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "verification: FAILED\n"
+        "  e1: computed (66, 200, 65, 108) != pinned (67, 200, 65, 108)\n"
+    )
+    assert "verification: OK" not in out
+
+
 def test_harness_summary_and_csv(tmp_path, capsys, monkeypatch):
     csv_file = tmp_path / "trials.csv"
     code, out, _ = run_cli(

@@ -1,10 +1,8 @@
 """The package's records: immutable, checked on every construction, and
 printed as they always were.
 
-Every fixed-field record is a `collections.namedtuple` subclass, so it
-compares equal to the plain tuple of its fields.  `CharTable` is the one
-record that is not a tuple: it carries two lookup dicts that take no part
-in comparison.
+Every fixed-field record, `CharTable` included, is a `collections.namedtuple`
+subclass, so it compares equal to the plain tuple of its fields.
 """
 
 import copy
@@ -35,6 +33,7 @@ CHECKED = {
     "Alphabet-id": (AB, {"id": "a b"}, ValueError),
     "Alphabet-symbols": (AB, {"symbols": tuple("aa")}, ValueError),
     "CorruptionSpec": (CorruptionSpec(Strategy.PERTURB_D), {"magnitude": 0}, ValueError),
+    "CharTable-shift": (CharTable(AB, 3), {"shift": 0}, ValueError),
 }
 
 
@@ -49,7 +48,8 @@ def test_replace_raises_what_the_constructor_raises(record, fields, error):
 
 
 @pytest.mark.parametrize("record", [CODED, MessageMatrix(2, ((1, 2), (3, 4))), AB,
-                                    CorruptionSpec(Strategy.PERTURB_D)], ids=type)
+                                    CorruptionSpec(Strategy.PERTURB_D), CharTable(AB, 3)],
+                         ids=type)
 def test_replace_without_a_change_is_an_equal_record(record):
     twin = record._replace()
     assert type(twin) is type(record) and twin == record
@@ -75,7 +75,7 @@ def test_char_table_compares_and_hashes_on_alphabet_and_shift():
     assert hash(table) == hash(CharTable(AB, 3)) == hash((AB, 3))
     assert table != CharTable(AB, 5)  # the same mapping, another shift
     assert table != CharTable(Alphabet("ba", tuple("ab")), 3)
-    assert table != (AB, 3) and (AB, 3) != table
+    assert table == (AB, 3) and (AB, 3) == table
     assert len({table, CharTable(AB, 3), CharTable(AB, 4)}) == 2
 
 
