@@ -3,9 +3,10 @@
 The default alphabet has 30 symbols, A..Z then 0 ! ? .   A table with shift n
 maps the k-th symbol to (n + k) mod size, so the whole mapping slides with the
 key index and changes from message to message.  A `CharTable` is the record
-(alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` each build
-the one direction they need, map a whole sequence through it in one pass,
-and name the first miss just as `code_of`/`symbol_of` name theirs.
+(alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` map a
+sequence through a `str.translate` table built per call, whose misses
+delete and so shorten the result.  A short result, or a code past Latin-1,
+falls back to a dict that names the first miss as `code_of`/`symbol_of` do.
 
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
@@ -58,9 +59,6 @@ class Alphabet(_Record, namedtuple("Alphabet", "id symbols")):
     def size(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.symbols
-
 
 DEFAULT_ALPHABET = Alphabet(DEFAULT_ALPHABET_ID)
 
@@ -81,6 +79,13 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
         return _registry[alphabet_id]
     except KeyError:
         raise UnknownAlphabet(f"no alphabet registered under id {alphabet_id!r}") from None
+
+
+class _Deleting(dict):
+    """A `str.translate` table that deletes what it does not map: a miss shortens the result."""
+
+    def __missing__(self, key):
+        return None
 
 
 class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
@@ -113,17 +118,30 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
         return [*range(start, self.alphabet.size), *range(start)]
 
     def _codes_of(self, symbols) -> list[int]:
-        codes = dict(zip(self.alphabet.symbols, self._shifted_codes()))
+        shifted = self._shifted_codes()
+        if isinstance(symbols, str) and self.alphabet.size <= 256:
+            coded = symbols.translate(_Deleting(zip(map(ord, self.alphabet.symbols), shifted)))
+            if len(coded) == len(symbols):
+                return list(coded.encode("latin-1"))
+        lookup = dict(zip(self.alphabet.symbols, shifted))
         try:
-            return list(map(codes.__getitem__, symbols))
+            return list(map(lookup.__getitem__, symbols))
         except KeyError as exc:  # it carries the first missing item
             raise UnknownSymbol(
                 f"symbol {exc.args[0]!r} is not in alphabet {self.alphabet.id!r}"
             ) from None
 
-    def _symbols_of(self, codes) -> list[str]:
-        symbols = dict(zip(self._shifted_codes(), self.alphabet.symbols))
+    def _symbols_of(self, codes) -> str:
+        shifted = self._shifted_codes()
+        table = _Deleting(zip(shifted, self.alphabet.symbols))
+        try:  # bytes() refuses a code outside range(256), translate drops one outside range(size)
+            text = bytes(codes).decode("latin-1").translate(table)
+        except (TypeError, ValueError):
+            text = ""
+        if len(text) == len(codes):
+            return text
+        lookup = dict(zip(shifted, self.alphabet.symbols))
         try:
-            return list(map(symbols.__getitem__, codes))
+            return "".join(map(lookup.__getitem__, codes))
         except KeyError as exc:
             raise CodeOutOfRange(f"code {exc.args[0]} outside [0, {self.alphabet.size})") from None

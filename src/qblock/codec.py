@@ -16,10 +16,10 @@ The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks up front; any corruption
 that leaves no exact in-range solution is reported as tampering.
 
-`decode` accepts a payload by one test over whole columns: kept codes in
-range, no zero pivot, and every x from one `map(divmod, ...)` exact and in
-range.  Otherwise `solve_missing`, the one per-row verdict, rescans the rows
-from a lower bound on the first bad one and names the first it rejects.
+`decode` accepts a payload by one test over the transposed columns that
+makes ints only, no pair per row: kept codes in range, no zero pivot, and
+every x (`floordiv` of the numerators) exact (`mod`) and in range.  Otherwise
+`solve_missing`, the one per-row verdict, names the first row it rejects.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -40,7 +40,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from itertools import count, repeat
-from operator import add, mul, sub
+from operator import add, floordiv, mod, mul, sub
 
 from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, _Record, get_alphabet
 from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
@@ -175,14 +175,15 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     start = 0
     if 0 <= min(kept) and max(kept) < size and 0 not in pivots:
         if lucas:
-            numerators = map(sub, map(mul, k1s, k3s), ds)
+            numerators = [*map(sub, map(mul, k1s, k3s), ds)]
         else:
-            numerators = map(add, ds, map(mul, k2s, k3s))
-        xs, remainders = zip(*map(divmod, numerators, pivots))
+            numerators = [*map(add, ds, map(mul, k2s, k3s))]
+        xs = [*map(floordiv, numerators, pivots)]
+        remainders = [*map(mod, numerators, pivots)]
         if not any(remainders) and 0 <= min(xs) and max(xs) < size:
             columns = (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
             return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
-        start = next(i for i, (x, r) in enumerate(zip(xs, remainders)) if r or not 0 <= x < size)
+        start = next(i for i in range(len(xs)) if remainders[i] or not 0 <= xs[i] < size)
     # from start, a lower bound on the first bad row, the per-row verdict names it
     for index, row in enumerate(coded.rows[start:], start + 1):
         try:

@@ -73,7 +73,7 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
     if not set(padded).issubset(alphabet.symbols):
         for pos, symbol in enumerate(padded):
-            if symbol not in alphabet:
+            if symbol not in alphabet.symbols:
                 raise UnknownSymbol(
                     f"symbol {symbol!r} at position {pos} is not in alphabet {alphabet.id!r}"
                 )
@@ -92,7 +92,7 @@ def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:
 
 def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     """Row-major symbol string of a code matrix (inverse of to_matrix)."""
-    return "".join(table._symbols_of(chain.from_iterable(matrix.cells)))
+    return table._symbols_of([*chain.from_iterable(matrix.cells)])
 
 
 def _columns(cells) -> tuple[list[int], list[int], list[int], list[int]]:

@@ -12,11 +12,12 @@ file names are all relative, inside a temporary working directory.
 
 import io
 import re
+from itertools import chain
 
 import pytest
 
 import golden
-from qblock.alphabet import DEFAULT_ALPHABET, CharTable, get_alphabet
+from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
 from qblock.codec import (
     CodedMessage,
     FRow,
@@ -147,8 +148,20 @@ def test_parse_and_decode_give_a_result_or_a_qblock_error(payload):
 
 SIZE = DEFAULT_ALPHABET.size
 shifts = st.integers(1, 200)
+# characters a str.translate table would pass through unchanged when it
+# misses: ordinals below the alphabet size, read back as codes, and one
+# outside Latin-1
+STRAYS = ("\x00", "\x01", "\x05", "\x1d", "\u0100")
 # mostly alphabet symbols, sometimes one that is not
-symbols = st.sampled_from(DEFAULT_ALPHABET.symbols + ("a", " ", "#"))
+symbols = st.sampled_from(DEFAULT_ALPHABET.symbols + ("a", " ", "#") + STRAYS)
+# codes a bytes() or chr() round trip could get wrong
+WIDE_CODES = (255, 256, 0x110000, -(2**63), -(10**40))
+# registered once for the whole session: a 2-symbol alphabet, and one of 300
+# symbols whose codes do not fit a byte
+TWO = Alphabet("fuzz-two", ("0", "1"))
+WIDE = Alphabet("fuzz-wide", tuple(chr(0x100 + i) for i in range(300)))
+register_alphabet(TWO)
+register_alphabet(WIDE)
 
 
 def outcome(f, *args):
@@ -192,7 +205,7 @@ def test_preprocess_matches_per_symbol_model(text):
         side = square_side(len(substituted))
         padded = substituted.ljust(side * side, PAD_SYMBOL)
         for pos, symbol in enumerate(padded):
-            if symbol not in DEFAULT_ALPHABET:
+            if symbol not in DEFAULT_ALPHABET.symbols:
                 raise UnknownSymbol(
                     f"symbol {symbol!r} at position {pos} is not in alphabet 'default'"
                 )
@@ -220,8 +233,19 @@ def test_to_matrix_matches_per_symbol_model(text, shift):
     assert outcome(to_matrix, text, table) == outcome(model)
 
 
+@st.composite
+def planted(draw, matrix_strategy, codes):
+    """A matrix with up to two cells replaced by codes from `codes`."""
+    matrix = draw(matrix_strategy)
+    cells = [list(row) for row in matrix.cells]
+    for _ in range(draw(st.integers(0, 2))):
+        cell = draw(st.integers(0, matrix.dim**2 - 1))
+        cells[cell // matrix.dim][cell % matrix.dim] = draw(codes)
+    return MessageMatrix(matrix.dim, tuple(map(tuple, cells)))
+
+
 @FUZZ
-@given(matrices(st.integers(-2, SIZE + 1)), shifts)
+@given(planted(matrices(st.integers(-2, SIZE + 1)), st.sampled_from(WIDE_CODES)), shifts)
 def test_to_symbols_matches_per_code_model(matrix, shift):
     table = CharTable(DEFAULT_ALPHABET, shift)
 
@@ -229,6 +253,56 @@ def test_to_symbols_matches_per_code_model(matrix, shift):
         return "".join(table.symbol_of(code) for row in matrix.cells for code in row)
 
     assert outcome(to_symbols, matrix, table) == outcome(model)
+
+
+@FUZZ
+@given(st.sampled_from([TWO, WIDE]), st.integers(1, 700), st.data())
+def test_registered_alphabet_tables_match_the_shift_formula(alphabet, shift, data):
+    size = alphabet.size
+    table = CharTable(alphabet, shift)
+    side = data.draw(st.sampled_from([2, 4, 6]))
+    # alphabet symbols, now and then a stray one
+    text = data.draw(st.text(st.sampled_from(alphabet.symbols + STRAYS), min_size=side * side,
+                             max_size=side * side))
+    codes = st.one_of(st.integers(0, size - 1), st.sampled_from((-1, size, *WIDE_CODES)))
+    matrix = data.draw(planted(matrices(st.integers(0, size - 1), dims=(side,)), codes))
+
+    def symbols_model():
+        for code in chain.from_iterable(matrix.cells):
+            if not 0 <= code < size:
+                raise CodeOutOfRange(f"code {code} outside [0, {size})")
+        return "".join(alphabet.symbols[(code - shift) % size]
+                       for code in chain.from_iterable(matrix.cells))
+
+    def matrix_model():
+        for symbol in text:
+            if symbol not in alphabet.symbols:
+                raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {alphabet.id!r}")
+        codes = [(shift + alphabet.symbols.index(symbol)) % size for symbol in text]
+        return MessageMatrix(side, tuple(tuple(codes[r * side : (r + 1) * side])
+                                         for r in range(side)))
+
+    assert outcome(to_symbols, matrix, table) == outcome(symbols_model)
+    assert outcome(to_matrix, text, table) == outcome(matrix_model)
+    if isinstance(outcome(matrix_model), MessageMatrix):
+        assert to_symbols(to_matrix(text, table), table) == text
+
+
+@FUZZ
+@given(st.sampled_from([TWO, WIDE]), st.sampled_from(list(Scheme)),
+       st.sampled_from(list(NRule)), st.data())
+def test_registered_alphabet_round_trips(alphabet, scheme, n_rule, data):
+    # an even-square length, so the 300-symbol alphabet, which has no '0',
+    # needs no padding, of symbols that preprocess's upper-casing keeps
+    side = data.draw(st.sampled_from([2, 4, 6]))
+    kept_by_upper = [symbol for symbol in alphabet.symbols if symbol.upper() == symbol]
+    text = data.draw(st.text(st.sampled_from(kept_by_upper), min_size=side * side,
+                             max_size=side * side))
+    try:
+        coded = encode_text(text, scheme, n_rule, alphabet.id)
+    except DegenerateBlock:
+        return
+    assert decode_text(parse(serialize(coded))) == text
 
 
 def kept(scheme, block):
@@ -274,12 +348,20 @@ def test_encode_matches_per_block_model(matrix, scheme):
     assert outcome(rows) == outcome(encode_model, matrix, scheme)
 
 
-# (block, field, value) edits: kept codes out of range, zero pivots, wrong d
+# (block, field, value) edits: kept codes out of range, zero pivots, wrong d,
+# and values far past +-900, whose numerators and x no longer fit a machine
+# word; field "x" sets d so that the dropped element solves exactly to value
 edits = st.lists(
     st.tuples(
         st.integers(0, 15),
-        st.sampled_from(["d", "k1", "k2", "k3"]),
-        st.one_of(st.integers(-2, SIZE + 1), st.just(0), st.integers(-900, 900)),
+        st.sampled_from(["d", "k1", "k2", "k3", "x"]),
+        st.one_of(
+            st.integers(-2, SIZE + 1),
+            st.just(0),
+            st.integers(-900, 900),
+            st.integers(-(10**40), 10**40),
+            st.sampled_from([10**40, -(10**40), 2**64, -(2**64)]),
+        ),
     ),
     max_size=3,
 )
@@ -289,9 +371,13 @@ edits = st.lists(
 @given(matrices(), st.sampled_from(list(Scheme)), st.sampled_from(list(NRule)), edits)
 def test_decode_matches_per_block_model(matrix, scheme, n_rule, changes):
     # rows of the matrix, zero pivots included, then a few fields replaced
+    lucas = scheme is Scheme.LUCAS_BLOCKING
     rows = [FRow(b.determinant(), *kept(scheme, b)) for b in to_blocks(matrix)]
     for index, name, value in changes:
         index %= len(rows)
+        _, k1, k2, k3 = rows[index]
+        if name == "x":
+            name, value = "d", k1 * k3 - k2 * value if lucas else k1 * value - k2 * k3
         rows[index] = rows[index]._replace(**{name: value})
     coded = CodedMessage(scheme, n_rule, matrix.dim, "default", tuple(rows))
     expected = outcome(decode_model, coded)

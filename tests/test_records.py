@@ -67,6 +67,12 @@ def test_records_are_immutable_tuples():
     assert hash(AB) == hash(("ab", tuple("ab")))
 
 
+def test_alphabet_membership_len_and_iteration_all_see_its_two_fields():
+    # a symbol's membership is `symbol in alphabet.symbols`
+    assert len(AB) == 2 and list(AB) == ["ab", ("a", "b")]
+    assert "ab" in AB and "a" not in AB and "a" in AB.symbols
+
+
 # ---- CharTable ----
 
 def test_char_table_compares_and_hashes_on_alphabet_and_shift():
