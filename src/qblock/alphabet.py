@@ -3,10 +3,12 @@
 The default alphabet has 30 symbols, A..Z then 0 ! ? .   A table with shift n
 maps the k-th symbol to (n + k) mod size, so the whole mapping slides with the
 key index and changes from message to message.  A `CharTable` is the record
-(alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` map a
-sequence through a `str.translate` table built per call, whose misses
-delete and so shorten the result.  A short result, or a code past Latin-1,
-falls back to a dict that names the first miss as `code_of`/`symbol_of` do.
+(alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` build one
+table per call and map a sequence through it with `str.translate`, whose
+misses delete and so shorten the result.  A short result, a code past
+Latin-1, a non-`str` input or an alphabet of more than 256 symbols takes
+the same table one item at a time, reads a miss as None and names the
+first miss as `code_of`/`symbol_of` do.
 
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
@@ -101,12 +103,6 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
             raise ValueError(f"shift must be >= 1, got {shift}")
         return super().__new__(cls, alphabet, shift)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def code_of(self, symbol: str) -> int:
         return self._codes_of((symbol,))[0]
 
@@ -118,30 +114,29 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
         return [*range(start, self.alphabet.size), *range(start)]
 
     def _codes_of(self, symbols) -> list[int]:
-        shifted = self._shifted_codes()
+        table = _Deleting(zip(map(ord, self.alphabet.symbols), self._shifted_codes()))
         if isinstance(symbols, str) and self.alphabet.size <= 256:
-            coded = symbols.translate(_Deleting(zip(map(ord, self.alphabet.symbols), shifted)))
+            coded = symbols.translate(table)
             if len(coded) == len(symbols):
                 return list(coded.encode("latin-1"))
-        lookup = dict(zip(self.alphabet.symbols, shifted))
-        try:
-            return list(map(lookup.__getitem__, symbols))
-        except KeyError as exc:  # it carries the first missing item
-            raise UnknownSymbol(
-                f"symbol {exc.args[0]!r} is not in alphabet {self.alphabet.id!r}"
-            ) from None
+        # a symbol by its ordinal (ord() would take b"A" too), any other item as a
+        # 1-tuple: no key equals it, but an unhashable item raises as a dict key would
+        codes = [table.get(ord(s) if isinstance(s, str) and len(s) == 1 else (s,)) for s in symbols]
+        if None in codes:
+            symbol = next(s for s, code in zip(symbols, codes) if code is None)
+            raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {self.alphabet.id!r}")
+        return codes
 
     def _symbols_of(self, codes) -> str:
-        shifted = self._shifted_codes()
-        table = _Deleting(zip(shifted, self.alphabet.symbols))
+        table = _Deleting(zip(self._shifted_codes(), self.alphabet.symbols))
         try:  # bytes() refuses a code outside range(256), translate drops one outside range(size)
             text = bytes(codes).decode("latin-1").translate(table)
         except (TypeError, ValueError):
             text = ""
         if len(text) == len(codes):
             return text
-        lookup = dict(zip(shifted, self.alphabet.symbols))
-        try:
-            return "".join(map(lookup.__getitem__, codes))
-        except KeyError as exc:
-            raise CodeOutOfRange(f"code {exc.args[0]} outside [0, {self.alphabet.size})") from None
+        symbols = list(map(table.get, codes))
+        if None in symbols:
+            code = next(c for c, symbol in zip(codes, symbols) if symbol is None)
+            raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})")
+        return "".join(symbols)

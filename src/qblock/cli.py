@@ -10,7 +10,7 @@ from contextlib import nullcontext
 
 from .codec import Scheme, decode_text, encode_text
 from .errors import QblockError
-from .layout import NRule
+from .layout import PAD_SYMBOL, NRule
 from .wire import parse, serialize
 
 DEFAULT_HARNESS_MESSAGE = "HI! HOW ARE YOU?"
@@ -85,7 +85,7 @@ def _run_decode(args) -> int:
     coded = parse(_read(args.input))
     symbols = decode_text(coded)
     if args.spaces == "restore":
-        symbols = symbols.replace("0", " ")
+        symbols = symbols.replace(PAD_SYMBOL, " ")
     if args.render == "grid":
         dim = coded.dim
         out = "\n".join(" ".join(symbols[r * dim : (r + 1) * dim]) for r in range(dim)) + "\n"

@@ -17,7 +17,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
-from .codec import CodedMessage, FRow, Scheme, decode, encode_text
+from .codec import CodedMessage, Scheme, decode, encode_text
 from .errors import NotEnoughRows, TamperDetected
 from .layout import NRule
 
@@ -57,36 +57,30 @@ class DetectionReport(
         )
 
 
-def _replace_row(rows: tuple[FRow, ...], index: int, row: FRow) -> tuple[FRow, ...]:
-    return rows[:index] + (row,) + rows[index + 1 :]
-
-
 def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     """Deterministically damage one field of the payload.
 
-    The result always differs from the input in at least one field.  SWAP_ROWS
-    is never detected: `solve_missing` reads only the row, so a moved row
-    decodes to the same block at its new index.
+    PERTURB_D and PERTURB_KEPT draw, in this order, the row, the field (`d`,
+    or one of k1/k2/k3) and a signed delta of 1..magnitude.  A kept code is
+    reduced mod the alphabet size, and a draw that wraps back to the old
+    value is drawn again, so the result always differs from the input in
+    exactly one field.  SWAP_ROWS is never detected: `solve_missing` reads
+    only the row, so a moved row decodes to the same block at its new index.
     """
     rng = random.Random(spec.seed)
     rows = coded.rows
-    if spec.strategy is Strategy.PERTURB_D:
-        i = rng.randrange(len(rows))
-        delta = rng.randint(1, spec.magnitude) * rng.choice((1, -1))
-        new_row = rows[i]._replace(d=rows[i].d + delta)
-        return coded._replace(rows=_replace_row(rows, i, new_row))
-
-    if spec.strategy is Strategy.PERTURB_KEPT:
-        size = get_alphabet(coded.alphabet_id).size
+    kept = spec.strategy is Strategy.PERTURB_KEPT
+    if kept or spec.strategy is Strategy.PERTURB_D:
         while True:
             i = rng.randrange(len(rows))
-            field = rng.choice(("k1", "k2", "k3"))
-            delta = rng.randint(1, spec.magnitude) * rng.choice((1, -1))
+            field = rng.choice(("k1", "k2", "k3")) if kept else "d"
             old = getattr(rows[i], field)
-            new = (old + delta) % size
-            if new != old:  # magnitude >= size can draw a full wrap
-                new_row = rows[i]._replace(**{field: new})
-                return coded._replace(rows=_replace_row(rows, i, new_row))
+            new = old + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
+            if kept:
+                new %= get_alphabet(coded.alphabet_id).size
+            if new != old:  # only a kept code can wrap, when magnitude >= size
+                row = rows[i]._replace(**{field: new})
+                return coded._replace(rows=rows[:i] + (row,) + rows[i + 1 :])
 
     # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
     # rejection so a trial stays linear in the row count

@@ -1,12 +1,12 @@
 """Message preprocessing, the square code matrix, and its 2x2 blocking.
 
-A message becomes a string of alphabet symbols (spaces turn into '0', the
-tail is padded with '0'), the string fills an even-sided square matrix
-row-major, and the matrix splits into 2x2 blocks numbered left to right,
-top to bottom.  The number of blocks b fixes the key index n.  That order
-is written only here, in one inverse pair: `_columns` cuts the rows into the
-blocks' element columns and `_grid` builds the rows from them, for
-`to_blocks`, `reassemble` and the codec.
+A message becomes a string of alphabet symbols (upper-cased where the
+alphabet allows it, spaces turn into '0', the tail is padded with '0'), the
+string fills an even-sided square matrix row-major, and the matrix splits
+into 2x2 blocks numbered left to right, top to bottom.  The number of blocks
+b fixes the key index n.  That order is written only here, in one inverse
+pair: `_columns` cuts the rows into the blocks' element columns and `_grid`
+builds the rows from them, for `to_blocks`, `reassemble` and the codec.
 `to_matrix`/`to_symbols` map whole sequences through the table at once.
 """
 
@@ -63,12 +63,17 @@ def square_side(length: int) -> int:
 def preprocess(text: str, alphabet: Alphabet) -> str:
     """Uppercase, turn each space into '0', pad with '0' to an even square.
 
-    Every resulting symbol must be in the alphabet; anything else is an
+    Case is folded only for an alphabet that upper-casing keeps whole, such
+    as the default one; any other alphabet sees the text as written.  Every
+    resulting symbol must be in the alphabet; anything else is an
     UnknownSymbol error rather than a silent skip.
     """
     if not text:
         raise EmptyMessage("message text is empty")
-    substituted = text.upper().replace(" ", PAD_SYMBOL)
+    letters = "".join(alphabet.symbols)
+    if letters.upper() == letters:
+        text = text.upper()
+    substituted = text.replace(" ", PAD_SYMBOL)
     side = square_side(len(substituted))
     padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
     if not set(padded).issubset(alphabet.symbols):

@@ -9,7 +9,7 @@ from qblock.alphabet import (
     get_alphabet,
     register_alphabet,
 )
-from qblock.codec import Scheme, encode_text
+from qblock.codec import Scheme, decode_text, encode_text
 from qblock.errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
 from qblock.wire import parse, serialize
 
@@ -132,3 +132,17 @@ def test_unusual_alphabet_id_survives_the_wire(alphabet_id):
     register_alphabet(Alphabet(alphabet_id))
     coded = encode_text("HI THERE", Scheme.MINESWEEPER, alphabet_id=alphabet_id)
     assert parse(serialize(coded)) == coded
+
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "alphabet,decoded",
+    [(DEFAULT_ALPHABET, "HELLO0WORLD00000"),
+     (Alphabet("lower", tuple("abcdefghijklmnopqrstuvwxyz0")), "hello0world00000")],
+    ids=["default-folds-case", "lower-case-as-written"],
+)
+def test_text_is_case_folded_only_where_the_alphabet_allows(alphabet, decoded, scheme):
+    register_alphabet(alphabet)
+    coded = encode_text("hello world", scheme, alphabet_id=alphabet.id)
+    assert decode_text(parse(serialize(coded))) == decoded

@@ -134,6 +134,34 @@ def test_swap_rows_compares_rows_linearly():
         assert damaged.rows[i] is rows[j] and damaged.rows[j] is rows[i]
 
 
+EX2_CODED = encode_text(golden.EX2_MESSAGE, Scheme.MINESWEEPER)
+
+# (payload, strategy, magnitude, seed) -> the one damaged (row, field, new value).
+# The draws are randrange(rows), then choice(k1/k2/k3) for perturb-kept only,
+# then randint(1, magnitude), then choice((1, -1)): reordering any of them
+# changes these, and so the golden detection counts.
+CORRUPT_GOLDEN = [
+    (EX1_CODED, Strategy.PERTURB_D, 5, 0, (3, "d", -612)),
+    (EX1_CODED, Strategy.PERTURB_D, 30, 1, (1, "d", 159)),
+    (EX1_CODED, Strategy.PERTURB_D, 61, 7, (2, "d", -401)),
+    (EX1_CODED, Strategy.PERTURB_KEPT, 5, 2, (0, "k1", 8)),
+    # the first draw (row 3, k3, -60) wraps to the old code and is drawn again
+    (EX1_CODED, Strategy.PERTURB_KEPT, 90, 11, (1, "k1", 23)),
+    (EX2_CODED, Strategy.PERTURB_D, 1, 0, (6, "d", 447)),
+    (EX2_CODED, Strategy.PERTURB_D, 90, 1, (2, "d", 178)),
+    (EX2_CODED, Strategy.PERTURB_KEPT, 30, 0, (6, "k2", 16)),
+    (EX2_CODED, Strategy.PERTURB_KEPT, 61, 7, (5, "k1", 5)),
+    # the first draw (row 1, k3, +90) wraps to the old code and is drawn again
+    (EX2_CODED, Strategy.PERTURB_KEPT, 90, 14, (4, "k3", 3)),
+]
+
+
+@pytest.mark.parametrize("coded,strategy,magnitude,seed,damage", CORRUPT_GOLDEN)
+def test_corrupt_draw_order_is_pinned(coded, strategy, magnitude, seed, damage):
+    damaged = corrupt(coded, CorruptionSpec(strategy, magnitude, seed))
+    assert [(i, field, new) for i, field, _, new in diff_fields(coded, damaged)] == [damage]
+
+
 def test_corrupt_is_deterministic():
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=9, seed=31337)
     assert corrupt(EX1_CODED, spec) == corrupt(EX1_CODED, spec)

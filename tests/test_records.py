@@ -88,9 +88,11 @@ def test_char_table_compares_and_hashes_on_alphabet_and_shift():
 @pytest.mark.parametrize("name", ["alphabet", "shift", "_codes", "_symbols", "extra"])
 def test_char_table_refuses_every_assignment(name):
     table = CharTable(DEFAULT_ALPHABET, 2)
-    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+    # refused as by every other record: the field properties have no setter,
+    # and __slots__ = () leaves no instance dict for any other name
+    with pytest.raises(AttributeError):
         setattr(table, name, None)
-    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+    with pytest.raises(AttributeError):
         delattr(table, name)
     assert table.shift == 2 and table.code_of("A") == 2 and table.symbol_of(2) == "A"
 
