@@ -8,17 +8,18 @@ dropped one:
   LUCAS_BLOCKING   keeps (b1, b2, b4), drops b3:   b3 = (b1*b4 - d) / b2
   MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
-The rows, `FRow` named tuples, go out in block order, which `layout` alone
-writes down: `encode` maps whole block columns from `_columns`; `decode`
-transposes the rows and hands `_grid` the columns (k1, k2, x, k3), resp.
-(k1, k2, k3, x).
+A payload is four columns in block order, which `layout` alone writes
+down: the determinants `ds` and the kept codes `k1s`, `k2s`, `k3s`.
+`encode` computes them from the block columns of `_columns`; `decode`
+hands `_grid` the columns (k1, k2, x, k3), resp. (k1, k2, k3, x).
 The dropped element is unique exactly when the pivot (b2, resp. b1) is
-nonzero, so encoding refuses zero-pivot blocks up front; any corruption
-that leaves no exact in-range solution is reported as tampering.
+nonzero, so encoding refuses zero-pivot blocks, and codes outside the
+alphabet, up front; any corruption that leaves no exact in-range solution
+is reported as tampering.
 
-`decode` accepts a payload by one test over the transposed columns that
-makes ints only, no pair per row: kept codes in range, no zero pivot, and
-every x (`floordiv` of the numerators) exact (`mod`) and in range.  Otherwise
+`decode` accepts a payload by one test over the columns that makes ints
+only, no pair per row: kept codes in range, no zero pivot, and every x
+(`floordiv` of the numerators) exact (`mod`) and in range.  Otherwise
 `solve_missing`, the one per-row verdict, names the first row it rejects.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
@@ -39,11 +40,11 @@ it when called, so encode and decode never load the key matrices.
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import count, repeat
+from itertools import chain, count
 from operator import add, floordiv, mod, mul, sub
 
 from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, _Record, get_alphabet
-from .errors import DegenerateBlock, HeaderMismatch, TamperDetected
+from .errors import CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
     MessageMatrix,
     NRule,
@@ -68,35 +69,47 @@ class FRow(namedtuple("FRow", "d k1 k2 k3")):
     __slots__ = ()
 
 
-class CodedMessage(_Record, namedtuple("CodedMessage", "scheme n_rule dim alphabet_id rows")):
-    """The full payload: scheme/context header plus the rows in block order.
+class CodedMessage(
+    _Record, namedtuple("CodedMessage", "scheme n_rule dim alphabet_id ds k1s k2s k3s")
+):
+    """The full payload: scheme/context header plus the four columns of the
+    rows in block order, each stored as a tuple.
 
     The key index n is never carried; both sides derive it from the row
     count and the n-rule.  Raises TypeError unless scheme and n_rule are
     members of their enums, and HeaderMismatch unless the dimension is even
-    and >= 2 and there is one row per block.
+    and >= 2, the columns are equally long and there is one row per block.
     """
 
     __slots__ = ()
 
     def __new__(cls, scheme: Scheme, n_rule: NRule, dim: int, alphabet_id: str,
-                rows: tuple[FRow, ...]):
+                ds, k1s, k2s, k3s):
         _member(scheme, Scheme)
         _member(n_rule, NRule)
         if dim < 2 or dim % 2:
             raise HeaderMismatch(f"dimension must be even and >= 2, got {dim}")
+        ds, k1s, k2s, k3s = tuple(ds), tuple(k1s), tuple(k2s), tuple(k3s)
+        if not len(ds) == len(k1s) == len(k2s) == len(k3s):
+            lengths = f"ds {len(ds)}, k1s {len(k1s)}, k2s {len(k2s)}, k3s {len(k3s)}"
+            raise HeaderMismatch(f"column lengths differ: {lengths}")
         expected = (dim // 2) ** 2
-        if len(rows) != expected:
+        if len(ds) != expected:
             # past ~4300 digits Python refuses to print an int
             implied = expected if expected.bit_length() <= 10_000 else "too many"
             raise HeaderMismatch(
-                f"dimension {dim} implies {implied} rows, payload has {len(rows)}"
+                f"dimension {dim} implies {implied} rows, payload has {len(ds)}"
             )
-        return super().__new__(cls, scheme, n_rule, dim, alphabet_id, rows)
+        return super().__new__(cls, scheme, n_rule, dim, alphabet_id, ds, k1s, k2s, k3s)
+
+    @property
+    def rows(self) -> tuple[FRow, ...]:
+        """One `FRow` per block, built on each read; no encode or decode step reads it."""
+        return tuple(map(FRow, self.ds, self.k1s, self.k2s, self.k3s))
 
     @property
     def n(self) -> int:
-        return choose_n(len(self.rows), self.n_rule)
+        return choose_n(len(self.ds), self.n_rule)
 
 
 class DecodeTrace(namedtuple("DecodeTrace", "index e1 e2 x key")):
@@ -112,22 +125,28 @@ def encode(
     n_rule: NRule = NRule.HALF,
     alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> CodedMessage:
-    """Turn a code matrix into the transmitted rows, one per block in
+    """Turn a code matrix into the transmitted columns, one row per block in
     `to_blocks` order.
 
-    Raises DegenerateBlock listing every block whose pivot is zero: for
-    those the determinant carries no information about the dropped element,
-    so the message cannot be encoded under this scheme.
+    Raises CodeOutOfRange at the first code, row-major, outside [0, size) of
+    the alphabet, which `decode` would refuse; then DegenerateBlock listing
+    every block whose pivot is zero: for those the determinant carries no
+    information about the dropped element, so the message cannot be encoded
+    under this scheme.
     """
     lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
+    size = get_alphabet(alphabet_id).size
     b1s, b2s, b3s, b4s = _columns(matrix.cells)
+    codes = set(b1s).union(b2s, b3s, b4s)
+    if min(codes) < 0 or max(codes) >= size:
+        code = next(c for c in chain.from_iterable(matrix.cells) if not 0 <= c < size)
+        raise CodeOutOfRange(f"code {code} outside [0, {size})")
     pivots = b2s if lucas else b1s
     if 0 in pivots:
         raise DegenerateBlock([index for index, p in enumerate(pivots, start=1) if p == 0])
     ds = map(sub, map(mul, b1s, b4s), map(mul, b2s, b3s))
-    # tuple.__new__ makes each FRow without _make's per-row call and length check
-    rows = map(tuple.__new__, repeat(FRow), zip(ds, b1s, b2s, b4s if lucas else b3s))
-    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, tuple(rows))
+    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, ds, b1s, b2s,
+                        b4s if lucas else b3s)
 
 
 def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.size) -> int:
@@ -169,7 +188,7 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     """
     size = get_alphabet(coded.alphabet_id).size
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
-    ds, k1s, k2s, k3s = zip(*coded.rows)
+    ds, k1s, k2s, k3s = coded.ds, coded.k1s, coded.k2s, coded.k3s
     pivots = k2s if lucas else k1s
     kept = set(k1s).union(k2s, k3s)
     start = 0
@@ -185,7 +204,8 @@ def decode(coded: CodedMessage) -> MessageMatrix:
             return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
         start = next(i for i in range(len(xs)) if remainders[i] or not 0 <= xs[i] < size)
     # from start, a lower bound on the first bad row, the per-row verdict names it
-    for index, row in enumerate(coded.rows[start:], start + 1):
+    rows = zip(ds[start:], k1s[start:], k2s[start:], k3s[start:])
+    for index, row in enumerate(rows, start + 1):
         try:
             solve_missing(row, coded.scheme, size=size)
         except TamperDetected as exc:

@@ -68,33 +68,34 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     only the row, so a moved row decodes to the same block at its new index.
     """
     rng = random.Random(spec.seed)
-    rows = coded.rows
+    rows_n = len(coded.ds)
     kept = spec.strategy is Strategy.PERTURB_KEPT
     if kept or spec.strategy is Strategy.PERTURB_D:
         while True:
-            i = rng.randrange(len(rows))
-            field = rng.choice(("k1", "k2", "k3")) if kept else "d"
-            old = getattr(rows[i], field)
-            new = old + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
+            i = rng.randrange(rows_n)
+            field = rng.choice(("k1s", "k2s", "k3s")) if kept else "ds"
+            column = getattr(coded, field)
+            new = column[i] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
             if kept:
                 new %= get_alphabet(coded.alphabet_id).size
-            if new != old:  # only a kept code can wrap, when magnitude >= size
-                row = rows[i]._replace(**{field: new})
-                return coded._replace(rows=rows[:i] + (row,) + rows[i + 1 :])
+            if new != column[i]:  # only a kept code can wrap, when magnitude >= size
+                return coded._replace(**{field: column[:i] + (new,) + column[i + 1 :]})
 
     # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
     # rejection so a trial stays linear in the row count
-    if len(rows) < 2:
+    if rows_n < 2:
         raise NotEnoughRows("need at least 2 rows to swap")
+    rows = [*zip(coded.ds, coded.k1s, coded.k2s, coded.k3s)]
     if all(row == rows[0] for row in rows):
         raise NotEnoughRows("all rows are identical, swapping changes nothing")
     while True:
-        i, j = rng.sample(range(len(rows)), 2)
+        i, j = rng.sample(range(rows_n), 2)
         if rows[i] != rows[j]:
             break
-    swapped = list(rows)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    return coded._replace(rows=tuple(swapped))
+    columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
+    for column in columns:
+        column[i], column[j] = column[j], column[i]
+    return coded._make((*coded[:4], *columns))
 
 
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:

@@ -46,9 +46,6 @@ class Block(namedtuple("Block", "index b1 b2 b3 b4")):
 
     __slots__ = ()
 
-    def determinant(self) -> int:
-        return self.b1 * self.b4 - self.b2 * self.b3
-
 
 def square_side(length: int) -> int:
     """Smallest even side whose square holds `length` symbols."""

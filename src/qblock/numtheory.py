@@ -1,4 +1,4 @@
-"""Exact Fibonacci/Lucas numbers and the 2x2 key matrices built from them.
+"""The 2x2 key matrices built from exact Fibonacci/Lucas numbers.
 
 The two key families:
 
@@ -30,10 +30,6 @@ class KeyMatrix(namedtuple("KeyMatrix", "family n m11 m12 m21 m22")):
 
     __slots__ = ()
 
-    def entry_determinant(self) -> int:
-        """Determinant computed from the entries (not the closed form)."""
-        return self.m11 * self.m22 - self.m12 * self.m21
-
     @property
     def label(self) -> str:
         return f"Q^{self.n}" if self.family is Family.QPOW else f"R_{self.n}"
@@ -44,20 +40,6 @@ def _terms(n: int, a: int, b: int) -> tuple[int, int]:
     for _ in range(n):
         a, b = b, a + b
     return a, b
-
-
-def fibonacci(n: int) -> int:
-    """F(n) with F(0) = 0, F(1) = 1."""
-    if n < 0:
-        raise ValueError(f"fibonacci index must be >= 0, got {n}")
-    return _terms(n, 0, 1)[0]
-
-
-def lucas(n: int) -> int:
-    """L(n) with L(0) = 2, L(1) = 1."""
-    if n < 0:
-        raise ValueError(f"lucas index must be >= 0, got {n}")
-    return _terms(n, 2, 1)[0]
 
 
 def _check_index(n: int) -> None:
@@ -78,12 +60,4 @@ def r_matrix(n: int) -> KeyMatrix:
     _check_index(n)
     prev, cur = _terms(n - 1, 2, 1)
     return KeyMatrix(Family.RMAT, n, prev + cur, cur, cur, prev)
-
-
-def key_determinant(family: Family, n: int) -> int:
-    """Closed-form determinant of the key matrix."""
-    _check_index(n)
-    if family is Family.QPOW:
-        return -1 if n % 2 else 1
-    return -5 if n % 2 == 0 else 5
 

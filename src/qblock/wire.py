@@ -11,17 +11,17 @@ parse refuses a carriage return, naming the first line that has one.
 
 parse gates the body with one search for a line that is not one canonical
 row; JSON would also take '-0', floats and spaces.  Past the gate, the C
-scanner of `_json` converts every token as one JSON array.  parse reads line
-by line only to name a fault.
+scanner of `_json` converts every token as one JSON array, whose every
+fourth item is one column of the `CodedMessage`.  parse reads line by line
+only to name a fault.
 """
 
 import re
-from itertools import repeat
 
 from _json import make_scanner  # the json package costs ~7x as much to import
 
 from .alphabet import get_alphabet
-from .codec import CodedMessage, FRow, Scheme
+from .codec import CodedMessage, Scheme
 from .errors import MalformedPayload
 from .layout import NRule
 
@@ -46,13 +46,13 @@ _scan_json = make_scanner(_IntArrays)
 
 
 def serialize(coded: CodedMessage) -> str:
-    lines = [
+    ints = [None] * (4 * len(coded.ds))
+    # the columns interleaved row by row, then formatted by one %
+    ints[0::4], ints[1::4], ints[2::4], ints[3::4] = coded.ds, coded.k1s, coded.k2s, coded.k3s
+    return (
         f"{MAGIC};scheme={coded.scheme.value};nrule={coded.n_rule.value}"
-        f";dim={coded.dim};alpha={coded.alphabet_id}"
-    ]
-    # % formats the row whole: unpacking a tuple subclass is slower
-    lines.extend("%s,%s,%s,%s" % row for row in coded.rows)
-    return "\n".join(lines) + "\n"
+        f";dim={coded.dim};alpha={coded.alphabet_id}\n"
+    ) + ("%s,%s,%s,%s\n" * len(coded.ds)) % tuple(ints)
 
 
 def _parse_int(token: str, line_no: int) -> int:
@@ -64,25 +64,26 @@ def _parse_int(token: str, line_no: int) -> int:
         raise MalformedPayload(f"line {line_no}: {len(token)}-digit integer is too long") from None
 
 
-def _parse_row(line: str, line_no: int) -> FRow:
+def _parse_row(line: str, line_no: int) -> list[int]:
     """Parse one row token by token, naming the first fault."""
     parts = line.split(",")
     if len(parts) != 4:
         raise MalformedPayload(f"line {line_no}: expected 4 comma-separated integers")
-    return FRow(*(_parse_int(p, line_no) for p in parts))
+    return [_parse_int(p, line_no) for p in parts]
 
 
-def _parse_rows(body: str) -> tuple[FRow, ...]:
-    """The rows of `body`, the lines after the header, each ending in '\\n'."""
+def _parse_columns(body: str) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(ds, k1s, k2s, k3s) of `body`, the lines after the header, each ending in '\\n'."""
+    ints = None
     if _NON_ROW_RE.search(body) is None:
         try:
-            ints = iter(_scan_json("[" + body[:-1].replace("\n", ",") + "]", 0)[0])
+            ints = _scan_json("[" + body[:-1].replace("\n", ",") + "]", 0)[0]
         except ValueError:  # a token past the interpreter's int-string limit
             pass
-        else:  # tuple.__new__ makes each FRow without _make's per-row call and length check
-            return tuple(map(tuple.__new__, repeat(FRow), zip(ints, ints, ints, ints)))
-    lines = body.split("\n")[:-1]
-    return tuple(_parse_row(line, line_no) for line_no, line in enumerate(lines, start=2))
+    if ints is None:
+        lines = body.split("\n")[:-1]
+        ints = [i for no, line in enumerate(lines, start=2) for i in _parse_row(line, no)]
+    return ints[0::4], ints[1::4], ints[2::4], ints[3::4]
 
 
 def parse(text: str) -> CodedMessage:
@@ -103,6 +104,7 @@ def parse(text: str) -> CodedMessage:
     dim = _parse_int(dim_str, 1)
 
     # HeaderMismatch on a bad dimension or row count
-    coded = CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id, _parse_rows(body))
+    coded = CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id,
+                         *_parse_columns(body))
     get_alphabet(alphabet_id)  # UnknownAlphabet if not registered here
     return coded

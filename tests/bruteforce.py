@@ -20,6 +20,11 @@ def luc(n):
     return a
 
 
+def key_det(seq, n):
+    """Determinant of [[t(n+1), t(n)], [t(n), t(n-1)]], t = fib or luc."""
+    return seq(n + 1) * seq(n - 1) - seq(n) ** 2
+
+
 def scan_lucas(d, b1, b2, b4, n, size=30):
     """All x in [0, size) satisfying the blocking equation with key R_n."""
     r1, r2, r3, r4 = luc(n + 1), luc(n), luc(n), luc(n - 1)

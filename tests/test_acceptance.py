@@ -12,9 +12,9 @@ from contextlib import contextmanager
 import pytest
 
 import golden
-from bruteforce import scan_lucas, scan_mine
+from bruteforce import key_det, luc, scan_lucas, scan_mine
+from payloads import from_rows
 from qblock.codec import (
-    CodedMessage,
     FRow,
     Scheme,
     decode,
@@ -26,7 +26,7 @@ from qblock.codec import (
 from qblock.errors import DegenerateBlock, TamperDetected
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate, trial_spec
 from qblock.layout import MessageMatrix, NRule, to_blocks
-from qblock.numtheory import Family, key_determinant, q_power, r_matrix
+from qblock.numtheory import q_power, r_matrix
 from qblock.wire import parse
 
 
@@ -44,23 +44,11 @@ def criterion(number, title, limit_seconds):
 
 
 def ex1_coded():
-    return CodedMessage(
-        Scheme.LUCAS_BLOCKING,
-        NRule.HALF,
-        golden.EX1_DIM,
-        "default",
-        tuple(FRow(*r) for r in golden.EX1_F),
-    )
+    return from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, golden.EX1_DIM, "default", golden.EX1_F)
 
 
 def ex2_coded():
-    return CodedMessage(
-        Scheme.MINESWEEPER,
-        NRule.HALF,
-        golden.EX2_DIM,
-        "default",
-        tuple(FRow(*r) for r in golden.EX2_F),
-    )
+    return from_rows(Scheme.MINESWEEPER, NRule.HALF, golden.EX2_DIM, "default", golden.EX2_F)
 
 
 def test_criterion_1_golden_example_1_encode():
@@ -72,7 +60,7 @@ def test_criterion_1_golden_example_1_encode():
 def test_criterion_2_golden_example_1_decode():
     with criterion(2, "golden example 1 decode", 1.0):
         # the decode constant for the Lucas key at n=2 is -5
-        assert key_determinant(Family.RMAT, 2) == -5
+        assert key_det(luc, 2) == -5
         matrix, traces = decode_with_trace(ex1_coded())
         assert tuple(t.x for t in traces) == golden.EX1_X == (9, 24, 26, 22)
         assert matrix.cells == golden.EX1_MATRIX

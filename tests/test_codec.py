@@ -4,11 +4,11 @@ import random
 import pytest
 
 import golden
-from bruteforce import scan_lucas, scan_mine
+from bruteforce import fib, key_det, luc, scan_lucas, scan_mine
+from payloads import from_rows, with_rows
 from qblock import numtheory
 from qblock.alphabet import Alphabet, register_alphabet
 from qblock.codec import (
-    CodedMessage,
     DecodeTrace,
     FRow,
     Scheme,
@@ -26,12 +26,12 @@ from qblock.errors import (
     UnknownAlphabet,
 )
 from qblock.layout import MessageMatrix, NRule, choose_n, to_blocks
-from qblock.numtheory import key_determinant
+from qblock.numtheory import Family
 from qblock.wire import parse, serialize
 
 
 def coded_from(f_rows, scheme, dim):
-    return CodedMessage(scheme, NRule.HALF, dim, "default", tuple(FRow(*r) for r in f_rows))
+    return from_rows(scheme, NRule.HALF, dim, "default", f_rows)
 
 
 EX1_CODED = coded_from(golden.EX1_F, Scheme.LUCAS_BLOCKING, golden.EX1_DIM)
@@ -91,8 +91,8 @@ ONE_ROW = (FRow(-1, 1, 1, 1),)
 NOT_A_MEMBER = {
     "solve_missing": lambda value: solve_missing(ONE_ROW[0], value),
     "encode": lambda value: encode(ZERO_B1, value),
-    "CodedMessage-scheme": lambda value: CodedMessage(value, NRule.HALF, 2, "default", ONE_ROW),
-    "CodedMessage-n_rule": lambda value: CodedMessage(
+    "CodedMessage-scheme": lambda value: from_rows(value, NRule.HALF, 2, "default", ONE_ROW),
+    "CodedMessage-n_rule": lambda value: from_rows(
         Scheme.LUCAS_BLOCKING, value, 2, "default", ONE_ROW
     ),
     "choose_n": lambda value: choose_n(8, value),
@@ -268,7 +268,7 @@ def test_coefficient_identities_per_block():
             _, traces = decode_with_trace(coded)
             for row, trace in zip(coded.rows, traces):
                 key = trace.key
-                det = key_determinant(key.family, key.n)
+                det = key_det(fib if key.family is Family.QPOW else luc, key.n)
                 if scheme is Scheme.LUCAS_BLOCKING:
                     assert trace.e1 * key.m12 - trace.e2 * key.m11 == -row.k2 * det
                 else:
@@ -339,11 +339,11 @@ def test_decode_header_mismatch_on_row_count():
     # including the header-only one
     for dim, rows in ((4, EX1_CODED.rows[:3]), (2, ())):
         with pytest.raises(HeaderMismatch, match=f"dimension {dim} implies"):
-            CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, dim, "default", rows)
+            from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, dim, "default", rows)
 
 
 def test_decode_unknown_alphabet():
-    bad = CodedMessage(
+    bad = from_rows(
         Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "never-registered", EX1_CODED.rows
     )
     with pytest.raises(UnknownAlphabet):
@@ -353,7 +353,7 @@ def test_decode_unknown_alphabet():
 def test_decode_rejects_out_of_range_kept_code():
     rows = list(EX1_CODED.rows)
     rows[1] = FRow(rows[1].d, rows[1].k1, 99, rows[1].k3)
-    bad = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", tuple(rows))
+    bad = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", rows)
     with pytest.raises(TamperDetected) as info:
         decode(bad)
     assert info.value.block_index == 2
@@ -363,7 +363,7 @@ def with_row(coded, index, **fields):
     """`coded` with the given fields of block `index` (1-based) replaced."""
     rows = list(coded.rows)
     rows[index - 1] = rows[index - 1]._replace(**fields)
-    return coded._replace(rows=tuple(rows))
+    return with_rows(coded, rows)
 
 
 @pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
@@ -443,7 +443,7 @@ def test_decode_names_the_first_of_two_faults(decoder, scheme, first, second, di
     rows[i - 1], text = damage(first, scheme, rows[i - 1])
     rows[j - 1], _ = damage(second, scheme, rows[j - 1])
     with pytest.raises(TamperDetected) as info:
-        decoder(coded._replace(rows=tuple(rows)))
+        decoder(with_rows(coded, rows))
     assert (str(info.value), info.value.block_index) == (f"block {i}: {text}", i)
 
 
@@ -467,7 +467,7 @@ def test_decode_does_no_arithmetic_past_a_kept_code_fault(scheme, kind, index):
     rows[index - 1], text = damage(kind, scheme, rows[index - 1])
     rows[index:] = [FRow(*map(Hostile, row)) for row in rows[index:]]
     with pytest.raises(TamperDetected) as info:
-        decode(coded._replace(rows=tuple(rows)))
+        decode(with_rows(coded, rows))
     assert (str(info.value), info.value.block_index) == (f"block {index}: {text}", index)
 
 
@@ -476,5 +476,5 @@ def test_decode_names_the_row_of_an_out_of_range_code_after_a_fractional_one():
     # named is the one with 99, as the per-row checks name it
     rows = (FRow(52, 9.5, 10, 16), FRow(140, 99, 28, 28)) + EX1_CODED.rows[2:]
     with pytest.raises(TamperDetected) as info:
-        decode(EX1_CODED._replace(rows=rows))
+        decode(with_rows(EX1_CODED, rows))
     assert (str(info.value), info.value.block_index) == ("block 2: kept code 99 outside [0, 30)", 2)

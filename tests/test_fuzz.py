@@ -17,6 +17,7 @@ from itertools import chain
 import pytest
 
 import golden
+from payloads import from_rows
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
 from qblock.codec import (
     CodedMessage,
@@ -310,13 +311,20 @@ def kept(scheme, block):
     return block.b1, block.b2, block.b3
 
 
+def determinant(block):
+    return block.b1 * block.b4 - block.b2 * block.b3
+
+
 def encode_model(matrix, scheme):
+    for code in chain.from_iterable(matrix.cells):
+        if not 0 <= code < SIZE:
+            raise CodeOutOfRange(f"code {code} outside [0, {SIZE})")
     blocks = to_blocks(matrix)
     pivot = 1 if scheme is Scheme.LUCAS_BLOCKING else 0
     degenerate = [b.index for b in blocks if kept(scheme, b)[pivot] == 0]
     if degenerate:
         raise DegenerateBlock(degenerate)
-    return tuple(FRow(b.determinant(), *kept(scheme, b)) for b in blocks)
+    return tuple(FRow(determinant(b), *kept(scheme, b)) for b in blocks)
 
 
 def decode_model(coded):
@@ -347,6 +355,19 @@ def test_encode_matches_per_block_model(matrix, scheme):
     assert outcome(rows) == outcome(encode_model, matrix, scheme)
 
 
+@FUZZ
+@given(planted(matrices(), st.sampled_from((-1, SIZE, *WIDE_CODES))), st.sampled_from(list(Scheme)))
+def test_encode_refuses_a_code_outside_the_alphabet(matrix, scheme):
+    # named in row-major order, before any zero pivot; whatever encode
+    # accepts, decode gives back
+    got = outcome(encode, matrix, scheme)
+    expected = outcome(encode_model, matrix, scheme)
+    if isinstance(got, CodedMessage):
+        assert got.rows == expected and decode(got) == matrix
+    else:
+        assert got == expected
+
+
 # (block, field, value) edits: kept codes out of range, zero pivots, wrong d,
 # and values far past +-900, whose numerators and x no longer fit a machine
 # word; field "x" sets d so that the dropped element solves exactly to value
@@ -371,14 +392,14 @@ edits = st.lists(
 def test_decode_matches_per_block_model(matrix, scheme, n_rule, changes):
     # rows of the matrix, zero pivots included, then a few fields replaced
     lucas = scheme is Scheme.LUCAS_BLOCKING
-    rows = [FRow(b.determinant(), *kept(scheme, b)) for b in to_blocks(matrix)]
+    rows = [FRow(determinant(b), *kept(scheme, b)) for b in to_blocks(matrix)]
     for index, name, value in changes:
         index %= len(rows)
         _, k1, k2, k3 = rows[index]
         if name == "x":
             name, value = "d", k1 * k3 - k2 * value if lucas else k1 * value - k2 * k3
         rows[index] = rows[index]._replace(**{name: value})
-    coded = CodedMessage(scheme, n_rule, matrix.dim, "default", tuple(rows))
+    coded = from_rows(scheme, n_rule, matrix.dim, "default", rows)
     expected = outcome(decode_model, coded)
     assert outcome(decode, coded) == expected
     if not changes and isinstance(expected, MessageMatrix):
@@ -401,7 +422,7 @@ row_codes = st.integers(-2, SIZE + 1)
 @hypothesis.example(FRow(54, 9, 10, 16), Scheme.LUCAS_BLOCKING, NRule.HALF)
 @hypothesis.example(FRow(96, 16, 12, 16), Scheme.MINESWEEPER, NRule.TAS)
 def test_solve_missing_agrees_with_decode_of_its_row(row, scheme, n_rule):
-    decoded = outcome(decode, CodedMessage(scheme, n_rule, 2, "default", (row,)))
+    decoded = outcome(decode, from_rows(scheme, n_rule, 2, "default", [row]))
     solved = outcome(solve_missing, row, scheme)
     if isinstance(decoded, MessageMatrix):
         (_, _), (b3, b4) = decoded.cells
@@ -478,7 +499,7 @@ def parse_model(text):
         if len(tokens) != 4:
             raise MalformedPayload(f"line {line_no}: expected 4 comma-separated integers")
         rows.append(FRow(*(_model_int(token, line_no) for token in tokens)))
-    coded = CodedMessage(Scheme(scheme), NRule(n_rule), dim, alphabet_id, tuple(rows))
+    coded = from_rows(Scheme(scheme), NRule(n_rule), dim, alphabet_id, rows)
     get_alphabet(alphabet_id)
     return coded
 

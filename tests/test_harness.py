@@ -2,7 +2,8 @@
 import pytest
 
 import golden
-from qblock.codec import CodedMessage, FRow, Scheme, encode_text
+from payloads import from_rows
+from qblock.codec import Scheme, encode_text
 from qblock.errors import DegenerateBlock, NotEnoughRows
 from qblock.harness import (
     CorruptionSpec,
@@ -13,13 +14,7 @@ from qblock.harness import (
 )
 from qblock.layout import NRule
 
-EX1_CODED = CodedMessage(
-    Scheme.LUCAS_BLOCKING,
-    NRule.HALF,
-    golden.EX1_DIM,
-    "default",
-    tuple(FRow(*r) for r in golden.EX1_F),
-)
+EX1_CODED = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, golden.EX1_DIM, "default", golden.EX1_F)
 
 
 def diff_fields(a, b):
@@ -87,15 +82,13 @@ def test_swap_rows_permutes_two_rows():
 
 
 def test_swap_rows_needs_two_rows():
-    single = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", (FRow(1, 2, 3, 4),))
+    single = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(1, 2, 3, 4)])
     with pytest.raises(NotEnoughRows):
         corrupt(single, CorruptionSpec(Strategy.SWAP_ROWS, seed=0))
 
 
 def test_swap_rows_needs_two_distinct_rows():
-    same = CodedMessage(
-        Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", (FRow(1, 2, 3, 4),) * 4
-    )
+    same = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", [(1, 2, 3, 4)] * 4)
     with pytest.raises(NotEnoughRows):
         corrupt(same, CorruptionSpec(Strategy.SWAP_ROWS, seed=0))
 
@@ -107,31 +100,30 @@ def test_swap_rows_compares_rows_linearly():
     budget = 2 * rows_n
     count = 0
 
-    class CountingRow(FRow):
-        # a tuple subclass's != calls tuple.__ne__, not __eq__, so count both
-        def _count(self):
+    class CountingInt(int):
+        # a row comparison compares d first, and calls d's __eq__ unless both
+        # rows hold the same object; the other fields are the same small ints
+        def __eq__(self, other):
             nonlocal count
             count += 1
             assert count <= budget, f"corrupt made more than {budget} row comparisons"
-
-        def __eq__(self, other):
-            self._count()
             return super().__eq__(other)
 
-        def __ne__(self, other):
-            self._count()
-            return super().__ne__(other)
+        __hash__ = int.__hash__
 
     # 64 distinct values, so some draws hit an equal pair and are redrawn
-    rows = tuple(CountingRow(i % 64, 1, 1, 1) for i in range(rows_n))
-    coded = CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 128, "default", rows)
+    ds = tuple(CountingInt(i % 64) for i in range(rows_n))
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 128, "default",
+                      [(d, 1, 1, 1) for d in ds])
     for seed in range(20):
         count = 0
         damaged = corrupt(coded, CorruptionSpec(Strategy.SWAP_ROWS, seed=seed))
-        changed = [k for k in range(rows_n) if damaged.rows[k].d != rows[k].d]
+        assert count > 0  # the comparisons reach the counter
+        changed = [k for k in range(rows_n) if damaged.ds[k] is not ds[k]]
         assert len(changed) == 2
         i, j = changed
-        assert damaged.rows[i] is rows[j] and damaged.rows[j] is rows[i]
+        assert damaged.ds[i] is ds[j] and damaged.ds[j] is ds[i]
+        assert damaged.rows[i] == coded.rows[j] and damaged.rows[j] == coded.rows[i]
 
 
 EX2_CODED = encode_text(golden.EX2_MESSAGE, Scheme.MINESWEEPER)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from payloads import from_rows
 from qblock.alphabet import DEFAULT_ALPHABET, CharTable
-from qblock.codec import CodedMessage, FRow, Scheme, decode, encode
+from qblock.codec import FRow, Scheme, decode, encode
 from qblock.errors import BadLength, EmptyMessage, UnknownSymbol
 from qblock.layout import (
     Block,
@@ -168,7 +169,7 @@ def test_block_order_matches_index_formula(dim):
             for b1, b2, b3, b4 in quads(cells)
         )
         assert encode(matrix, scheme).rows == rows
-        assert decode(CodedMessage(scheme, NRule.HALF, dim, "default", rows)) == matrix
+        assert decode(from_rows(scheme, NRule.HALF, dim, "default", rows)) == matrix
         assert decode(encode(matrix, scheme)) == matrix
 
 

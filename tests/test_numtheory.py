@@ -1,36 +1,40 @@
+"""The key matrices against the Fibonacci and Lucas numbers of the oracle in
+bruteforce.py, which shares no code with the package."""
+
 import pytest
 
-from qblock.numtheory import (
-    Family,
-    fibonacci,
-    key_determinant,
-    lucas,
-    q_power,
-    r_matrix,
-)
+from bruteforce import fib, key_det, luc
+from qblock.numtheory import Family, q_power, r_matrix
 
 
+def det(key):
+    return key.m11 * key.m22 - key.m12 * key.m21
+
+
+# q_power(n + 1) ends in F(n), r_matrix(n + 1) in L(n)
 @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (2, 1), (5, 5), (10, 55)])
 def test_fibonacci_values(n, expected):
-    assert fibonacci(n) == expected
+    assert fib(n) == expected
+    assert q_power(n + 1).m22 == expected
 
 
 @pytest.mark.parametrize("n,expected", [(0, 2), (1, 1), (2, 3), (4, 7), (5, 11)])
 def test_lucas_values(n, expected):
-    assert lucas(n) == expected
+    assert luc(n) == expected
+    assert r_matrix(n + 1).m22 == expected
 
 
 def test_fibonacci_exact_for_large_n():
     # classic reference value, far beyond 64-bit range at n=100
-    assert fibonacci(100) == 354224848179261915075
-    assert fibonacci(92) == 7540113804746346429
+    assert fib(100) == q_power(100).m12 == 354224848179261915075
+    assert fib(92) == q_power(92).m12 == 7540113804746346429
 
 
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
-        fibonacci(-1)
+        q_power(-1)
     with pytest.raises(ValueError):
-        lucas(-3)
+        r_matrix(-3)
 
 
 @pytest.mark.parametrize(
@@ -57,8 +61,6 @@ def test_zero_index_rejected():
     for fn in (q_power, r_matrix):
         with pytest.raises(ValueError):
             fn(0)
-    with pytest.raises(ValueError):
-        key_determinant(Family.QPOW, 0)
 
 
 @pytest.mark.parametrize(
@@ -72,13 +74,18 @@ def test_zero_index_rejected():
     ],
 )
 def test_key_determinant_closed_form(family, n, expected):
-    assert key_determinant(family, n) == expected
+    build, seq = (q_power, fib) if family is Family.QPOW else (r_matrix, luc)
+    assert det(build(n)) == key_det(seq, n) == expected
 
 
 def test_determinant_identities_hold_up_to_90():
+    # det Q^n = (-1)^n and det R_n = 5(-1)^(n+1), the factor that cancels in decode
     for n in range(1, 91):
-        assert q_power(n).entry_determinant() == key_determinant(Family.QPOW, n)
-        assert r_matrix(n).entry_determinant() == key_determinant(Family.RMAT, n)
+        q, r = q_power(n), r_matrix(n)
+        assert det(q) == key_det(fib, n) == (-1) ** n
+        assert det(r) == key_det(luc, n) == 5 * (-1) ** (n + 1)
+        assert (q.m11, q.m12, q.m22) == (fib(n + 1), fib(n), fib(n - 1))
+        assert (r.m11, r.m12, r.m22) == (luc(n + 1), luc(n), luc(n - 1))
 
 
 def test_r_matrix_is_literal_product():

@@ -10,14 +10,17 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
-from qblock.codec import FRow, Scheme, decode_with_trace, encode_text
+from qblock.codec import CodedMessage, FRow, Scheme, decode_with_trace, encode_text
 from qblock.demo import EXAMPLE_1
 from qblock.errors import BadLength, HeaderMismatch
 from qblock.harness import CorruptionSpec, DetectionReport, Strategy
-from qblock.layout import Block, MessageMatrix
+from qblock.layout import Block, MessageMatrix, NRule
 from qblock.numtheory import q_power, r_matrix
+from qblock.wire import parse, serialize
 
 AB = Alphabet("ab", tuple("ab"))
 CODED = encode_text("HI", Scheme.MINESWEEPER)
@@ -26,7 +29,8 @@ CODED = encode_text("HI", Scheme.MINESWEEPER)
 
 CHECKED = {
     "CodedMessage-dim": (CODED, {"dim": 3}, HeaderMismatch),
-    "CodedMessage-rows": (CODED, {"rows": ()}, HeaderMismatch),
+    "CodedMessage-rows": (CODED, {"ds": (), "k1s": (), "k2s": (), "k3s": ()}, HeaderMismatch),
+    "CodedMessage-k2s": (CODED, {"k2s": ()}, HeaderMismatch),
     "CodedMessage-scheme": (CODED, {"scheme": "mine"}, TypeError),
     "MessageMatrix-dim": (MessageMatrix(2, ((1, 2), (3, 4))), {"dim": 4}, BadLength),
     "MessageMatrix-cells": (MessageMatrix(2, ((1, 2), (3, 4))), {"cells": ((1, 2),)}, BadLength),
@@ -65,6 +69,43 @@ def test_records_are_immutable_tuples():
             record.extra = None  # no __dict__ either
     assert matrix == (2, ((1, 2), (3, 4)))
     assert hash(AB) == hash(("ab", tuple("ab")))
+
+
+# ---- CodedMessage: four columns, rows a derived view ----
+
+@st.composite
+def column_lists(draw):
+    """(dim, four lists of equal length (dim/2)^2) of arbitrary ints."""
+    dim = 2 * draw(st.integers(1, 8))
+    ints = st.one_of(st.integers(-900, 900), st.integers())
+    size = (dim // 2) ** 2
+    return dim, [draw(st.lists(ints, min_size=size, max_size=size)) for _ in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists(), st.sampled_from(list(Scheme)), st.sampled_from(list(NRule)))
+def test_coded_message_holds_tuple_columns_and_rows_are_a_view(columns, scheme, n_rule):
+    dim, lists = columns
+    coded = CodedMessage(scheme, n_rule, dim, "default", *lists)
+    assert all(type(column) is tuple for column in coded[4:])
+    assert coded[4:] == tuple(map(tuple, lists))
+    assert hash(coded) == hash(CodedMessage(scheme, n_rule, dim, "default", *map(tuple, lists)))
+    assert coded.rows == tuple(map(FRow, coded.ds, coded.k1s, coded.k2s, coded.k3s))
+    assert all(type(row) is FRow for row in coded.rows)
+    assert parse(serialize(coded)) == coded
+
+
+@pytest.mark.parametrize("field", ["ds", "k1s", "k2s", "k3s"])
+def test_coded_message_refuses_unequal_columns(field):
+    lengths = {"ds": 4, "k1s": 4, "k2s": 4, "k3s": 4, field: 3}
+    columns = [range(n) for n in lengths.values()]
+    text = "column lengths differ: " + ", ".join(f"{f} {n}" for f, n in lengths.items())
+    with pytest.raises(HeaderMismatch, match=f"^{re.escape(text)}$"):
+        CodedMessage(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", *columns)
+    with pytest.raises(HeaderMismatch, match=f"^{re.escape(text)}$"):
+        encode_text("HI! HOW ARE YOU?", Scheme.LUCAS_BLOCKING)._replace(
+            **{field: range(3)}
+        )
 
 
 def test_alphabet_membership_len_and_iteration_all_see_its_two_fields():
@@ -129,7 +170,7 @@ REPRS = {
     "CodedMessage": (
         CODED,
         "CodedMessage(scheme=<Scheme.MINESWEEPER: 'mine'>, n_rule=<NRule.HALF: 'half'>, "
-        "dim=2, alphabet_id='default', rows=(FRow(d=-27, k1=8, k2=9, k3=27),))",
+        "dim=2, alphabet_id='default', ds=(-27,), k1s=(8,), k2s=(9,), k3s=(27,))",
     ),
     "FRow": (FRow(54, 9, 10, 16), "FRow(d=54, k1=9, k2=10, k3=16)"),
     "DecodeTrace": (

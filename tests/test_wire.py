@@ -4,30 +4,19 @@ import tracemalloc
 import pytest
 
 import golden
-from qblock.codec import CodedMessage, FRow, Scheme
+from payloads import from_rows
+from qblock.codec import Scheme
 from qblock.errors import HeaderMismatch, MalformedPayload, UnknownAlphabet
 from qblock.layout import NRule
 from qblock.wire import _scan_json, parse, serialize
 
 
 def ex1_coded():
-    return CodedMessage(
-        Scheme.LUCAS_BLOCKING,
-        NRule.HALF,
-        golden.EX1_DIM,
-        "default",
-        tuple(FRow(*r) for r in golden.EX1_F),
-    )
+    return from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, golden.EX1_DIM, "default", golden.EX1_F)
 
 
 def ex2_coded():
-    return CodedMessage(
-        Scheme.MINESWEEPER,
-        NRule.HALF,
-        golden.EX2_DIM,
-        "default",
-        tuple(FRow(*r) for r in golden.EX2_F),
-    )
+    return from_rows(Scheme.MINESWEEPER, NRule.HALF, golden.EX2_DIM, "default", golden.EX2_F)
 
 
 def test_serialize_example_1_exact_bytes():
