@@ -85,14 +85,15 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     # rejection so a trial stays linear in the row count
     if rows_n < 2:
         raise NotEnoughRows("need at least 2 rows to swap")
-    rows = [*zip(coded.ds, coded.k1s, coded.k2s, coded.k3s)]
-    if all(row == rows[0] for row in rows):
+    columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
+    rows = zip(*columns)
+    first = next(rows)
+    if all(row == first for row in rows):
         raise NotEnoughRows("all rows are identical, swapping changes nothing")
     while True:
         i, j = rng.sample(range(rows_n), 2)
-        if rows[i] != rows[j]:
+        if [column[i] for column in columns] != [column[j] for column in columns]:
             break
-    columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
     for column in columns:
         column[i], column[j] = column[j], column[i]
     return coded._make((*coded[:4], *columns))
