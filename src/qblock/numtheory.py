@@ -60,4 +60,3 @@ def r_matrix(n: int) -> KeyMatrix:
     _check_index(n)
     prev, cur = _terms(n - 1, 2, 1)
     return KeyMatrix(Family.RMAT, n, prev + cur, cur, cur, prev)
-

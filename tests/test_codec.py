@@ -20,6 +20,7 @@ from qblock.codec import (
     solve_missing,
 )
 from qblock.errors import (
+    CodeOutOfRange,
     DegenerateBlock,
     HeaderMismatch,
     TamperDetected,
@@ -82,6 +83,18 @@ def test_encode_rejects_zero_pivot():
     with pytest.raises(DegenerateBlock) as info:
         encode(matrix2, Scheme.MINESWEEPER)
     assert info.value.indices == (1, 4)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_encode_refuses_a_code_decode_would_refuse(scheme):
+    # this grid once encoded to -200,40,50,70, which decode rejects
+    with pytest.raises(CodeOutOfRange, match=r"^code 40 outside \[0, 30\)$"):
+        encode(MessageMatrix(2, ((40, 50), (60, 70))), scheme)
+    # named in row-major order, before a zero pivot
+    with pytest.raises(CodeOutOfRange, match=r"^code -1 outside \[0, 30\)$"):
+        encode(MessageMatrix(2, ((0, 0), (-1, 30))), scheme)
+    with pytest.raises(UnknownAlphabet):
+        encode(MessageMatrix(2, ((1, 1), (1, 1))), scheme, alphabet_id="never-registered")
 
 
 # b1 = 0: minesweeper, the branch a non-member used to fall into, refuses it

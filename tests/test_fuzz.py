@@ -356,7 +356,10 @@ def test_encode_matches_per_block_model(matrix, scheme):
 
 
 @FUZZ
-@given(planted(matrices(), st.sampled_from((-1, SIZE, *WIDE_CODES))), st.sampled_from(list(Scheme)))
+@given(
+    planted(matrices(), st.sampled_from((-1, SIZE, *WIDE_CODES))),
+    st.sampled_from(list(Scheme)),
+)
 def test_encode_refuses_a_code_outside_the_alphabet(matrix, scheme):
     # named in row-major order, before any zero pivot; whatever encode
     # accepts, decode gives back

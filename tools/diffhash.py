@@ -22,11 +22,12 @@ output.  Sections:
     preprocess         texts over registered alphabets
 
 The inputs are the edges the codec has tripped on: codes -1, size, 255,
-256, 0x110000, -2**63 and 10**40; strays '\\x00', '\\x05', 'Ā', 'AB', '',
-5, 1.0, True, b'A', None and [1]; a 2-, a 300- and a lower-case alphabet;
-tokens '-0', '1.5', '+1', '007', ' 1' and 4300, 4301 or 5000 digits long;
-CR, blank, cut, dropped and doubled lines; zero pivots, kept codes and
-recovered codes out of range, wrong `d` and swapped rows.
+256, 0x110000, 2**64, -2**63 and ±10**40; strays '\\x00', '\\x05', 'Ā', a
+lone surrogate, 'AB', '', 5, 1.0, True, b'A', None and [1]; a 2-, a 40-, a
+300-symbol and a lower-case alphabet; tokens '-0', '1.5', '+1', '007', ' 1'
+and 4300, 4301 or 5000 digits long; CR, blank, cut, dropped and doubled
+lines; zero pivots, kept codes and recovered codes out of range, wrong `d`
+and swapped rows; payloads too short or too uniform to swap two rows.
 
 A result is hashed only through what every version of the package shows
 the same way: `serialize` bytes, rows as plain tuples, matrix cells, trace
@@ -47,8 +48,8 @@ import tempfile
 from pathlib import Path
 
 SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0!?."
-WIDE_CODES = (255, 256, 0x110000, -(2**63), 10**40)
-STRAYS = ("\x00", "\x05", "Ā", "AB", "", 5, 1.0, True, b"A", None, [1])
+WIDE_CODES = (255, 256, 0x110000, 2**64, -(2**63), 10**40, -(10**40))
+STRAYS = ("\x00", "\x05", "Ā", "\ud800", "AB", "", 5, 1.0, True, b"A", None, [1])
 BAD_TOKENS = ("-0", "1.5", "1e3", "+1", "007", " 1", "1 ", "", "true", "null", '"1"', "[1]",
               "NaN", "9" * 4300, "-" + "9" * 4300, "9" * 4301, "5" * 5000)
 
@@ -180,7 +181,7 @@ def solve_missing_cases(q, rng, cases):
         yield rows, size, outcome(q.solve_missing, q.FRow(*rows[0]), q.Scheme(scheme), size=size)
 
 
-ALPHABETS = ("default", "diffhash-two", "diffhash-wide", "diffhash-lower")
+ALPHABETS = ("default", "diffhash-two", "diffhash-forty", "diffhash-wide", "diffhash-lower")
 
 
 def encode_cases(q, rng, cases):
@@ -324,7 +325,7 @@ def char_table_cases(q, rng, cases):
 
 
 def preprocess_cases(q, rng, cases):
-    extra = ("a", "z", " ", "#", "ŉ", "ß", "ﬁ", "ā", "\x00")
+    extra = ("a", "z", " ", "#", "ŉ", "ß", "ﬁ", "ā", "\x00", "\udc80")
     for _ in range(cases):
         alphabet = q.get_alphabet(rng.choice(ALPHABETS))
         text = "".join(rng.choice(alphabet.symbols + extra) for _ in range(rng.randrange(30)))
@@ -352,6 +353,7 @@ def digests(seed, cases):
 
     for alphabet in (q.Alphabet("diffhash-two", ("0", "1")),
                      q.Alphabet("diffhash-wide", tuple(chr(0x100 + i) for i in range(300))),
+                     q.Alphabet("diffhash-forty", tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!?.,")),
                      q.Alphabet("diffhash-lower", tuple("abcdefghijklmnopqrstuvwxyz0"))):
         q.register_alphabet(alphabet)
     result = {}
