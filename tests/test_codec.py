@@ -9,6 +9,7 @@ from payloads import from_rows, with_rows
 from qblock import numtheory
 from qblock.alphabet import Alphabet, register_alphabet
 from qblock.codec import (
+    CodedMessage,
     DecodeTrace,
     FRow,
     Scheme,
@@ -26,6 +27,7 @@ from qblock.errors import (
     TamperDetected,
     UnknownAlphabet,
 )
+from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate
 from qblock.layout import MessageMatrix, NRule, choose_n, to_blocks
 from qblock.numtheory import Family
 from qblock.wire import parse, serialize
@@ -134,6 +136,25 @@ def test_frow_is_a_named_tuple():
     # immutable, as every record of the package is
     with pytest.raises(AttributeError):
         row.d = 0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_no_encode_wire_decode_or_corrupt_step_builds_rows(monkeypatch, scheme):
+    # rows is a view for display and tests: built on a hot path it would cost
+    # one tuple per block on every call
+    def refuse(self):
+        raise AssertionError("a hot path read coded.rows")
+
+    monkeypatch.setattr(CodedMessage, "rows", property(refuse))
+    coded = encode_text(golden.EX1_MESSAGE, scheme)
+    assert decode_text(parse(serialize(coded))) == golden.EX1_SYMBOLS
+    for strategy in Strategy:
+        spec = CorruptionSpec(strategy, magnitude=5)
+        assert detection_rate(golden.EX1_MESSAGE, scheme, spec, trials=20).trials == 20
+    # a damaged d sends decode to the per-row verdict
+    damaged = corrupt(coded, CorruptionSpec(Strategy.PERTURB_D, magnitude=1, seed=1))
+    with pytest.raises(TamperDetected):
+        decode(damaged)
 
 
 def test_encode_and_parse_build_frows():
