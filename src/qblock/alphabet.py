@@ -4,11 +4,10 @@ The default alphabet has 30 symbols, A..Z then 0 ! ? .   A table with shift n
 maps the k-th symbol to (n + k) mod size, so the whole mapping slides with the
 key index and changes from message to message.  A `CharTable` is the record
 (alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` build one
-table per call and map a sequence through it with `str.translate`, whose
-misses delete and so shorten the result.  A short result, a code past
-Latin-1, a non-`str` input or an alphabet of more than 256 symbols takes
-the same table one item at a time, reads a miss as None and names the
-first miss as `code_of`/`symbol_of` do.
+table per call and map a sequence through it with `str.translate`, which
+stops at the first symbol or code that the table lacks; the error names it
+as `code_of`/`symbol_of` do.  A non-`str` input, a code past Latin-1 or an
+alphabet of more than 256 symbols reads the same kind of table item by item.
 
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
@@ -83,11 +82,16 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
         raise UnknownAlphabet(f"no alphabet registered under id {alphabet_id!r}") from None
 
 
-class _Deleting(dict):
-    """A `str.translate` table that deletes what it does not map: a miss shortens the result."""
+class _Miss(Exception):
+    """Carries the key that a `_Refusing` table lacks."""
+
+
+class _Refusing(dict):
+    """Raises `_Miss` at a key it lacks.  `str.translate` keeps a character on a
+    LookupError but lets any other error through: a translation stops at its first miss."""
 
     def __missing__(self, key):
-        return None
+        raise _Miss(key)
 
 
 class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
@@ -114,29 +118,26 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
         return [*range(start, self.alphabet.size), *range(start)]
 
     def _codes_of(self, symbols) -> list[int]:
-        table = _Deleting(zip(map(ord, self.alphabet.symbols), self._shifted_codes()))
-        if isinstance(symbols, str) and self.alphabet.size <= 256:
-            coded = symbols.translate(table)
-            if len(coded) == len(symbols):
+        letters, codes = self.alphabet.symbols, self._shifted_codes()
+        by_ordinal = isinstance(symbols, str) and len(letters) <= 256
+        try:
+            if by_ordinal:
+                coded = symbols.translate(_Refusing(zip(map(ord, letters), codes)))
                 return list(coded.encode("latin-1"))
-        # a symbol by its ordinal (ord() would take b"A" too), any other item as a
-        # 1-tuple: no key equals it, but an unhashable item raises as a dict key would
-        codes = [table.get(ord(s) if isinstance(s, str) and len(s) == 1 else (s,)) for s in symbols]
-        if None in codes:
-            symbol = next(s for s, code in zip(symbols, codes) if code is None)
-            raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {self.alphabet.id!r}")
-        return codes
+            # keyed by symbol: 65 or b"A" misses, an unhashable item raises TypeError
+            return list(map(_Refusing(zip(letters, codes)).__getitem__, symbols))
+        except _Miss as miss:  # translate looks a character up by its ordinal
+            symbol = chr(miss.args[0]) if by_ordinal else miss.args[0]
+        raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {self.alphabet.id!r}")
 
     def _symbols_of(self, codes) -> str:
-        table = _Deleting(zip(self._shifted_codes(), self.alphabet.symbols))
-        try:  # bytes() refuses a code outside range(256), translate drops one outside range(size)
-            text = bytes(codes).decode("latin-1").translate(table)
-        except (TypeError, ValueError):
-            text = ""
-        if len(text) == len(codes):
-            return text
-        symbols = list(map(table.get, codes))
-        if None in symbols:
-            code = next(c for c, symbol in zip(codes, symbols) if symbol is None)
-            raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})")
-        return "".join(symbols)
+        table = _Refusing(zip(self._shifted_codes(), self.alphabet.symbols))
+        try:
+            try:
+                return bytes(codes).decode("latin-1").translate(table)
+            except (TypeError, ValueError):  # bytes() refuses all but an int in range(256)
+                pass  # so a TypeError of the lookup below does not chain to this one
+            return "".join(map(table.__getitem__, codes))
+        except _Miss as miss:
+            code = miss.args[0]
+        raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})")

@@ -6,7 +6,6 @@ be opened, written or read as UTF-8 (message on stderr), 2 usage errors.
 
 import argparse
 import sys
-from contextlib import nullcontext
 
 from .codec import Scheme, decode_text, encode_text
 from .errors import QblockError
@@ -112,22 +111,19 @@ def _run_harness(args) -> int:
     report = detection_rate(
         args.message, Scheme(args.scheme), spec, args.trials, NRule(args.n_rule)
     )
-    # opened after the trials, so a run that fails leaves an existing file as
-    # it was, and before the summary, so a name that cannot be written prints
-    # nothing
-    with (
-        nullcontext() if args.csv is None
-        else open(args.csv, "w", encoding="utf-8", newline="")
-    ) as handle:
-        print(
-            f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
-            f"magnitude={args.magnitude} {report.summary()}"
-        )
-        if handle is not None:
+    if args.csv is not None:
+        # written after the trials, so a run that fails leaves an existing file
+        # as it was, and before the summary, so a name that cannot be written
+        # prints nothing
+        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["trial", "strategy", "outcome"])
             for trial, outcome in enumerate(report.outcomes):
                 writer.writerow([trial, args.strategy, outcome])
+    print(
+        f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
+        f"magnitude={args.magnitude} {report.summary()}"
+    )
     return 0
 
 

@@ -106,7 +106,7 @@ def run_demo(number: int) -> tuple[str, bool]:
     coded = encode_text(example.message, example.scheme, example.n_rule)
     check("n", coded.n, example.n)
     check("dim", coded.dim, example.dim)
-    check("rows", tuple((r.d, r.k1, r.k2, r.k3) for r in coded.rows), example.f_rows)
+    check("rows", tuple(zip(coded.ds, coded.k1s, coded.k2s, coded.k3s)), example.f_rows)
 
     matrix, traces = decode_with_trace(coded)
     check("matrix", matrix.cells, example.matrix_rows)
@@ -120,7 +120,7 @@ def run_demo(number: int) -> tuple[str, bool]:
     lines = [
         f'example {example.number}: "{example.message}"',
         f"scheme={example.scheme.value} nrule={example.n_rule.value} "
-        f"dim={coded.dim} blocks={len(coded.rows)} n={coded.n}",
+        f"dim={coded.dim} blocks={len(coded.ds)} n={coded.n}",
         "",
         "message matrix:",
         *_format_grid(matrix.cells),

@@ -61,9 +61,9 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     """Uppercase, turn each space into '0', pad with '0' to an even square.
 
     Case is folded only for an alphabet that upper-casing keeps whole, such
-    as the default one; any other alphabet sees the text as written.  Every
-    resulting symbol must be in the alphabet; anything else is an
-    UnknownSymbol error rather than a silent skip.
+    as the default one; any other alphabet sees the text as written.  The
+    first resulting symbol outside the alphabet is an UnknownSymbol error
+    that names it and its position, rather than a silent skip.
     """
     if not text:
         raise EmptyMessage("message text is empty")
@@ -73,12 +73,10 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     substituted = text.replace(" ", PAD_SYMBOL)
     side = square_side(len(substituted))
     padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
-    if not set(padded).issubset(alphabet.symbols):
-        for pos, symbol in enumerate(padded):
-            if symbol not in alphabet.symbols:
-                raise UnknownSymbol(
-                    f"symbol {symbol!r} at position {pos} is not in alphabet {alphabet.id!r}"
-                )
+    strays = padded.translate(str.maketrans("", "", letters))  # in order of position
+    if strays:
+        raise UnknownSymbol(f"symbol {strays[0]!r} at position {padded.index(strays[0])} "
+                            f"is not in alphabet {alphabet.id!r}")
     return padded
 
 

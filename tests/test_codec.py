@@ -20,6 +20,7 @@ from qblock.codec import (
     encode_text,
     solve_missing,
 )
+from qblock.demo import run_demo
 from qblock.errors import (
     CodeOutOfRange,
     DegenerateBlock,
@@ -155,6 +156,8 @@ def test_no_encode_wire_decode_or_corrupt_step_builds_rows(monkeypatch, scheme):
     damaged = corrupt(coded, CorruptionSpec(Strategy.PERTURB_D, magnitude=1, seed=1))
     with pytest.raises(TamperDetected):
         decode(damaged)
+    # nor does the demo, which reads the columns as well
+    assert run_demo(1)[1] and run_demo(2)[1]
 
 
 def test_encode_and_parse_build_frows():

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qblock import codec
-from qblock.errors import TamperDetected
+from qblock.alphabet import CharTable
+from qblock.errors import CodeOutOfRange, TamperDetected
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "diffhash.py"
@@ -29,20 +32,33 @@ def test_two_runs_give_equal_digests():
     assert [line.split()[0] for line in first.splitlines()] == SECTIONS
 
 
-def test_a_reworded_verdict_changes_the_decode_digest(monkeypatch):
+def reworded(f, error):
+    """`f`, with a period added to the text of each `error` that it raises."""
+
+    def wrapper(*args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except error as exc:
+            raise error(f"{exc}.") from None
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "owner,name,error,moved,unchanged",
+    [
+        (codec, "solve_missing", TamperDetected, "decode", ["preprocess"]),
+        (CharTable, "_symbols_of", CodeOutOfRange, "CharTable", ["decode", "encode_range"]),
+    ],
+    ids=["solve_missing", "CharTable"],
+)
+def test_a_reworded_verdict_changes_the_decode_digest(monkeypatch, owner, name, error, moved,
+                                                      unchanged):
     spec = importlib.util.spec_from_file_location("diffhash", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     before = tool.digests(1, 20)
-    solve_missing = codec.solve_missing
-
-    def reworded(row, scheme, *, size):
-        try:
-            return solve_missing(row, scheme, size=size)
-        except TamperDetected as exc:
-            raise TamperDetected(f"{exc}.") from None
-
-    monkeypatch.setattr(codec, "solve_missing", reworded)
+    monkeypatch.setattr(owner, name, reworded(getattr(owner, name), error))
     after = tool.digests(1, 20)
-    assert after["decode"] != before["decode"]
-    assert after["preprocess"] == before["preprocess"]
+    assert after[moved] != before[moved]
+    assert all(after[section] == before[section] for section in unchanged)

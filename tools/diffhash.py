@@ -18,7 +18,8 @@ output.  Sections:
     corrupt            every strategy through `corrupt`
     detection_rate     reports of `detection_rate`
     cli                `cli.main` on argv, stdin and files
-    CharTable          `code_of`, `symbol_of`, `to_matrix`, `to_symbols`
+    CharTable          `code_of`, `symbol_of`, `to_matrix`, and `to_symbols` on
+                       grids with up to two codes outside the alphabet
     preprocess         texts over registered alphabets
 
 The inputs are the edges the codec has tripped on: codes -1, size, 255,
@@ -318,8 +319,13 @@ def char_table_cases(q, rng, cases):
         text = "".join(rng.choice(alphabet.symbols + ("\x00", "\x05", "Ā"))
                        for _ in range(side * side))
         cells = grid(rng, side, size)
-        if rng.random() < 0.5:
-            cells[rng.randrange(side)][rng.randrange(side)] = rng.choice((-1, size, *WIDE_CODES))
+        first, second = sorted(rng.sample(range(side * side), 2))
+        plant = rng.randrange(3)
+        if plant == 1:
+            cells[first // side][first % side] = rng.choice((-1, size, *WIDE_CODES))
+        elif plant == 2:  # a miss that bytes() takes ahead of one that it refuses
+            cells[first // side][first % side] = rng.choice((size, 40))
+            cells[second // side][second % side] = rng.choice((-1, 256, *WIDE_CODES))
         matrix = q.MessageMatrix(side, tuple(map(tuple, cells)))
         yield text, outcome(q.to_matrix, text, table), cells, outcome(q.to_symbols, matrix, table)
 
