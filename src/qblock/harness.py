@@ -1,10 +1,12 @@
 """Corruption injection and detection-rate measurement.
 
-Each trial corrupts one field of a payload and decodes it.  Three outcomes:
+Each trial corrupts one field of a payload and takes decode's verdict on
+the rows `corrupt` changed: `solve_missing` per row, since a row left alone
+decodes to its original block.  Three outcomes:
 
-    detected          decode raised TamperDetected
-    miscorrected      decode succeeded but produced a different matrix
-    undetected_equal  decode reproduced the original matrix exactly
+    detected          decode would raise TamperDetected: a changed row fails
+    miscorrected      decode would succeed with a different matrix
+    undetected_equal  decode would reproduce the original matrix exactly
 
 All strategies touch fields that enter the decoded output, so
 undetected_equal stays zero; it is counted anyway as a sanity check.
@@ -17,7 +19,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
-from .codec import CodedMessage, Scheme, decode, encode_text
+from .codec import CodedMessage, Scheme, encode_text, solve_missing
 from .errors import NotEnoughRows, TamperDetected
 from .layout import NRule
 
@@ -67,6 +69,11 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     exactly one field.  SWAP_ROWS is never detected: `solve_missing` reads
     only the row, so a moved row decodes to the same block at its new index.
     """
+    return _damage(coded, spec)[0]
+
+
+def _damage(coded: CodedMessage, spec: CorruptionSpec) -> tuple[CodedMessage, tuple[int, ...]]:
+    """`corrupt`'s damaged record, and the 0-based rows it changed."""
     rng = random.Random(spec.seed)
     rows_n = len(coded.ds)
     kept = spec.strategy is Strategy.PERTURB_KEPT
@@ -79,7 +86,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
             if kept:
                 new %= get_alphabet(coded.alphabet_id).size
             if new != column[i]:  # only a kept code can wrap, when magnitude >= size
-                return coded._replace(**{field: column[:i] + (new,) + column[i + 1 :]})
+                return coded._replace(**{field: column[:i] + (new,) + column[i + 1 :]}), (i,)
 
     # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
     # rejection so a trial stays linear in the row count
@@ -96,7 +103,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
             break
     for column in columns:
         column[i], column[j] = column[j], column[i]
-    return coded._make((*coded[:4], *columns))
+    return coded._make((*coded[:4], *columns)), (i, j)
 
 
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:
@@ -112,23 +119,26 @@ def detection_rate(
     n_rule: NRule = NRule.HALF,
     alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> DetectionReport:
-    """Corrupt-then-decode `trials` times and tally the outcomes."""
+    """Corrupt `trials` times and tally decode's verdicts, each taken on the
+    changed rows alone: a trial solves one or two rows, not the payload."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     coded = encode_text(message, scheme, n_rule, alphabet_id)
-    original = decode(coded)
+    size = get_alphabet(coded.alphabet_id).size
+
+    def block(payload, i):  # row i as decode gives it back, (k1, k2, k3, x)
+        row = payload.ds[i], payload.k1s[i], payload.k2s[i], payload.k3s[i]
+        return (*row[1:], solve_missing(row, coded.scheme, size=size))
 
     outcomes = []
     for trial in range(trials):
-        damaged = corrupt(coded, trial_spec(spec, trial))
+        damaged, changed = _damage(coded, trial_spec(spec, trial))
         try:
-            result = decode(damaged)
+            moved = [block(damaged, i) != block(coded, i) for i in changed]
         except TamperDetected:
             outcomes.append(OUTCOME_DETECTED)
         else:
-            outcomes.append(
-                OUTCOME_MISCORRECTED if result != original else OUTCOME_UNDETECTED_EQUAL
-            )
+            outcomes.append(OUTCOME_MISCORRECTED if any(moved) else OUTCOME_UNDETECTED_EQUAL)
     return DetectionReport(
         outcomes.count(OUTCOME_DETECTED),
         outcomes.count(OUTCOME_MISCORRECTED),

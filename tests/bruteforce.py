@@ -1,9 +1,23 @@
-"""Independent brute-force oracles for the decode equations.
+"""Independent brute-force oracles for the decode equations and the harness.
 
-Everything here is recomputed from scratch (recurrences by iteration, the
-equations verbatim), deliberately sharing no code with the package, so the
-closed-form solver can be checked against an exhaustive scan.
+The key and scan oracles are recomputed from scratch (recurrences by
+iteration, the equations verbatim), deliberately sharing no code with the
+package, so the closed-form solver can be checked against an exhaustive
+scan.  `outcomes_by_decode` is the harness's slow reference: it takes each
+trial's verdict from a full `decode` of the damaged payload, where
+`detection_rate` solves only the rows `corrupt` changed.
 """
+
+from qblock.codec import decode, encode_text
+from qblock.errors import TamperDetected
+from qblock.harness import (
+    OUTCOME_DETECTED,
+    OUTCOME_MISCORRECTED,
+    OUTCOME_UNDETECTED_EQUAL,
+    DetectionReport,
+    corrupt,
+    trial_spec,
+)
 
 
 def fib(n):
@@ -53,3 +67,29 @@ def scan_mine(d, b1, b2, b3, n, i, size=30):
         for x in range(size)
         if target == e1 * (k2 * b3 + k4 * x) - e2 * (k1 * b3 + k3 * x)
     ]
+
+
+def outcomes_by_decode(message, scheme, spec, trials, n_rule):
+    """`detection_rate`'s report, from a full decode of every damaged payload."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    coded = encode_text(message, scheme, n_rule)
+    original = decode(coded)
+
+    outcomes = []
+    for trial in range(trials):
+        damaged = corrupt(coded, trial_spec(spec, trial))
+        try:
+            result = decode(damaged)
+        except TamperDetected:
+            outcomes.append(OUTCOME_DETECTED)
+        else:
+            outcomes.append(
+                OUTCOME_MISCORRECTED if result != original else OUTCOME_UNDETECTED_EQUAL
+            )
+    return DetectionReport(
+        outcomes.count(OUTCOME_DETECTED),
+        outcomes.count(OUTCOME_MISCORRECTED),
+        trials,
+        tuple(outcomes),
+    )

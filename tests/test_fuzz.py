@@ -3,11 +3,13 @@
 The second part checks the flat kernels (the symbol tables, `preprocess`,
 `to_matrix`, `to_symbols`, `encode`, `decode`) against per-element and
 per-block models built from the public pieces they replace, `solve_missing`
-against `decode` of its one row, and swap-rows corruption against the
-matrix with two blocks exchanged.  The third checks `parse`, which converts
-a whole body at once, against a model that reads the wire grammar line by
-line.  The last runs the CLI on argv drawn from a fixed vocabulary whose
-file names are all relative, inside a temporary working directory.
+against `decode` of its one row, swap-rows corruption against the matrix
+with two blocks exchanged, the rows `_damage` names against the rows
+`corrupt` changed, and `detection_rate` against a full decode of every
+damaged payload.  The third checks `parse`, which converts a whole body at
+once, against a model that reads the wire grammar line by line.  The last
+runs the CLI on argv drawn from a fixed vocabulary whose file names are all
+relative, inside a temporary working directory.
 """
 
 import io
@@ -17,6 +19,7 @@ from itertools import chain
 import pytest
 
 import golden
+from bruteforce import outcomes_by_decode
 from payloads import from_rows
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
 from qblock.codec import (
@@ -39,7 +42,7 @@ from qblock.errors import (
     TamperDetected,
     UnknownSymbol,
 )
-from qblock.harness import CorruptionSpec, Strategy, corrupt
+from qblock.harness import CorruptionSpec, Strategy, _damage, corrupt, detection_rate
 from qblock.layout import (
     PAD_SYMBOL,
     Block,
@@ -463,6 +466,71 @@ def test_swap_rows_is_never_detected(matrix, scheme, n_rule, seed):
     blocks = to_blocks(matrix)
     blocks[i], blocks[j] = blocks[j], blocks[i]
     assert decode(damaged) == reassemble(blocks, matrix.dim)
+
+
+# ---- the harness: decode's verdict on the rows corrupt changed ----
+
+# perturb-kept wraps at and past the alphabet size (30)
+MAGNITUDES = [1, 5, 29, 30, 31, 61, 90]
+COLUMNS = ("ds", "k1s", "k2s", "k3s")
+
+
+@FUZZ
+@given(
+    matrices(dims=range(2, 17, 2)),
+    st.sampled_from(list(Scheme)),
+    st.sampled_from(list(Strategy)),
+    st.sampled_from(MAGNITUDES),
+    st.integers(0, 2**16),
+)
+def test_damage_names_exactly_the_rows_corrupt_changed(matrix, scheme, strategy, magnitude, seed):
+    coded = encode(with_nonzero_pivots(matrix, scheme), scheme)
+    spec = CorruptionSpec(strategy, magnitude, seed)
+    damaged = outcome(corrupt, coded, spec)
+    if not isinstance(damaged, CodedMessage):
+        assert damaged[0] is NotEnoughRows and outcome(_damage, coded, spec) == damaged
+        return
+    record, changed = _damage(coded, spec)
+    assert record == damaged
+    differ = [i for i in range(len(coded.ds))
+              if any(getattr(coded, c)[i] != getattr(damaged, c)[i] for c in COLUMNS)]
+    # swap-rows names its pair in the order it drew them
+    assert differ == sorted(changed)
+
+
+@st.composite
+def harness_messages(draw):
+    # dims 2-16; a message whose table codes a pivot to 0 raises DegenerateBlock
+    dim = draw(st.sampled_from(range(2, 17, 2)))
+    letters = "".join(DEFAULT_ALPHABET.symbols) + " "
+    return draw(st.text(alphabet=letters, min_size=(dim - 2) ** 2 + 1, max_size=dim * dim))
+
+
+DIM32_MESSAGE = "HELLO THERE! " * 78
+
+
+@FUZZ
+@given(
+    harness_messages(),
+    st.sampled_from(list(Scheme)),
+    st.sampled_from(list(NRule)),
+    st.sampled_from(list(Strategy)),
+    st.sampled_from(MAGNITUDES),
+    st.integers(0, 2**16),
+    st.integers(1, 12),
+)
+@hypothesis.example(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, NRule.HALF, Strategy.PERTURB_D, 61, 0, 12)
+@hypothesis.example(DIM32_MESSAGE, Scheme.MINESWEEPER, NRule.TAS, Strategy.PERTURB_KEPT, 90, 3, 12)
+@hypothesis.example(DIM32_MESSAGE, Scheme.MINESWEEPER, NRule.HALF, Strategy.SWAP_ROWS, 1, 5, 12)
+@hypothesis.example("A.AA", Scheme.LUCAS_BLOCKING, NRule.HALF, Strategy.PERTURB_D, 1, 0, 3)
+@hypothesis.example("A" * 16, Scheme.LUCAS_BLOCKING, NRule.HALF, Strategy.SWAP_ROWS, 1, 0, 3)
+@hypothesis.example("A" * 16, Scheme.MINESWEEPER, NRule.TAS, Strategy.PERTURB_KEPT, 30, 0, 12)
+def test_detection_rate_matches_full_decode_oracle(text, scheme, n_rule, strategy, magnitude,
+                                                   seed, trials):
+    # DegenerateBlock and NotEnoughRows are compared by type, text and order too
+    spec = CorruptionSpec(strategy, magnitude, seed)
+    expected = outcome(outcomes_by_decode, text, scheme, spec, trials, n_rule)
+    assert outcome(detection_rate, text, scheme, spec, trials, n_rule) == expected
 
 
 # ---- parse against a per-line model of the wire grammar ----

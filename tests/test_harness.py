@@ -3,7 +3,8 @@ import pytest
 
 import golden
 from payloads import from_rows
-from qblock.codec import Scheme, encode_text
+from qblock import harness
+from qblock.codec import Scheme, encode_text, solve_missing
 from qblock.errors import DegenerateBlock, NotEnoughRows
 from qblock.harness import (
     CorruptionSpec,
@@ -203,6 +204,32 @@ def test_swap_rows_miscorrects_but_decodes(scheme):
     report = detection_rate(golden.EX1_MESSAGE, scheme, spec, trials=60)
     assert report.undetected_equal == 0
     assert report.miscorrected == 60
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "strategy,per_trial",
+    [(Strategy.PERTURB_D, 2), (Strategy.PERTURB_KEPT, 2), (Strategy.SWAP_ROWS, 4)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strategy, per_trial):
+    # counts row verdicts instead of timing: each changed row is solved once
+    # damaged and once as encoded, where a decode reads all 256 rows
+    message = "HELLO THERE! " * 78
+    assert len(encode_text(message, scheme).ds) == 256
+    trials = 50
+    count = 0
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return solve_missing(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_missing", counting)
+    spec = CorruptionSpec(strategy, magnitude=60, seed=0)
+    report = detection_rate(message, scheme, spec, trials=trials)
+    assert report.trials == trials
+    assert 0 < count <= per_trial * trials
 
 
 def test_trial_spec_offsets_seed():

@@ -16,7 +16,8 @@ output.  Sections:
     encode_range       grids with a code outside the alphabet, or an
                        alphabet id that is not registered, through `encode`
     corrupt            every strategy through `corrupt`
-    detection_rate     reports of `detection_rate`
+    detection_rate     reports of `detection_rate`, a quarter of them on
+                       messages of up to 1024 characters (dim 32)
     cli                `cli.main` on argv, stdin and files
     CharTable          `code_of`, `symbol_of`, `to_matrix`, and `to_symbols` on
                        grids with up to two codes outside the alphabet
@@ -243,9 +244,12 @@ def detection_rate_cases(q, rng, cases):
     yield tuple(outcome(q.detection_rate, "HI", q.Scheme.MINESWEEPER,
                         q.CorruptionSpec(q.Strategy.SWAP_ROWS), 0))
     for _ in range(max(cases // 4, 1)):
-        text = rng.choice(("HI! HOW ARE YOU?", message(rng)))
+        if rng.random() < 0.25:  # up to dim 32, at and past the alphabet size
+            text, magnitudes = message(rng, high=1024), (30, 90)
+        else:
+            text, magnitudes = rng.choice(("HI! HOW ARE YOU?", message(rng))), (1, 5, 30, 61)
         strategy = rng.choice(list(q.Strategy))
-        spec = q.CorruptionSpec(strategy, rng.choice((1, 5, 30, 61)), rng.randrange(1000))
+        spec = q.CorruptionSpec(strategy, rng.choice(magnitudes), rng.randrange(1000))
         report = outcome(q.detection_rate, text, rng.choice(list(q.Scheme)), spec,
                          rng.randint(1, 40), rng.choice(list(q.NRule)))
         yield text, strategy.value, spec.magnitude, spec.seed, tuple(report)
