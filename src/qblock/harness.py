@@ -1,17 +1,17 @@
 """Corruption injection and detection-rate measurement.
 
-Each trial corrupts one field of a payload and takes decode's verdict on
-the rows `corrupt` changed: `solve_missing` per row, since a row left alone
-decodes to its original block.  Three outcomes:
+A corruption is a set of row edits (`_damage`), which `corrupt` writes into
+a copy of the payload.  A trial takes decode's verdict on the edited rows
+alone, since every other row decodes to its original block:
 
-    detected          decode would raise TamperDetected: a changed row fails
-    miscorrected      decode would succeed with a different matrix
-    undetected_equal  decode would reproduce the original matrix exactly
+    detected      an edited row fails `solve_missing`: decode would raise
+    miscorrected  every edited row solves: decode gives a different matrix
 
-All strategies touch fields that enter the decoded output, so
-undetected_equal stays zero; it is counted anyway as a sanity check.
-Trial t of a run uses seed (spec.seed + t), so individual trials are
-independently reproducible.
+An edited row that solves always decodes to a different block: the kept
+codes are part of it, the dropped code is injective in d for a nonzero
+pivot, and swap-rows exchanges only rows that differ.  So `undetected_equal`
+(decode gives the original matrix back) stays zero; only the full-decode
+test oracle could count one.  Trial t uses seed spec.seed + t.
 """
 
 import random
@@ -21,7 +21,7 @@ from enum import Enum
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
 from .codec import CodedMessage, Scheme, encode_text, solve_missing
 from .errors import NotEnoughRows, TamperDetected
-from .layout import NRule
+from .layout import NRule, _member
 
 OUTCOME_DETECTED = "detected"
 OUTCOME_MISCORRECTED = "miscorrected"
@@ -38,6 +38,7 @@ class CorruptionSpec(_Record, namedtuple("CorruptionSpec", "strategy magnitude s
     __slots__ = ()
 
     def __new__(cls, strategy: Strategy, magnitude: int = 1, seed: int = 0):
+        _member(strategy, Strategy)
         if magnitude < 1:
             raise ValueError(f"magnitude must be >= 1, got {magnitude}")
         return super().__new__(cls, strategy, magnitude, seed)
@@ -60,7 +61,7 @@ class DetectionReport(
 
 
 def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
-    """Deterministically damage one field of the payload.
+    """Deterministically damage the payload: a copy with `_damage`'s edits.
 
     PERTURB_D and PERTURB_KEPT draw, in this order, the row, the field (`d`,
     or one of k1/k2/k3) and a signed delta of 1..magnitude.  A kept code is
@@ -69,41 +70,45 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     exactly one field.  SWAP_ROWS is never detected: `solve_missing` reads
     only the row, so a moved row decodes to the same block at its new index.
     """
-    return _damage(coded, spec)[0]
+    columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
+    for i, row in _damage(coded, spec).items():
+        for column, value in zip(columns, row):
+            column[i] = value
+    return coded._make((*coded[:4], *columns))
 
 
-def _damage(coded: CodedMessage, spec: CorruptionSpec) -> tuple[CodedMessage, tuple[int, ...]]:
-    """`corrupt`'s damaged record, and the 0-based rows it changed."""
+def _damage(coded: CodedMessage, spec: CorruptionSpec) -> dict[int, tuple[int, int, int, int]]:
+    """`corrupt`'s damage as row edits, {0-based row: new (d, k1, k2, k3)}:
+    one row for the perturb strategies, the drawn pair for SWAP_ROWS."""
     rng = random.Random(spec.seed)
+    columns = coded[4:]
     rows_n = len(coded.ds)
     kept = spec.strategy is Strategy.PERTURB_KEPT
     if kept or spec.strategy is Strategy.PERTURB_D:
         while True:
             i = rng.randrange(rows_n)
-            field = rng.choice(("k1s", "k2s", "k3s")) if kept else "ds"
-            column = getattr(coded, field)
-            new = column[i] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
+            field = rng.choice((1, 2, 3)) if kept else 0  # k1, k2, k3 or d
+            row = [column[i] for column in columns]
+            new = row[field] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
             if kept:
                 new %= get_alphabet(coded.alphabet_id).size
-            if new != column[i]:  # only a kept code can wrap, when magnitude >= size
-                return coded._replace(**{field: column[:i] + (new,) + column[i + 1 :]}), (i,)
+            if new != row[field]:  # only a kept code can wrap, when magnitude >= size
+                row[field] = new
+                return {i: tuple(row)}
 
     # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
     # rejection so a trial stays linear in the row count
     if rows_n < 2:
         raise NotEnoughRows("need at least 2 rows to swap")
-    columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
     rows = zip(*columns)
     first = next(rows)
     if all(row == first for row in rows):
         raise NotEnoughRows("all rows are identical, swapping changes nothing")
     while True:
         i, j = rng.sample(range(rows_n), 2)
-        if [column[i] for column in columns] != [column[j] for column in columns]:
-            break
-    for column in columns:
-        column[i], column[j] = column[j], column[i]
-    return coded._make((*coded[:4], *columns)), (i, j)
+        row_i, row_j = (tuple(column[k] for column in columns) for k in (i, j))
+        if row_i != row_j:
+            return {i: row_j, j: row_i}
 
 
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:
@@ -119,26 +124,21 @@ def detection_rate(
     n_rule: NRule = NRule.HALF,
     alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> DetectionReport:
-    """Corrupt `trials` times and tally decode's verdicts, each taken on the
-    changed rows alone: a trial solves one or two rows, not the payload."""
+    """Corrupt `trials` times and tally decode's verdicts, each taken by
+    solving only the rows `_damage` edits (see the module docstring)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     coded = encode_text(message, scheme, n_rule, alphabet_id)
     size = get_alphabet(coded.alphabet_id).size
-
-    def block(payload, i):  # row i as decode gives it back, (k1, k2, k3, x)
-        row = payload.ds[i], payload.k1s[i], payload.k2s[i], payload.k3s[i]
-        return (*row[1:], solve_missing(row, coded.scheme, size=size))
-
     outcomes = []
     for trial in range(trials):
-        damaged, changed = _damage(coded, trial_spec(spec, trial))
         try:
-            moved = [block(damaged, i) != block(coded, i) for i in changed]
+            for row in _damage(coded, trial_spec(spec, trial)).values():
+                solve_missing(row, coded.scheme, size=size)
         except TamperDetected:
             outcomes.append(OUTCOME_DETECTED)
         else:
-            outcomes.append(OUTCOME_MISCORRECTED if any(moved) else OUTCOME_UNDETECTED_EQUAL)
+            outcomes.append(OUTCOME_MISCORRECTED)
     return DetectionReport(
         outcomes.count(OUTCOME_DETECTED),
         outcomes.count(OUTCOME_MISCORRECTED),

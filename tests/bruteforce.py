@@ -4,8 +4,10 @@ The key and scan oracles are recomputed from scratch (recurrences by
 iteration, the equations verbatim), deliberately sharing no code with the
 package, so the closed-form solver can be checked against an exhaustive
 scan.  `outcomes_by_decode` is the harness's slow reference: it takes each
-trial's verdict from a full `decode` of the damaged payload, where
-`detection_rate` solves only the rows `corrupt` changed.
+trial's verdict from a full `decode` of the record `corrupt` builds, where
+`detection_rate` solves only the rows `_damage` edits.  It compares every
+decode that succeeds with the original matrix, so it alone could count an
+`undetected_equal` trial; `detection_rate` relies on there being none.
 """
 
 from qblock.codec import decode, encode_text

@@ -4,12 +4,13 @@ The second part checks the flat kernels (the symbol tables, `preprocess`,
 `to_matrix`, `to_symbols`, `encode`, `decode`) against per-element and
 per-block models built from the public pieces they replace, `solve_missing`
 against `decode` of its one row, swap-rows corruption against the matrix
-with two blocks exchanged, the rows `_damage` names against the rows
+with two blocks exchanged, the row edits `_damage` returns against the rows
 `corrupt` changed, and `detection_rate` against a full decode of every
-damaged payload.  The third checks `parse`, which converts a whole body at
-once, against a model that reads the wire grammar line by line.  The last
-runs the CLI on argv drawn from a fixed vocabulary whose file names are all
-relative, inside a temporary working directory.
+damaged payload, which never gives the original matrix back.  The third
+checks `parse`, which converts a whole body at once, against a model that
+reads the wire grammar line by line.  The last runs the CLI on argv drawn
+from a fixed vocabulary whose file names are all relative, inside a
+temporary working directory.
 """
 
 import io
@@ -42,7 +43,14 @@ from qblock.errors import (
     TamperDetected,
     UnknownSymbol,
 )
-from qblock.harness import CorruptionSpec, Strategy, _damage, corrupt, detection_rate
+from qblock.harness import (
+    CorruptionSpec,
+    DetectionReport,
+    Strategy,
+    _damage,
+    corrupt,
+    detection_rate,
+)
 from qblock.layout import (
     PAD_SYMBOL,
     Block,
@@ -490,12 +498,13 @@ def test_damage_names_exactly_the_rows_corrupt_changed(matrix, scheme, strategy,
     if not isinstance(damaged, CodedMessage):
         assert damaged[0] is NotEnoughRows and outcome(_damage, coded, spec) == damaged
         return
-    record, changed = _damage(coded, spec)
-    assert record == damaged
+    edits = _damage(coded, spec)
     differ = [i for i in range(len(coded.ds))
               if any(getattr(coded, c)[i] != getattr(damaged, c)[i] for c in COLUMNS)]
     # swap-rows names its pair in the order it drew them
-    assert differ == sorted(changed)
+    assert differ == sorted(edits)
+    for i, row in edits.items():
+        assert row == tuple(damaged.rows[i])
 
 
 @st.composite
@@ -530,6 +539,8 @@ def test_detection_rate_matches_full_decode_oracle(text, scheme, n_rule, strateg
     # DegenerateBlock and NotEnoughRows are compared by type, text and order too
     spec = CorruptionSpec(strategy, magnitude, seed)
     expected = outcome(outcomes_by_decode, text, scheme, spec, trials, n_rule)
+    # detection_rate counts every trial that solves as miscorrected
+    assert not isinstance(expected, DetectionReport) or expected.undetected_equal == 0
     assert outcome(detection_rate, text, scheme, spec, trials, n_rule) == expected
 
 

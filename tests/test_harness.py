@@ -4,7 +4,7 @@ import pytest
 import golden
 from payloads import from_rows
 from qblock import harness
-from qblock.codec import Scheme, encode_text, solve_missing
+from qblock.codec import CodedMessage, Scheme, encode_text, solve_missing
 from qblock.errors import DegenerateBlock, NotEnoughRows
 from qblock.harness import (
     CorruptionSpec,
@@ -206,17 +206,19 @@ def test_swap_rows_miscorrects_but_decodes(scheme):
     assert report.miscorrected == 60
 
 
+DIM32_MESSAGE = "HELLO THERE! " * 78
+
+
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 @pytest.mark.parametrize(
     "strategy,per_trial",
-    [(Strategy.PERTURB_D, 2), (Strategy.PERTURB_KEPT, 2), (Strategy.SWAP_ROWS, 4)],
+    [(Strategy.PERTURB_D, 1), (Strategy.PERTURB_KEPT, 1), (Strategy.SWAP_ROWS, 2)],
     ids=lambda v: getattr(v, "value", v),
 )
 def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strategy, per_trial):
-    # counts row verdicts instead of timing: each changed row is solved once
-    # damaged and once as encoded, where a decode reads all 256 rows
-    message = "HELLO THERE! " * 78
-    assert len(encode_text(message, scheme).ds) == 256
+    # counts row verdicts instead of timing: each edited row is solved once,
+    # and no row as encoded, where a decode reads all 256 rows
+    assert len(encode_text(DIM32_MESSAGE, scheme).ds) == 256
     trials = 50
     count = 0
 
@@ -227,9 +229,27 @@ def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strate
 
     monkeypatch.setattr(harness, "solve_missing", counting)
     spec = CorruptionSpec(strategy, magnitude=60, seed=0)
-    report = detection_rate(message, scheme, spec, trials=trials)
+    report = detection_rate(DIM32_MESSAGE, scheme, spec, trials=trials)
     assert report.trials == trials
-    assert 0 < count <= per_trial * trials
+    assert count == per_trial * trials
+
+
+@pytest.mark.parametrize("trials", [1, 50])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, trials):
+    # a trial is its row edits: no damaged CodedMessage is built per trial
+    built = []
+    new = CodedMessage.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CodedMessage, "__new__", counting)
+    spec = CorruptionSpec(strategy, magnitude=60, seed=0)
+    report = detection_rate(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
+    assert report.trials == trials
+    assert built == [CodedMessage]
 
 
 def test_trial_spec_offsets_seed():

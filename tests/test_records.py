@@ -37,6 +37,9 @@ CHECKED = {
     "Alphabet-id": (AB, {"id": "a b"}, ValueError),
     "Alphabet-symbols": (AB, {"symbols": tuple("aa")}, ValueError),
     "CorruptionSpec": (CorruptionSpec(Strategy.PERTURB_D), {"magnitude": 0}, ValueError),
+    "CorruptionSpec-strategy": (
+        CorruptionSpec(Strategy.PERTURB_D), {"strategy": "perturb-d"}, TypeError
+    ),
     "CharTable-shift": (CharTable(AB, 3), {"shift": 0}, ValueError),
 }
 
