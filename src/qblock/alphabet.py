@@ -3,11 +3,12 @@
 The default alphabet has 30 symbols, A..Z then 0 ! ? .   A table with shift n
 maps the k-th symbol to (n + k) mod size, so the whole mapping slides with the
 key index and changes from message to message.  A `CharTable` is the record
-(alphabet, shift) and stores no lookup: `_codes_of`/`_symbols_of` build one
-table per call and map a sequence through it with `str.translate`, which
-stops at the first symbol or code that the table lacks; the error names it
-as `code_of`/`symbol_of` do.  A non-`str` input, a code past Latin-1 or an
-alphabet of more than 256 symbols reads the same kind of table item by item.
+(alphabet, shift) and stores no lookup: `_lookup` builds each direction of
+the table of shift mod size once, and keeps the last 128 built.
+`_codes_of`/`_symbols_of` map a sequence through it with `str.translate`,
+which stops at the first symbol or code that the table lacks; the error names
+it as `code_of`/`symbol_of` do.  A non-`str` input, a code past Latin-1 or
+an alphabet of more than 256 symbols reads it item by item.
 
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
@@ -15,6 +16,7 @@ symbols do not).
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
 
@@ -45,6 +47,7 @@ class Alphabet(_Record, namedtuple("Alphabet", "id symbols")):
     __slots__ = ()
 
     def __new__(cls, id: str, symbols: tuple[str, ...] = _DEFAULT_SYMBOLS):
+        symbols = tuple(symbols)  # hashable, so that `_lookup` can key its tables by alphabet
         # what the wire header refuses: its \s is exactly str.isspace()
         if not id or any(c == ";" or c.isspace() for c in id):
             raise ValueError(f"alphabet id {id!r} must be non-empty, no ';' or whitespace")
@@ -94,10 +97,21 @@ class _Refusing(dict):
         raise _Miss(key)
 
 
+@lru_cache(maxsize=128)  # both directions of all 30 default shifts, and room for more
+def _lookup(alphabet: Alphabet, start: int, direction: str) -> _Refusing:
+    """The table of shift `start` < size, shared and so never written to: symbol
+    ordinal -> code ("ord"), symbol -> code ("symbol") or code -> symbol ("code")."""
+    letters = alphabet.symbols
+    codes = [*range(start, len(letters)), *range(start)]  # (start + k) mod size, k = 0, 1, ...
+    if direction == "code":
+        return _Refusing(zip(codes, letters))
+    return _Refusing(zip(map(ord, letters) if direction == "ord" else letters, codes))
+
+
 class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
     """An alphabet together with its shift n: symbol k codes to (n + k) mod size.
 
-    Each lookup builds the one direction it needs when it is called.
+    Each conversion reads the one direction it needs from `_lookup`.
     """
 
     __slots__ = ()
@@ -113,25 +127,22 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
     def symbol_of(self, code: int) -> str:
         return self._symbols_of((code,))[0]
 
-    def _shifted_codes(self) -> list[int]:  # (shift + k) mod size, k = 0, 1, ...
-        start = self.shift % self.alphabet.size
-        return [*range(start, self.alphabet.size), *range(start)]
-
     def _codes_of(self, symbols) -> list[int]:
-        letters, codes = self.alphabet.symbols, self._shifted_codes()
-        by_ordinal = isinstance(symbols, str) and len(letters) <= 256
+        alphabet = self.alphabet
+        start = self.shift % alphabet.size
+        by_ordinal = isinstance(symbols, str) and alphabet.size <= 256
         try:
             if by_ordinal:
-                coded = symbols.translate(_Refusing(zip(map(ord, letters), codes)))
+                coded = symbols.translate(_lookup(alphabet, start, "ord"))
                 return list(coded.encode("latin-1"))
             # keyed by symbol: 65 or b"A" misses, an unhashable item raises TypeError
-            return list(map(_Refusing(zip(letters, codes)).__getitem__, symbols))
+            return list(map(_lookup(alphabet, start, "symbol").__getitem__, symbols))
         except _Miss as miss:  # translate looks a character up by its ordinal
             symbol = chr(miss.args[0]) if by_ordinal else miss.args[0]
-        raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {self.alphabet.id!r}")
+        raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {alphabet.id!r}")
 
     def _symbols_of(self, codes) -> str:
-        table = _Refusing(zip(self._shifted_codes(), self.alphabet.symbols))
+        table = _lookup(self.alphabet, self.shift % self.alphabet.size, "code")
         try:
             try:
                 return bytes(codes).decode("latin-1").translate(table)

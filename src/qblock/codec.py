@@ -10,17 +10,20 @@ dropped one:
 
 A payload is four columns in block order, which `layout` alone writes
 down: the determinants `ds` and the kept codes `k1s`, `k2s`, `k3s`.
-`encode` computes them from the block columns of `_columns`; `decode`
-hands `_grid` the columns (k1, k2, x, k3), resp. (k1, k2, k3, x).
+`_encode` computes them from the block columns of `_columns`; `_solve`
+returns the block columns (k1, k2, x, k3), resp. (k1, k2, k3, x).
 The dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks, and codes outside the
 alphabet, up front; any corruption that leaves no exact in-range solution
 is reported as tampering.
 
-`decode` accepts a payload by one test over the columns that makes ints
+`_solve` accepts a payload by one test over the columns that makes ints
 only, no pair per row: kept codes in range, no zero pivot, and every x
 (`floordiv` of the numerators) exact (`mod`) and in range.  Otherwise
 `solve_missing`, the one per-row verdict, names the first row it rejects.
+`decode` hands its columns to `_grid`; the text paths build no
+`MessageMatrix`: `encode_text` cuts the table's in-range codes into rows for
+`_columns`, and `decode_text` maps `_flat` of the columns through the table.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -49,12 +52,11 @@ from .layout import (
     MessageMatrix,
     NRule,
     _columns,
+    _flat,
     _grid,
     _member,
     choose_n,
     preprocess,
-    to_matrix,
-    to_symbols,
 )
 
 
@@ -134,19 +136,25 @@ def encode(
     information about the dropped element, so the message cannot be encoded
     under this scheme.
     """
-    lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
+    _member(scheme, Scheme)
     size = get_alphabet(alphabet_id).size
-    b1s, b2s, b3s, b4s = _columns(matrix.cells)
-    codes = set(b1s).union(b2s, b3s, b4s)
+    columns = _columns(matrix.cells)
+    codes = set(columns[0]).union(*columns[1:])
     if min(codes) < 0 or max(codes) >= size:
         code = next(c for c in chain.from_iterable(matrix.cells) if not 0 <= c < size)
         raise CodeOutOfRange(f"code {code} outside [0, {size})")
+    return _encode(columns, scheme, n_rule, matrix.dim, alphabet_id)
+
+
+def _encode(columns, scheme: Scheme, n_rule: NRule, dim: int, alphabet_id: str) -> CodedMessage:
+    """`encode` of the block columns, whose codes are in range."""
+    lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
+    b1s, b2s, b3s, b4s = columns
     pivots = b2s if lucas else b1s
     if 0 in pivots:
         raise DegenerateBlock([index for index, p in enumerate(pivots, start=1) if p == 0])
     ds = map(sub, map(mul, b1s, b4s), map(mul, b2s, b3s))
-    return CodedMessage(scheme, n_rule, matrix.dim, alphabet_id, ds, b1s, b2s,
-                        b4s if lucas else b3s)
+    return CodedMessage(scheme, n_rule, dim, alphabet_id, ds, b1s, b2s, b4s if lucas else b3s)
 
 
 def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.size) -> int:
@@ -179,13 +187,9 @@ def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.siz
     return x
 
 
-def decode(coded: CodedMessage) -> MessageMatrix:
-    """Recover the full code matrix from a payload.
-
-    The alphabet comes from the header's registered id.  Raises
-    TamperDetected, naming the block, at the first row with a kept code out
-    of range or no exact in-range solution.
-    """
+def _solve(coded: CodedMessage):
+    """(k1s, k2s, xs, k3s), resp. (k1s, k2s, k3s, xs): the block columns of
+    the payload's grid.  Raises what `decode` raises."""
     size = get_alphabet(coded.alphabet_id).size
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     ds, k1s, k2s, k3s = coded.ds, coded.k1s, coded.k2s, coded.k3s
@@ -200,8 +204,7 @@ def decode(coded: CodedMessage) -> MessageMatrix:
         xs = [*map(floordiv, numerators, pivots)]
         remainders = [*map(mod, numerators, pivots)]
         if not any(remainders) and 0 <= min(xs) and max(xs) < size:
-            columns = (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
-            return MessageMatrix(coded.dim, _grid(*columns, coded.dim))
+            return (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
         start = next(i for i in range(len(xs)) if remainders[i] or not 0 <= xs[i] < size)
     # from start, a lower bound on the first bad row, the per-row verdict names it
     rows = zip(ds[start:], k1s[start:], k2s[start:], k3s[start:])
@@ -212,23 +215,32 @@ def decode(coded: CodedMessage) -> MessageMatrix:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
 
 
+def decode(coded: CodedMessage) -> MessageMatrix:
+    """Recover the full code matrix from a payload.
+
+    The alphabet comes from the header's registered id.  Raises
+    TamperDetected, naming the block, at the first row with a kept code out
+    of range or no exact in-range solution.
+    """
+    return MessageMatrix(coded.dim, _grid(*_solve(coded), coded.dim))
+
+
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
     """Decode and also return the paper's per-block solving record."""
     from . import numtheory
 
-    matrix = decode(coded)
+    b1s, b2s, b3s, b4s = columns = _solve(coded)
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
     odd_key = rmat if lucas else numtheory.q_power(coded.n)
-    b1s, b2s, b3s, b4s = _columns(matrix.cells)
     traces = []
     for index, b1, b2, x in zip(count(1), b1s, b2s, b3s if lucas else b4s):
         key = odd_key if index % 2 else rmat
         e1 = key.m11 * b1 + key.m21 * b2
         e2 = key.m12 * b1 + key.m22 * b2
         traces.append(DecodeTrace(index, e1, e2, x, key))
-    return matrix, tuple(traces)
+    return MessageMatrix(coded.dim, _grid(*columns, coded.dim)), tuple(traces)
 
 
 def encode_text(
@@ -242,11 +254,12 @@ def encode_text(
     symbols = preprocess(text, alphabet)
     dim = math.isqrt(len(symbols))
     n = choose_n((dim // 2) ** 2, n_rule)
-    matrix = to_matrix(symbols, CharTable(alphabet, n))
-    return encode(matrix, scheme, n_rule, alphabet_id)
+    codes = CharTable(alphabet, n)._codes_of(symbols)
+    rows = [codes[start : start + dim] for start in range(0, len(codes), dim)]
+    return _encode(_columns(rows), scheme, n_rule, dim, alphabet_id)
 
 
 def decode_text(coded: CodedMessage) -> str:
     """Full receiver pipeline: decode and render the symbol string."""
     table = CharTable(get_alphabet(coded.alphabet_id), coded.n)
-    return to_symbols(decode(coded), table)
+    return table._symbols_of(_flat(*_solve(coded), coded.dim))

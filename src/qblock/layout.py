@@ -5,14 +5,16 @@ alphabet allows it, spaces turn into '0', the tail is padded with '0'), the
 string fills an even-sided square matrix row-major, and the matrix splits
 into 2x2 blocks numbered left to right, top to bottom.  The number of blocks
 b fixes the key index n.  That order is written only here, in one inverse
-pair: `_columns` cuts the rows into the blocks' element columns and `_grid`
-builds the rows from them, for `to_blocks`, `reassemble` and the codec.
-`to_matrix`/`to_symbols` map whole sequences through the table at once.
+pair: `_columns` cuts the rows into the blocks' element columns and `_flat`
+lays them out row-major; `_grid` is the rows of `_flat`.  `to_matrix`/
+`to_symbols` map whole sequences through the table at once; `preprocess`
+reads each alphabet's case test and stray table from `_screen`.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, count
 
 from .alphabet import Alphabet, CharTable, _Record
@@ -67,17 +69,24 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     """
     if not text:
         raise EmptyMessage("message text is empty")
-    letters = "".join(alphabet.symbols)
-    if letters.upper() == letters:
+    fold, deletion = _screen(alphabet)
+    if fold:
         text = text.upper()
     substituted = text.replace(" ", PAD_SYMBOL)
     side = square_side(len(substituted))
     padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
-    strays = padded.translate(str.maketrans("", "", letters))  # in order of position
+    strays = padded.translate(deletion)  # in order of position
     if strays:
         raise UnknownSymbol(f"symbol {strays[0]!r} at position {padded.index(strays[0])} "
                             f"is not in alphabet {alphabet.id!r}")
     return padded
+
+
+@lru_cache(maxsize=16)
+def _screen(alphabet: Alphabet) -> tuple[bool, dict[int, None]]:
+    """Whether upper-casing keeps the alphabet whole, and a table deleting its symbols."""
+    letters = "".join(alphabet.symbols)
+    return letters.upper() == letters, str.maketrans("", "", letters)
 
 
 def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:
@@ -96,23 +105,28 @@ def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
 
 
 def _columns(cells) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(b1s, b2s, b3s, b4s) of the row tuples' blocks, in block order (inverse of _grid)."""
+    """(b1s, b2s, b3s, b4s) of the rows' blocks, in block order (inverse of _flat)."""
     # rows have even length, so in the top rows end to end b1 is at even offsets, b2 at odd
     tops = [*chain.from_iterable(cells[0::2])]
     bottoms = [*chain.from_iterable(cells[1::2])]
     return tops[0::2], tops[1::2], bottoms[0::2], bottoms[1::2]
 
 
+def _flat(b1, b2, b3, b4, dim: int) -> list[int]:
+    """Row-major codes of a dim x dim grid from its blocks' element columns."""
+    tops, bottoms = [0] * (2 * len(b1)), [0] * (2 * len(b3))
+    tops[0::2], tops[1::2], bottoms[0::2], bottoms[1::2] = b1, b2, b3, b4
+    flat = []
+    for start in range(0, len(tops), dim):  # one row of blocks: its top row, then its bottom row
+        flat += tops[start : start + dim]
+        flat += bottoms[start : start + dim]
+    return flat
+
+
 def _grid(b1, b2, b3, b4, dim: int) -> tuple[tuple[int, ...], ...]:
     """Row tuples of a dim x dim grid from its blocks' element columns."""
-    m = dim // 2
-    row = [0] * dim
-    rows = []
-    for start in range(0, m * m, m):  # one row of blocks: its top row, then its bottom row
-        for left, right in ((b1, b2), (b3, b4)):
-            row[0::2], row[1::2] = left[start : start + m], right[start : start + m]
-            rows.append(tuple(row))
-    return tuple(rows)
+    flat = _flat(b1, b2, b3, b4, dim)
+    return tuple(tuple(flat[start : start + dim]) for start in range(0, len(flat), dim))
 
 
 def to_blocks(matrix: MessageMatrix) -> list[Block]:

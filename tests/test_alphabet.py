@@ -6,9 +6,11 @@ from qblock.alphabet import (
     DEFAULT_ALPHABET,
     Alphabet,
     CharTable,
+    _lookup,
     get_alphabet,
     register_alphabet,
 )
+from qblock.layout import _screen, preprocess
 from qblock.codec import Scheme, decode_text, encode_text
 from qblock.errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
 from qblock.wire import parse, serialize
@@ -64,6 +66,27 @@ def test_shift_periodicity_mod_size():
         low = CharTable(DEFAULT_ALPHABET, shift)
         high = CharTable(DEFAULT_ALPHABET, shift + 30)
         assert all(low.code_of(s) == high.code_of(s) for s in DEFAULT_ALPHABET.symbols)
+
+
+def test_tables_are_kept_per_shift_mod_size_and_the_memos_stay_bounded():
+    # correctness never rests on a hit: a cleared memo gives the same codes
+    _lookup.cache_clear()
+    size, text = DEFAULT_ALPHABET.size, "".join(DEFAULT_ALPHABET.symbols)
+    for shift in range(1, 3 * size + 1):
+        table, wrapped = CharTable(DEFAULT_ALPHABET, shift), CharTable(DEFAULT_ALPHABET, shift + size)
+        assert table._codes_of(text) == wrapped._codes_of(text)
+        assert table._symbols_of(range(size)) == wrapped._symbols_of(range(size))
+    bound = _lookup.cache_info().maxsize
+    assert _lookup.cache_info().currsize == 2 * size <= bound  # a str and a code direction
+    wide = Alphabet("memo-wide", tuple(chr(0x100 + i) for i in range(300)))
+    for shift in range(1, 3 * wide.size + 1):
+        table = CharTable(wide, shift)
+        assert table._symbols_of(table._codes_of(wide.symbols)) == "".join(wide.symbols)
+    assert _lookup.cache_info().currsize <= bound
+    for count in range(2, 40):
+        letters = ("0", *(chr(0x41 + i) for i in range(count)))
+        assert preprocess("A", Alphabet(f"memo-{count}", letters)) == "A000"
+    assert _screen.cache_info().currsize <= _screen.cache_info().maxsize
 
 
 def test_shift_must_be_positive():

@@ -6,7 +6,7 @@ import pytest
 import golden
 from bruteforce import fib, key_det, luc, scan_lucas, scan_mine
 from payloads import from_rows, with_rows
-from qblock import numtheory
+from qblock import alphabet, layout, numtheory
 from qblock.alphabet import Alphabet, register_alphabet
 from qblock.codec import (
     CodedMessage,
@@ -158,6 +158,40 @@ def test_no_encode_wire_decode_or_corrupt_step_builds_rows(monkeypatch, scheme):
         decode(damaged)
     # nor does the demo, which reads the columns as well
     assert run_demo(1)[1] and run_demo(2)[1]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_a_text_round_trip_builds_no_matrix_and_a_repeat_builds_no_table(monkeypatch, scheme):
+    # the text paths go between flat codes and block columns; a table depends
+    # only on (alphabet, n mod size), so a second message with the same key
+    # finds its lookups and preprocess's stray table already built
+    def refuse(cls, *args):
+        raise AssertionError("a text round trip built a MessageMatrix")
+
+    built = []
+
+    class Counting(alphabet._Refusing):
+        def __init__(self, *args):
+            built.append("_Refusing")
+            super().__init__(*args)
+
+    class CountingStr:  # layout's name `str`, so that its maketrans calls are counted
+        @staticmethod
+        def maketrans(*args):
+            built.append("maketrans")
+            return str.maketrans(*args)
+
+    monkeypatch.setattr(MessageMatrix, "__new__", refuse)
+    monkeypatch.setattr(alphabet, "_Refusing", Counting)
+    monkeypatch.setattr(layout, "str", CountingStr, raising=False)
+
+    def round_trip():
+        return decode_text(parse(serialize(encode_text(golden.EX1_MESSAGE, scheme))))
+
+    assert round_trip() == golden.EX1_SYMBOLS
+    built.clear()
+    assert round_trip() == golden.EX1_SYMBOLS
+    assert built == []
 
 
 def test_encode_and_parse_build_frows():

@@ -16,7 +16,7 @@ from qblock.errors import CodeOutOfRange, TamperDetected
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "diffhash.py"
 SECTIONS = ["parse", "decode", "decode_with_trace", "solve_missing", "encode", "encode_range",
-            "corrupt", "detection_rate", "cli", "CharTable", "preprocess"]
+            "corrupt", "detection_rate", "cli", "CharTable", "preprocess", "text"]
 
 
 def run_tool(hash_seed):

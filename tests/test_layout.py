@@ -15,6 +15,7 @@ from qblock.layout import (
     MessageMatrix,
     NRule,
     _columns,
+    _flat,
     _grid,
     choose_n,
     preprocess,
@@ -181,9 +182,12 @@ def test_columns_and_grid_invert_each_other(dim, data):
     codes = data.draw(st.permutations(range(dim * dim)), label="codes")
     cells = tuple(tuple(codes[r * dim : (r + 1) * dim]) for r in range(dim))
     assert _grid(*_columns(cells), dim) == cells
+    assert _flat(*_columns(cells), dim) == list(codes)  # the row-major form of _grid
     block_count = len(codes) // 4
     columns = tuple(codes[i * block_count : (i + 1) * block_count] for i in range(4))
     assert _columns(_grid(*columns, dim)) == columns
+    flat = _flat(*columns, dim)
+    assert _columns([flat[r * dim : (r + 1) * dim] for r in range(dim)]) == columns
 
 
 def test_matrix_shape_checked():

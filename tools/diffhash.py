@@ -22,6 +22,9 @@ output.  Sections:
     CharTable          `code_of`, `symbol_of`, `to_matrix`, and `to_symbols` on
                        grids with up to two codes outside the alphabet
     preprocess         texts over registered alphabets
+    text               `encode_text`, `serialize`, `parse` and `decode_text` on
+                       every alphabet, then each payload damaged through
+                       `decode_text`
 
 The inputs are the edges the codec has tripped on: codes -1, size, 255,
 256, 0x110000, 2**64, -2**63 and ±10**40; strays '\\x00', '\\x05', 'Ā', a
@@ -342,6 +345,27 @@ def preprocess_cases(q, rng, cases):
         yield alphabet.id, text, outcome(q.preprocess, text, alphabet)
 
 
+def text_cases(q, rng, cases):
+    for _ in range(cases):
+        alphabet = q.get_alphabet(rng.choice(ALPHABETS))
+        scheme, n_rule = rng.choice(list(q.Scheme)), rng.choice(list(q.NRule))
+        # an even square length: the only texts the padless wide alphabet takes
+        length = rng.choice((rng.randint(1, 300), rng.choice((2, 4, 6, 8, 16)) ** 2))
+        pool = alphabet.symbols + rng.choice(((), (" ",)))
+        text = "".join(rng.choice(pool) for _ in range(length))
+        coded = outcome(q.encode_text, text, scheme, n_rule, alphabet.id)
+        if coded[0] != "coded":
+            yield alphabet.id, text, coded
+            continue
+        header, *lines = coded[1].splitlines()
+        yield text, coded, outcome(lambda: q.decode_text(q.parse(coded[1])))
+        rows = [[*map(int, line.split(","))] for line in lines]
+        for _ in range(rng.randint(1, 3)):
+            damage(rng, rows, scheme.value)
+        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+        yield text, outcome(lambda: q.decode_text(q.parse(text)))
+
+
 SECTIONS = {
     "parse": parse_cases,
     "decode": decode_cases,
@@ -354,6 +378,7 @@ SECTIONS = {
     "cli": cli_cases,
     "CharTable": char_table_cases,
     "preprocess": preprocess_cases,
+    "text": text_cases,
 }
 
 
