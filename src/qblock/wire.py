@@ -9,16 +9,14 @@ Equal messages serialize to byte-identical payloads, and parse is the
 exact inverse on everything serialize can emit.  Lines end in '\\n' alone:
 parse refuses a carriage return, naming the first line that has one.
 
-parse gates the body with one search for a line that is not one canonical
-row; JSON would also take '-0', floats and spaces.  Past the gate, the C
-scanner of `_json` converts every token as one JSON array, whose every
-fourth item is one column of the `CodedMessage`.  parse reads line by line
-only to name a fault.
+parse checks the body's shape in one pass: with every digit and '-'
+deleted, each line must read ',,,'.  It then splits the body once into
+tokens and converts each by one lookup in `_TOKENS`, a memo of canonical
+tokens; every fourth one is a column of the `CodedMessage`.  parse reads
+line by line only to name a fault.
 """
 
 import re
-
-from _json import make_scanner  # the json package costs ~7x as much to import
 
 from .alphabet import get_alphabet
 from .codec import CodedMessage, Scheme
@@ -32,17 +30,23 @@ _HEADER_RE = re.compile(
 )
 # canonical signed decimal: no '+', no leading zeros, no '-0'
 _INT = r"(?:0|-?[1-9][0-9]*)"
-# the start of the first body line that is not exactly one canonical row;
-# a lookahead keeps no backtracking state from line to line
-_NON_ROW_RE = re.compile(rf"^(?!{_INT},{_INT},{_INT},{_INT}$|\Z)", re.MULTILINE)
 
 
-class _IntArrays:  # what make_scanner reads; int itself keeps the conversion in C
-    strict, parse_int, parse_float = True, int, float
-    object_hook = object_pairs_hook = parse_constant = None
+class _Memo(dict):
+    """Canonical token (bytes) -> its int.  A miss that is not canonical raises
+    KeyError, one past the int-string limit ValueError.  Only tokens of at most
+    4 characters are kept, so it never holds more than 10,999, whatever it reads."""
+
+    def __missing__(self, token):
+        if not re.fullmatch(_INT.encode(), token):
+            raise KeyError(token)
+        value = int(token)
+        if len(token) <= 4:
+            self[token] = value
+        return value
 
 
-_scan_json = make_scanner(_IntArrays)
+_TOKENS = _Memo()
 
 
 def serialize(coded: CodedMessage) -> str:
@@ -75,11 +79,14 @@ def _parse_row(line: str, line_no: int) -> list[int]:
 def _parse_columns(body: str) -> tuple[list[int], list[int], list[int], list[int]]:
     """(ds, k1s, k2s, k3s) of `body`, the lines after the header, each ending in '\\n'."""
     ints = None
-    if _NON_ROW_RE.search(body) is None:
-        try:
-            ints = _scan_json("[" + body[:-1].replace("\n", ",") + "]", 0)[0]
-        except ValueError:  # a token past the interpreter's int-string limit
-            pass
+    if body.isascii():
+        raw = body.encode()
+        # every line is three commas once its digits and '-' go: nothing else is left
+        if raw.translate(None, b"0123456789-") == b",,,\n" * raw.count(b"\n"):
+            try:
+                ints = list(map(_TOKENS.__getitem__, raw.replace(b"\n", b",").split(b",")[:-1]))
+            except (KeyError, ValueError):  # not canonical, or past the int-string limit
+                pass
     if ints is None:
         lines = body.split("\n")[:-1]
         ints = [i for no, line in enumerate(lines, start=2) for i in _parse_row(line, no)]

@@ -8,7 +8,11 @@ trial's verdict from a full `decode` of the record `corrupt` builds, where
 `detection_rate` solves only the rows `_damage` edits.  It compares every
 decode that succeeds with the original matrix, so it alone could count an
 `undetected_equal` trial; `detection_rate` relies on there being none.
+`NON_ROW_RE` is the wire body's grammar as one regular expression, the
+oracle for `parse`'s shape check and token memo.
 """
+
+import re
 
 from qblock.codec import decode, encode_text
 from qblock.errors import TamperDetected
@@ -20,6 +24,12 @@ from qblock.harness import (
     corrupt,
     trial_spec,
 )
+
+# the start of the first body line that is not exactly one canonical row
+# (no '+', no leading zeros, no '-0'); a lookahead keeps no backtracking
+# state from line to line
+_INT = r"(?:0|-?[1-9][0-9]*)"
+NON_ROW_RE = re.compile(rf"^(?!{_INT},{_INT},{_INT},{_INT}$|\Z)", re.MULTILINE)
 
 
 def fib(n):

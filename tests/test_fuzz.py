@@ -20,7 +20,7 @@ from itertools import chain
 import pytest
 
 import golden
-from bruteforce import outcomes_by_decode
+from bruteforce import NON_ROW_RE, outcomes_by_decode
 from payloads import from_rows
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
 from qblock.codec import (
@@ -656,7 +656,9 @@ def parse_model(text):
 
 
 # token edits: longer than, or exactly at, the interpreter's 4300-digit
-# int-string limit, or one step off the canonical form
+# int-string limit, one step off the canonical form, made only of the
+# characters the shape check keeps or deletes, non-ASCII, or a canonical
+# token too long for parse's token memo
 token_edits = st.sampled_from(
     [
         lambda t: "5" * 5000,
@@ -669,6 +671,16 @@ token_edits = st.sampled_from(
         lambda t: t + " ",
         lambda t: t + ",1",
         lambda t: "",
+        lambda t: "\u0663",  # ARABIC-INDIC DIGIT THREE
+        lambda t: t + "\uff17",  # FULLWIDTH DIGIT SEVEN
+        lambda t: "\ud800",  # a lone surrogate, which str.encode refuses
+        lambda t: "-0",
+        lambda t: "--1",
+        lambda t: "1-2",
+        lambda t: "-",
+        lambda t: t + "-",
+        lambda t: ",",  # an empty token on each side
+        lambda t: "-1234",
         None,  # a blank line instead
     ]
 )
@@ -702,6 +714,17 @@ def test_parse_matches_per_line_model(payload):
     assert got == outcome(parse_model, payload)
     if isinstance(got, CodedMessage):
         assert all(type(row) is FRow for row in got.rows)
+
+
+@FUZZ
+@given(edited_payloads())
+def test_parse_accepts_a_body_iff_the_grammar_oracle_finds_no_bad_line(payload):
+    # no token edit changes the row count, so only the body decides
+    body = (payload if payload.endswith("\n") else payload + "\n").partition("\n")[2]
+    too_long = any(len(token.lstrip("-")) > 4300 for token in re.split("[,\n]", body))
+    got = outcome(parse, payload)
+    assert isinstance(got, CodedMessage) == (NON_ROW_RE.search(body) is None and not too_long)
+    assert got == outcome(parse_model, payload)
 
 
 # ---- the CLI's argv ----

@@ -81,10 +81,12 @@ def test_start_up_without_site_loads_no_typing(statement):
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
-def test_round_trip_loads_the_json_scanner_but_not_the_json_package(flags):
-    # parse converts rows with _json's C scanner; the json package costs far more to import
-    loaded = loaded_after(START_UP["round-trip"], *flags)
-    assert "_json" in loaded and "json" not in loaded
+def test_round_trip_loads_neither_the_json_scanner_nor_the_json_package(flags):
+    # parse converts rows through its own token memo, and names a fault line by line
+    refused = ("\ntry:\n    qblock.parse(qblock.serialize(coded).replace(',', ',,', 1))\n"
+               "except qblock.MalformedPayload:\n    pass")
+    loaded = loaded_after(START_UP["round-trip"] + refused, *flags)
+    assert not loaded & {"_json", "json"}
 
 
 def test_strategy_choices_are_the_strategy_values():

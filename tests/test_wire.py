@@ -5,10 +5,11 @@ import pytest
 
 import golden
 from payloads import from_rows
+from qblock import wire
 from qblock.codec import Scheme
 from qblock.errors import HeaderMismatch, MalformedPayload, UnknownAlphabet
 from qblock.layout import NRule
-from qblock.wire import _scan_json, parse, serialize
+from qblock.wire import parse, serialize
 
 
 def ex1_coded():
@@ -167,8 +168,9 @@ def test_first_faulty_line_is_named(payload, message):
 
 
 def test_parse_peak_memory_is_a_small_multiple_of_the_payload():
-    # 4096 rows: one canonical-row check over the body may keep no state
-    # per line (a body-wide greedy regex peaks near 75x the payload)
+    # 4096 rows: the shape check keeps no state per line, and the split one
+    # small bytes object per token, about 16x the payload in all (a body-wide
+    # greedy regex peaks near 75x)
     rng = random.Random(7)
     rows = "".join(
         f"{rng.randint(-841, 841)},{rng.randrange(30)},{rng.randrange(1, 30)},{rng.randrange(30)}\n"
@@ -189,19 +191,31 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_payload():
 CANONICAL_TOKENS = ["0", "7", "-1", "-841", "1" + "0" * 4299, "-" + "9" * 4300]
 
 
-def test_json_scanner_converts_canonical_tokens_like_int():
-    # parse hands the C scanner of _json every token of a body past the gate
-    text = "[" + ",".join(CANONICAL_TOKENS) + "]"
-    assert _scan_json(text, 0) == (list(map(int, CANONICAL_TOKENS)), len(text))
+def test_parse_converts_canonical_tokens_like_int():
+    # the tokens, 4300-digit ones too, fill one payload's rows in order
+    tokens = CANONICAL_TOKENS + ["1"] * 10
+    rows = [",".join(tokens[i:i + 4]) for i in range(0, 16, 4)]
+    coded = parse("\n".join([HEADER.replace("dim=2", "dim=4"), *rows]) + "\n")
+    assert [i for row in coded.rows for i in row] == list(map(int, tokens))
 
 
-def test_json_scanner_refuses_a_token_past_the_int_string_limit():
-    with pytest.raises(ValueError):
-        _scan_json("[1," + "9" * 4301 + "]", 0)
+def test_parse_refuses_a_token_past_the_int_string_limit():
     rows = ["1,2,3,4", "5,6,7," + "9" * 4301, "1,2,3,4", "1,2,3,4"]
     with pytest.raises(MalformedPayload) as info:
         parse("\n".join([HEADER.replace("dim=2", "dim=4"), *rows]) + "\n")
     assert str(info.value) == "line 3: 4301-digit integer is too long"
+
+
+def test_token_memo_stays_bounded():
+    # 16,384 distinct canonical tokens of 6 or more characters, some negative:
+    # each is converted, and none is kept, since the memo keeps only tokens of
+    # at most 4 characters, of which there are 10,999
+    rng = random.Random(3)
+    ints = [v * rng.choice((1, -1)) for v in rng.sample(range(100_000, 10**9), 4 * 64 * 64)]
+    rows = [",".join(map(str, ints[i:i + 4])) for i in range(0, len(ints), 4)]
+    coded = parse("\n".join([HEADER.replace("dim=2", "dim=128"), *rows]) + "\n")
+    assert [list(column) for column in coded[4:]] == [ints[i::4] for i in range(4)]
+    assert len(wire._TOKENS) <= 10_999 and all(len(token) <= 4 for token in wire._TOKENS)
 
 
 @pytest.mark.parametrize(
@@ -222,8 +236,8 @@ def test_json_scanner_refuses_a_token_past_the_int_string_limit():
     ],
 )
 def test_tokens_json_takes_are_still_malformed(row, message):
-    # JSON, which converts the body past the gate, takes each of these rows
-    # or tokens; the canonical grammar refuses them
+    # a JSON reader or int() takes each of these rows or tokens; the
+    # canonical grammar refuses them
     payload = golden.EX1_PAYLOAD.replace("140,29,28,28\n", row + "\n")
     with pytest.raises(MalformedPayload) as info:
         parse(payload)
