@@ -100,7 +100,8 @@ class _Refusing(dict):
 @lru_cache(maxsize=128)  # both directions of all 30 default shifts, and room for more
 def _lookup(alphabet: Alphabet, start: int, direction: str) -> _Refusing:
     """The table of shift `start` < size, shared and so never written to: symbol
-    ordinal -> code ("ord"), symbol -> code ("symbol") or code -> symbol ("code")."""
+    ordinal -> code ("ord"), symbol -> code ("symbol") or code -> symbol ("code").
+    `layout.preprocess` screens its text for strays with the "ord" table of shift 0."""
     letters = alphabet.symbols
     codes = [*range(start, len(letters)), *range(start)]  # (start + k) mod size, k = 0, 1, ...
     if direction == "code":

@@ -8,16 +8,15 @@ b fixes the key index n.  That order is written only here, in one inverse
 pair: `_columns` cuts the rows into the blocks' element columns and `_flat`
 lays them out row-major; `_grid` is the rows of `_flat`.  `to_matrix`/
 `to_symbols` map whole sequences through the table at once; `preprocess`
-reads each alphabet's case test and stray table from `_screen`.
+screens for strays with the alphabet's own table of shift 0 from `_lookup`.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 from itertools import chain, count
 
-from .alphabet import Alphabet, CharTable, _Record
+from .alphabet import Alphabet, CharTable, _Miss, _Record, _lookup
 from .errors import BadLength, EmptyMessage, UnknownSymbol
 
 PAD_SYMBOL = "0"
@@ -69,24 +68,19 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     """
     if not text:
         raise EmptyMessage("message text is empty")
-    fold, deletion = _screen(alphabet)
-    if fold:
+    letters = "".join(alphabet.symbols)
+    if letters.upper() == letters:
         text = text.upper()
     substituted = text.replace(" ", PAD_SYMBOL)
     side = square_side(len(substituted))
     padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
-    strays = padded.translate(deletion)  # in order of position
-    if strays:
-        raise UnknownSymbol(f"symbol {strays[0]!r} at position {padded.index(strays[0])} "
-                            f"is not in alphabet {alphabet.id!r}")
-    return padded
-
-
-@lru_cache(maxsize=16)
-def _screen(alphabet: Alphabet) -> tuple[bool, dict[int, None]]:
-    """Whether upper-casing keeps the alphabet whole, and a table deleting its symbols."""
-    letters = "".join(alphabet.symbols)
-    return letters.upper() == letters, str.maketrans("", "", letters)
+    try:
+        padded.translate(_lookup(alphabet, 0, "ord"))  # stops at the first stray
+        return padded
+    except _Miss as miss:
+        stray = chr(miss.args[0])
+    raise UnknownSymbol(f"symbol {stray!r} at position {padded.index(stray)} "
+                        f"is not in alphabet {alphabet.id!r}")
 
 
 def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:

@@ -12,8 +12,8 @@ parse refuses a carriage return, naming the first line that has one.
 parse checks the body's shape in one pass: with every digit and '-'
 deleted, each line must read ',,,'.  It then splits the body once into
 tokens and converts each by one lookup in `_TOKENS`, a memo of canonical
-tokens; every fourth one is a column of the `CodedMessage`.  parse reads
-line by line only to name a fault.
+tokens; every fourth one is a column of the `CodedMessage`.  A refused body
+is read line by line to name its fault, each token through that same memo.
 """
 
 import re
@@ -26,10 +26,10 @@ from .layout import NRule
 MAGIC = "QBLK1"
 
 _HEADER_RE = re.compile(
-    r"^QBLK1;scheme=(lucas|mine);nrule=(half|tas);dim=(0|[1-9][0-9]*);alpha=([^;\s]+)$"
+    rf"^{MAGIC};scheme=(lucas|mine);nrule=(half|tas);dim=(0|[1-9][0-9]*);alpha=([^;\s]+)$"
 )
 # canonical signed decimal: no '+', no leading zeros, no '-0'
-_INT = r"(?:0|-?[1-9][0-9]*)"
+_INT = rb"(?:0|-?[1-9][0-9]*)"
 
 
 class _Memo(dict):
@@ -38,7 +38,7 @@ class _Memo(dict):
     4 characters are kept, so it never holds more than 10,999, whatever it reads."""
 
     def __missing__(self, token):
-        if not re.fullmatch(_INT.encode(), token):
+        if not re.fullmatch(_INT, token):  # compiled on first use, not at import
             raise KeyError(token)
         value = int(token)
         if len(token) <= 4:
@@ -60,37 +60,32 @@ def serialize(coded: CodedMessage) -> str:
 
 
 def _parse_int(token: str, line_no: int) -> int:
-    if not re.fullmatch(_INT, token):  # compiled on first use, not at import
-        raise MalformedPayload(f"line {line_no}: {token!r} is not a canonical integer")
-    try:
-        return int(token)
+    try:  # a lone surrogate reaches the memo as bytes too, and misses it
+        return _TOKENS[token.encode(errors="surrogatepass")]
+    except KeyError:
+        raise MalformedPayload(f"line {line_no}: {token!r} is not a canonical integer") from None
     except ValueError:  # longer than the interpreter's int-string limit
         raise MalformedPayload(f"line {line_no}: {len(token)}-digit integer is too long") from None
 
 
-def _parse_row(line: str, line_no: int) -> list[int]:
-    """Parse one row token by token, naming the first fault."""
-    parts = line.split(",")
-    if len(parts) != 4:
-        raise MalformedPayload(f"line {line_no}: expected 4 comma-separated integers")
-    return [_parse_int(p, line_no) for p in parts]
-
-
 def _parse_columns(body: str) -> tuple[list[int], list[int], list[int], list[int]]:
     """(ds, k1s, k2s, k3s) of `body`, the lines after the header, each ending in '\\n'."""
-    ints = None
     if body.isascii():
         raw = body.encode()
         # every line is three commas once its digits and '-' go: nothing else is left
         if raw.translate(None, b"0123456789-") == b",,,\n" * raw.count(b"\n"):
             try:
                 ints = list(map(_TOKENS.__getitem__, raw.replace(b"\n", b",").split(b",")[:-1]))
+                return ints[0::4], ints[1::4], ints[2::4], ints[3::4]
             except (KeyError, ValueError):  # not canonical, or past the int-string limit
                 pass
-    if ints is None:
-        lines = body.split("\n")[:-1]
-        ints = [i for no, line in enumerate(lines, start=2) for i in _parse_row(line, no)]
-    return ints[0::4], ints[1::4], ints[2::4], ints[3::4]
+    # refused, so some line has a wrong field count or token: name the first
+    for line_no, line in enumerate(body.split("\n")[:-1], start=2):
+        tokens = line.split(",")
+        if len(tokens) != 4:
+            raise MalformedPayload(f"line {line_no}: expected 4 comma-separated integers")
+        for token in tokens:
+            _parse_int(token, line_no)
 
 
 def parse(text: str) -> CodedMessage:

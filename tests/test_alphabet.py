@@ -10,7 +10,7 @@ from qblock.alphabet import (
     get_alphabet,
     register_alphabet,
 )
-from qblock.layout import _screen, preprocess
+from qblock.layout import preprocess
 from qblock.codec import Scheme, decode_text, encode_text
 from qblock.errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
 from qblock.wire import parse, serialize
@@ -86,7 +86,7 @@ def test_tables_are_kept_per_shift_mod_size_and_the_memos_stay_bounded():
     for count in range(2, 40):
         letters = ("0", *(chr(0x41 + i) for i in range(count)))
         assert preprocess("A", Alphabet(f"memo-{count}", letters)) == "A000"
-    assert _screen.cache_info().currsize <= _screen.cache_info().maxsize
+    assert _lookup.cache_info().currsize <= bound  # preprocess screens with these tables
 
 
 def test_shift_must_be_positive():

@@ -96,6 +96,13 @@ def test_decode_tampered_payload_exits_1(capsys, monkeypatch):
     assert "TamperDetected" in err and "block 1" in err
 
 
+def test_decode_malformed_payload_exits_1_naming_the_token(capsys, monkeypatch):
+    malformed = golden.EX1_PAYLOAD.replace("\n140,", "\n01,")  # line 3's d
+    code, out, err = run_cli(["decode"], capsys, monkeypatch, stdin=malformed)
+    assert (code, out) == (1, "")
+    assert err == "error: MalformedPayload: line 3: '01' is not a canonical integer\n"
+
+
 def test_encode_unknown_symbol_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(["encode", "--scheme", "lucas"], capsys, monkeypatch, stdin="A,B")
     assert code == 1

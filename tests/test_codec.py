@@ -164,7 +164,7 @@ def test_no_encode_wire_decode_or_corrupt_step_builds_rows(monkeypatch, scheme):
 def test_a_text_round_trip_builds_no_matrix_and_a_repeat_builds_no_table(monkeypatch, scheme):
     # the text paths go between flat codes and block columns; a table depends
     # only on (alphabet, n mod size), so a second message with the same key
-    # finds its lookups and preprocess's stray table already built
+    # finds its lookups, preprocess's stray screen among them, already built
     def refuse(cls, *args):
         raise AssertionError("a text round trip built a MessageMatrix")
 

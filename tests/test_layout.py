@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import golden
 from payloads import from_rows
-from qblock.alphabet import DEFAULT_ALPHABET, CharTable
+from qblock import alphabet, layout
+from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, _lookup, register_alphabet
 from qblock.codec import FRow, Scheme, decode, encode
 from qblock.errors import BadLength, EmptyMessage, UnknownSymbol
 from qblock.layout import (
@@ -55,6 +56,34 @@ def test_preprocess_rejects_unknown_symbols():
         preprocess("A,B", DEFAULT_ALPHABET)
     with pytest.raises(UnknownSymbol):
         preprocess("A\nB", DEFAULT_ALPHABET)
+
+
+def test_preprocess_screens_with_the_alphabet_table_and_builds_none_of_its_own(monkeypatch):
+    # the stray screen is the alphabet's ordinal table of shift 0, which a
+    # CharTable of shift size then finds already built
+    built = []
+
+    class Counting(alphabet._Refusing):
+        def __init__(self, *args):
+            built.append("_Refusing")
+            super().__init__(*args)
+
+    class CountingStr:  # layout's name `str`, so that its maketrans calls are counted
+        @staticmethod
+        def maketrans(*args):
+            built.append("maketrans")
+            return str.maketrans(*args)
+
+    monkeypatch.setattr(alphabet, "_Refusing", Counting)
+    monkeypatch.setattr(layout, "str", CountingStr, raising=False)
+    _lookup.cache_clear()
+    fresh = Alphabet("screen-fresh", tuple("0ABC"))
+    register_alphabet(fresh)
+    padded = preprocess("ab c", fresh)
+    assert (padded, built) == ("AB0C", ["_Refusing"])
+    built.clear()
+    assert CharTable(fresh, fresh.size)._codes_of(padded) == [1, 2, 0, 3]
+    assert built == []
 
 
 def test_preprocess_output_shape():
