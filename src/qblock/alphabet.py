@@ -15,6 +15,7 @@ register the same table up front (the id travels in the wire header, the
 symbols do not).
 """
 
+import re
 from collections import namedtuple
 from functools import lru_cache
 
@@ -23,6 +24,15 @@ from .errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
 DEFAULT_ALPHABET_ID = "default"
 
 _DEFAULT_SYMBOLS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ0!?.")
+
+# an id as the wire header's alpha= field carries it: re's \s is exactly str.isspace()
+_ID_RE = re.compile(r"[^;\s]+")
+
+
+def _check_id(id: str) -> None:
+    """Refuse an alphabet id that the wire header cannot carry."""
+    if not _ID_RE.fullmatch(id):
+        raise ValueError(f"alphabet id {id!r} must be non-empty, no ';' or whitespace")
 
 
 class _Record:
@@ -48,9 +58,7 @@ class Alphabet(_Record, namedtuple("Alphabet", "id symbols")):
 
     def __new__(cls, id: str, symbols: tuple[str, ...] = _DEFAULT_SYMBOLS):
         symbols = tuple(symbols)  # hashable, so that `_lookup` can key its tables by alphabet
-        # what the wire header refuses: its \s is exactly str.isspace()
-        if not id or any(c == ";" or c.isspace() for c in id):
-            raise ValueError(f"alphabet id {id!r} must be non-empty, no ';' or whitespace")
+        _check_id(id)
         if any(len(symbol) != 1 for symbol in symbols):
             raise ValueError("alphabet symbols must be single characters")
         if len(set(symbols)) != len(symbols):

@@ -44,9 +44,16 @@ import math
 from collections import namedtuple
 from enum import Enum
 from itertools import chain, count
-from operator import add, floordiv, mod, mul, sub
+from operator import add, floordiv, index, mod, mul, sub
 
-from .alphabet import DEFAULT_ALPHABET, DEFAULT_ALPHABET_ID, CharTable, _Record, get_alphabet
+from .alphabet import (
+    DEFAULT_ALPHABET,
+    DEFAULT_ALPHABET_ID,
+    CharTable,
+    _check_id,
+    _Record,
+    get_alphabet,
+)
 from .errors import CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected
 from .layout import (
     MessageMatrix,
@@ -79,8 +86,10 @@ class CodedMessage(
 
     The key index n is never carried; both sides derive it from the row
     count and the n-rule.  Raises TypeError unless scheme and n_rule are
-    members of their enums, and HeaderMismatch unless the dimension is even
-    and >= 2, the columns are equally long and there is one row per block.
+    members of their enums and the dimension is an int, HeaderMismatch unless
+    the dimension is even and >= 2, the columns are equally long and there is
+    one row per block, and ValueError unless the wire header can carry the
+    alphabet id.  The column elements are not checked.
     """
 
     __slots__ = ()
@@ -89,6 +98,7 @@ class CodedMessage(
                 ds, k1s, k2s, k3s):
         _member(scheme, Scheme)
         _member(n_rule, NRule)
+        dim = index(dim)
         if dim < 2 or dim % 2:
             raise HeaderMismatch(f"dimension must be even and >= 2, got {dim}")
         ds, k1s, k2s, k3s = tuple(ds), tuple(k1s), tuple(k2s), tuple(k3s)
@@ -102,6 +112,7 @@ class CodedMessage(
             raise HeaderMismatch(
                 f"dimension {dim} implies {implied} rows, payload has {len(ds)}"
             )
+        _check_id(alphabet_id)
         return super().__new__(cls, scheme, n_rule, dim, alphabet_id, ds, k1s, k2s, k3s)
 
     @property

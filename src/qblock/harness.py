@@ -77,11 +77,9 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     return coded._make((*coded[:4], *columns))
 
 
-def _damage(coded: CodedMessage, spec: CorruptionSpec,
-            checked: bool = False) -> dict[int, tuple[int, int, int, int]]:
+def _damage(coded: CodedMessage, spec: CorruptionSpec) -> dict[int, tuple[int, int, int, int]]:
     """`corrupt`'s damage as row edits, {0-based row: new (d, k1, k2, k3)}:
-    one row for the perturb strategies, the drawn pair for SWAP_ROWS.
-    `checked`: an earlier call on `coded` found rows that differ, so SWAP_ROWS skips that scan."""
+    one row for the perturb strategies, the drawn pair for SWAP_ROWS."""
     rng = random.Random(spec.seed)
     columns = coded[4:]
     rows_n = len(coded.ds)
@@ -104,7 +102,7 @@ def _damage(coded: CodedMessage, spec: CorruptionSpec,
         raise NotEnoughRows("need at least 2 rows to swap")
     rows = zip(*columns)
     first = next(rows)
-    if not checked and all(row == first for row in rows):
+    if all(row == first for row in rows):
         raise NotEnoughRows("all rows are identical, swapping changes nothing")
     while True:
         i, j = rng.sample(range(rows_n), 2)
@@ -135,8 +133,7 @@ def detection_rate(
     outcomes = []
     for trial in range(trials):
         try:
-            # trial 0 raises any NotEnoughRows, so later trials skip the rows scan
-            for row in _damage(coded, trial_spec(spec, trial), trial > 0).values():
+            for row in _damage(coded, trial_spec(spec, trial)).values():
                 solve_missing(row, coded.scheme, size=size)
         except TamperDetected:
             outcomes.append(OUTCOME_DETECTED)

@@ -135,8 +135,7 @@ def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:
     m = dim // 2
     if len(blocks) != m * m:
         raise BadLength(f"expected {m * m} blocks for dimension {dim}, got {len(blocks)}")
-    # one list per element column: no tuple per block for the collector to track
-    columns = ([getattr(b, f) for b in blocks] for f in ("b1", "b2", "b3", "b4"))
+    _, *columns = zip(*blocks)  # index, then the element columns b1..b4
     return MessageMatrix(dim, _grid(*columns, dim))
 
 

@@ -18,7 +18,7 @@ is read line by line to name its fault, each token through that same memo.
 
 import re
 
-from .alphabet import get_alphabet
+from .alphabet import _ID_RE, get_alphabet
 from .codec import CodedMessage, Scheme
 from .errors import MalformedPayload
 from .layout import NRule
@@ -26,7 +26,9 @@ from .layout import NRule
 MAGIC = "QBLK1"
 
 _HEADER_RE = re.compile(
-    rf"^{MAGIC};scheme=(lucas|mine);nrule=(half|tas);dim=(0|[1-9][0-9]*);alpha=([^;\s]+)$"
+    rf"^{MAGIC};scheme=({'|'.join(s.value for s in Scheme)})"
+    rf";nrule=({'|'.join(r.value for r in NRule)})"
+    rf";dim=(0|[1-9][0-9]*);alpha=({_ID_RE.pattern})$"
 )
 # canonical signed decimal: no '+', no leading zeros, no '-0'
 _INT = rb"(?:0|-?[1-9][0-9]*)"

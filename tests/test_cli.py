@@ -247,3 +247,26 @@ def test_harness_deterministic(capsys, monkeypatch):
     _, out1, _ = run_cli(argv, capsys, monkeypatch)
     _, out2, _ = run_cli(argv, capsys, monkeypatch)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "scheme,strategy,counts",
+    [
+        ("lucas", "perturb-d", "detected=1810 miscorrected=190"),
+        ("lucas", "perturb-kept", "detected=1783 miscorrected=217"),
+        ("lucas", "swap-rows", "detected=0 miscorrected=2000"),
+        ("mine", "perturb-d", "detected=1860 miscorrected=140"),
+        ("mine", "perturb-kept", "detected=1724 miscorrected=276"),
+        ("mine", "swap-rows", "detected=0 miscorrected=2000"),
+    ],
+)
+def test_harness_counts_on_a_dim_32_message_are_pinned(scheme, strategy, counts, capsys,
+                                                       monkeypatch):
+    argv = ["harness", "--scheme", scheme, "--strategy", strategy, "--magnitude", "60",
+            "--trials", "2000", "--seed", "0", "--message", "HELLO THERE! " * 78]
+    assert run_cli(argv, capsys, monkeypatch) == (
+        0,
+        f"scheme={scheme} strategy={strategy} seed=0 magnitude=60 trials=2000 "
+        f"{counts} undetected_equal=0\n",
+        "",
+    )

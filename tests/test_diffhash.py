@@ -19,17 +19,28 @@ SECTIONS = ["parse", "decode", "decode_with_trace", "solve_missing", "encode", "
             "corrupt", "detection_rate", "cli", "CharTable", "preprocess", "text"]
 
 
-def run_tool(hash_seed):
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-    argv = [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--seed", "1", "--cases", "20"]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, check=True).stdout
+def run_tool(seed, cases, **env):
+    argv = [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--seed", seed, "--cases", cases]
+    return subprocess.run(
+        argv, capture_output=True, text=True, env={**os.environ, **env}, check=True
+    ).stdout
 
 
 def test_two_runs_give_equal_digests():
     # under two string-hash seeds, so neither hash() nor set order leaks in
-    first, second = run_tool("1"), run_tool("2")
+    first, second = (run_tool("1", "20", PYTHONHASHSEED=hash_seed) for hash_seed in "12")
     assert first == second
     assert [line.split()[0] for line in first.splitlines()] == SECTIONS
+
+
+@pytest.mark.parametrize(
+    "seed,cases,expected",
+    [("1", "200", "diffhash.expected"), ("7", "1000", "diffhash.seed7.expected")],
+    ids=["seed-1", "seed-7"],
+)
+def test_digests_equal_the_committed_file(seed, cases, expected):
+    # a change that moves a section's behaviour shows here as a changed line
+    assert run_tool(seed, cases) == (ROOT / "tools" / expected).read_text(encoding="utf-8")
 
 
 def reworded(f, error):

@@ -89,6 +89,31 @@ def test_round_trip_loads_neither_the_json_scanner_nor_the_json_package(flags):
     assert not loaded & {"_json", "json"}
 
 
+NO_SITE_ROUND_TRIPS = """\
+import qblock.cli
+from qblock import MalformedPayload, Scheme, TamperDetected, decode_text, encode_text, parse, serialize
+qblock.cli.build_parser()
+# a kernel that imports a module on first use shows only once it runs
+payload = serialize(encode_text("HI THERE", Scheme.LUCAS_BLOCKING))
+assert decode_text(parse(payload)) == "HI0THERE00000000"
+header, first, *rest = payload.splitlines()
+tampered = "\\n".join([header, "999," + first.split(",", 1)[1], *rest]) + "\\n"
+for bad, error in ((tampered, TamperDetected), (payload.replace(",", ",,", 1), MalformedPayload)):
+    try:
+        decode_text(parse(bad))
+        sys.exit(f"accepted: {bad!r}")
+    except error:
+        pass
+"""
+
+
+def test_start_up_and_round_trips_without_site_load_no_forbidden_module():
+    # the CLI parser, a round trip, a tampered and a malformed payload, all in one interpreter
+    forbidden = {"array", "csv", "dataclasses", "inspect", "json", "_json", "random", "typing",
+                 "qblock.harness", "qblock.numtheory", "qblock.demo"}
+    assert not loaded_after(NO_SITE_ROUND_TRIPS, "-S") & forbidden
+
+
 def test_strategy_choices_are_the_strategy_values():
     from qblock.cli import STRATEGIES
 

@@ -8,12 +8,13 @@ subclass, so it compares equal to the plain tuple of its fields.
 import copy
 import pickle
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
+from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, _registry, register_alphabet
 from qblock.codec import CodedMessage, FRow, Scheme, decode_with_trace, encode_text
 from qblock.demo import EXAMPLE_1
 from qblock.errors import BadLength, HeaderMismatch
@@ -32,6 +33,12 @@ CHECKED = {
     "CodedMessage-rows": (CODED, {"ds": (), "k1s": (), "k2s": (), "k3s": ()}, HeaderMismatch),
     "CodedMessage-k2s": (CODED, {"k2s": ()}, HeaderMismatch),
     "CodedMessage-scheme": (CODED, {"scheme": "mine"}, TypeError),
+    # serialize would write each of these, and parse would refuse the header
+    "CodedMessage-float-dim": (CODED, {"dim": 2.0}, TypeError),
+    "CodedMessage-id-semicolon": (CODED, {"alphabet_id": "a;b"}, ValueError),
+    "CodedMessage-id-space": (CODED, {"alphabet_id": "a b"}, ValueError),
+    "CodedMessage-id-empty": (CODED, {"alphabet_id": ""}, ValueError),
+    "CodedMessage-id-newline": (CODED, {"alphabet_id": "x\n"}, ValueError),
     "MessageMatrix-dim": (MessageMatrix(2, ((1, 2), (3, 4))), {"dim": 4}, BadLength),
     "MessageMatrix-cells": (MessageMatrix(2, ((1, 2), (3, 4))), {"cells": ((1, 2),)}, BadLength),
     "Alphabet-id": (AB, {"id": "a b"}, ValueError),
@@ -96,6 +103,23 @@ def test_coded_message_holds_tuple_columns_and_rows_are_a_view(columns, scheme, 
     assert coded.rows == tuple(map(FRow, coded.ds, coded.k1s, coded.k2s, coded.k3s))
     assert all(type(row) is FRow for row in coded.rows)
     assert parse(serialize(coded)) == coded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.text(), st.sampled_from(list(Scheme)),
+       st.sampled_from(list(NRule)), st.data())
+def test_every_coded_message_that_builds_survives_the_wire(half, float_dim, alphabet_id, scheme,
+                                                           n_rule, data):
+    # int columns inside the int-string limit, under any id and an int or float dimension
+    ints = st.lists(st.integers(-10**80, 10**80), min_size=half**2, max_size=half**2)
+    columns = [data.draw(ints) for _ in range(4)]
+    dim = float(2 * half) if float_dim else 2 * half
+    try:
+        coded = CodedMessage(scheme, n_rule, dim, alphabet_id, *columns)
+    except (TypeError, ValueError):
+        return
+    with patch.dict(_registry, {alphabet_id: Alphabet(alphabet_id)}):
+        assert parse(serialize(coded)) == coded
 
 
 @pytest.mark.parametrize("field", ["ds", "k1s", "k2s", "k3s"])
