@@ -7,8 +7,8 @@ key index and changes from message to message.  A `CharTable` is the record
 the table of shift mod size once, and keeps the last 128 built.
 `_codes_of`/`_symbols_of` map a sequence through it with `str.translate`,
 which stops at the first symbol or code that the table lacks; the error names
-it as `code_of`/`symbol_of` do.  A non-`str` input, a code past Latin-1 or
-an alphabet of more than 256 symbols reads it item by item.
+it as `code_of`/`symbol_of` do, and the codes of a `str` come back as a bytearray.  A
+non-`str` input, a code past Latin-1 or an alphabet of over 256 symbols reads item by item.
 
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
@@ -136,14 +136,14 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
     def symbol_of(self, code: int) -> str:
         return self._symbols_of((code,))[0]
 
-    def _codes_of(self, symbols) -> list[int]:
+    def _codes_of(self, symbols) -> bytearray | list[int]:
         alphabet = self.alphabet
         start = self.shift % alphabet.size
         by_ordinal = isinstance(symbols, str) and alphabet.size <= 256
         try:
             if by_ordinal:
                 coded = symbols.translate(_lookup(alphabet, start, "ord"))
-                return list(coded.encode("latin-1"))
+                return bytearray(coded, "latin-1")
             # keyed by symbol: 65 or b"A" misses, an unhashable item raises TypeError
             return list(map(_lookup(alphabet, start, "symbol").__getitem__, symbols))
         except _Miss as miss:  # translate looks a character up by its ordinal

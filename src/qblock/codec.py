@@ -22,7 +22,7 @@ only, no pair per row: kept codes in range, no zero pivot, and every x
 (`floordiv` of the numerators) exact (`mod`) and in range.  Otherwise
 `solve_missing`, the one per-row verdict, names the first row it rejects.
 `decode` hands its columns to `_grid`; the text paths build no
-`MessageMatrix`: `encode_text` cuts the table's in-range codes into rows for
+`MessageMatrix`: `encode_text` hands the table's in-range codes (bytes) to
 `_columns`, and `decode_text` maps `_flat` of the columns through the table.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
@@ -149,12 +149,11 @@ def encode(
     """
     _member(scheme, Scheme)
     size = get_alphabet(alphabet_id).size
-    columns = _columns(matrix.cells)
-    codes = set(columns[0]).union(*columns[1:])
-    if min(codes) < 0 or max(codes) >= size:
-        code = next(c for c in chain.from_iterable(matrix.cells) if not 0 <= c < size)
+    codes = [*chain.from_iterable(matrix.cells)]
+    if min(values := set(codes)) < 0 or max(values) >= size:  # of the distinct codes only
+        code = next(c for c in codes if not 0 <= c < size)
         raise CodeOutOfRange(f"code {code} outside [0, {size})")
-    return _encode(columns, scheme, n_rule, matrix.dim, alphabet_id)
+    return _encode(_columns(codes, matrix.dim), scheme, n_rule, matrix.dim, alphabet_id)
 
 
 def _encode(columns, scheme: Scheme, n_rule: NRule, dim: int, alphabet_id: str) -> CodedMessage:
@@ -264,10 +263,8 @@ def encode_text(
     alphabet = get_alphabet(alphabet_id)
     symbols = preprocess(text, alphabet)
     dim = math.isqrt(len(symbols))
-    n = choose_n((dim // 2) ** 2, n_rule)
-    codes = CharTable(alphabet, n)._codes_of(symbols)
-    rows = [codes[start : start + dim] for start in range(0, len(codes), dim)]
-    return _encode(_columns(rows), scheme, n_rule, dim, alphabet_id)
+    codes = CharTable(alphabet, choose_n((dim // 2) ** 2, n_rule))._codes_of(symbols)
+    return _encode(_columns(codes, dim), scheme, n_rule, dim, alphabet_id)
 
 
 def decode_text(coded: CodedMessage) -> str:

@@ -11,12 +11,13 @@ An edited row that solves always decodes to a different block: the kept
 codes are part of it, the dropped code is injective in d for a nonzero
 pivot, and swap-rows exchanges only rows that differ.  So `undetected_equal`
 (decode gives the original matrix back) stays zero; only the full-decode
-test oracle could count one.  Trial t uses seed spec.seed + t.
+test oracle could count one.  Trial t draws as `_damage` with seed spec.seed + t.
 """
 
 import random
 from collections import namedtuple
 from enum import Enum
+from operator import index
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
 from .codec import CodedMessage, Scheme, encode_text, solve_missing
@@ -39,6 +40,7 @@ class CorruptionSpec(_Record, namedtuple("CorruptionSpec", "strategy magnitude s
 
     def __new__(cls, strategy: Strategy, magnitude: int = 1, seed: int = 0):
         _member(strategy, Strategy)
+        magnitude, seed = index(magnitude), index(seed)
         if magnitude < 1:
             raise ValueError(f"magnitude must be >= 1, got {magnitude}")
         return super().__new__(cls, strategy, magnitude, seed)
@@ -80,35 +82,42 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
 def _damage(coded: CodedMessage, spec: CorruptionSpec) -> dict[int, tuple[int, int, int, int]]:
     """`corrupt`'s damage as row edits, {0-based row: new (d, k1, k2, k3)}:
     one row for the perturb strategies, the drawn pair for SWAP_ROWS."""
-    rng = random.Random(spec.seed)
+    return _drawer(coded, spec)(random.Random(spec.seed))
+
+
+def _drawer(coded: CodedMessage, spec: CorruptionSpec):
+    """`_damage`'s draw as a function of the generator, after the work that no draw changes."""
     columns = coded[4:]
     rows_n = len(coded.ds)
     kept = spec.strategy is Strategy.PERTURB_KEPT
-    if kept or spec.strategy is Strategy.PERTURB_D:
-        while True:
+    size = get_alphabet(coded.alphabet_id).size if kept else None
+    swap = spec.strategy is Strategy.SWAP_ROWS
+    if swap:  # exchange two rows that differ in value, drawn uniformly by rejection
+        if rows_n < 2:
+            raise NotEnoughRows("need at least 2 rows to swap")
+        rows = zip(*columns)
+        first = next(rows)
+        if all(row == first for row in rows):
+            raise NotEnoughRows("all rows are identical, swapping changes nothing")
+
+    def draw(rng):
+        while not swap:
             i = rng.randrange(rows_n)
             field = rng.choice((1, 2, 3)) if kept else 0  # k1, k2, k3 or d
             row = [column[i] for column in columns]
             new = row[field] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
             if kept:
-                new %= get_alphabet(coded.alphabet_id).size
+                new %= size
             if new != row[field]:  # only a kept code can wrap, when magnitude >= size
                 row[field] = new
                 return {i: tuple(row)}
+        while True:  # a rejection draw, so a swap-rows trial stays linear in the row count
+            i, j = rng.sample(range(rows_n), 2)
+            row_i, row_j = (tuple(column[k] for column in columns) for k in (i, j))
+            if row_i != row_j:
+                return {i: row_j, j: row_i}
 
-    # SWAP_ROWS: exchange two rows that differ in value, drawn uniformly by
-    # rejection so a trial stays linear in the row count
-    if rows_n < 2:
-        raise NotEnoughRows("need at least 2 rows to swap")
-    rows = zip(*columns)
-    first = next(rows)
-    if all(row == first for row in rows):
-        raise NotEnoughRows("all rows are identical, swapping changes nothing")
-    while True:
-        i, j = rng.sample(range(rows_n), 2)
-        row_i, row_j = (tuple(column[k] for column in columns) for k in (i, j))
-        if row_i != row_j:
-            return {i: row_j, j: row_i}
+    return draw
 
 
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:
@@ -130,10 +139,13 @@ def detection_rate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     coded = encode_text(message, scheme, n_rule, alphabet_id)
     size = get_alphabet(coded.alphabet_id).size
+    draw, rng = _drawer(coded, spec), random.Random(spec.seed)
     outcomes = []
     for trial in range(trials):
+        if trial:  # reseeded as `_damage` seeds trial_spec(spec, trial)'s generator
+            rng.seed(spec.seed + trial)
         try:
-            for row in _damage(coded, trial_spec(spec, trial)).values():
+            for row in draw(rng).values():
                 solve_missing(row, coded.scheme, size=size)
         except TamperDetected:
             outcomes.append(OUTCOME_DETECTED)

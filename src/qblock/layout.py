@@ -5,8 +5,8 @@ alphabet allows it, spaces turn into '0', the tail is padded with '0'), the
 string fills an even-sided square matrix row-major, and the matrix splits
 into 2x2 blocks numbered left to right, top to bottom.  The number of blocks
 b fixes the key index n.  That order is written only here, in one inverse
-pair: `_columns` cuts the rows into the blocks' element columns and `_flat`
-lays them out row-major; `_grid` is the rows of `_flat`.  `to_matrix`/
+pair: `_columns` cuts row-major codes (a bytearray or list) into the blocks'
+element columns and `_flat` lays them out row-major; `_grid` is the rows of `_flat`.  `to_matrix`/
 `to_symbols` map whole sequences through the table at once; `preprocess`
 screens for strays with the alphabet's own table of shift 0 from `_lookup`.
 """
@@ -98,11 +98,13 @@ def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     return table._symbols_of([*chain.from_iterable(matrix.cells)])
 
 
-def _columns(cells) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(b1s, b2s, b3s, b4s) of the rows' blocks, in block order (inverse of _flat)."""
+def _columns(codes, dim: int):
+    """(b1s, b2s, b3s, b4s) of row-major dim x dim codes, in block order (inverse of _flat)."""
     # rows have even length, so in the top rows end to end b1 is at even offsets, b2 at odd
-    tops = [*chain.from_iterable(cells[0::2])]
-    bottoms = [*chain.from_iterable(cells[1::2])]
+    tops, bottoms = codes[:0], codes[:0]
+    for start in range(0, len(codes), 2 * dim):  # a row of blocks: its top, then its bottom row
+        tops += codes[start : start + dim]
+        bottoms += codes[start + dim : start + 2 * dim]
     return tops[0::2], tops[1::2], bottoms[0::2], bottoms[1::2]
 
 
@@ -125,7 +127,7 @@ def _grid(b1, b2, b3, b4, dim: int) -> tuple[tuple[int, ...], ...]:
 
 def to_blocks(matrix: MessageMatrix) -> list[Block]:
     """Split into 2x2 blocks, left to right within a row of blocks, rows top down."""
-    return list(map(Block, count(1), *_columns(matrix.cells)))
+    return list(map(Block, count(1), *_columns([*chain.from_iterable(matrix.cells)], matrix.dim)))
 
 
 def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:

@@ -475,6 +475,36 @@ def test_encode_text_is_encode_of_to_matrix_of_preprocess(alphabet, scheme, n_ru
 
 
 @FUZZ
+@given(
+    st.sampled_from([DEFAULT_ALPHABET, TWO, WIDE]),
+    st.sampled_from(list(Scheme)),
+    st.sampled_from(list(NRule)),
+    st.data(),
+)
+def test_encode_text_cuts_the_columns_the_matrix_path_cuts(alphabet, scheme, n_rule, data):
+    # the table's codes reach `_columns` as a bytearray, those of the
+    # 300-symbol alphabet as a list, and a grid's always as a list; up to
+    # dim 16, so that up to eight rows of blocks are cut
+    dim = data.draw(st.sampled_from([2, 4, 6, 8, 16]))
+    text = data.draw(st.text(st.sampled_from(alphabet.symbols), min_size=dim * dim,
+                             max_size=dim * dim))
+    table = CharTable(alphabet, choose_n((dim // 2) ** 2, n_rule))
+    wide = alphabet.size > 256
+    assert type(table._codes_of(text)) is (list if wide else bytearray)
+
+    def columns(f, *args):
+        try:
+            coded = f(*args)
+        except DegenerateBlock as exc:
+            return "DegenerateBlock", exc.indices
+        return coded.ds, coded.k1s, coded.k2s, coded.k3s
+
+    expected = columns(encode, to_matrix(preprocess(text, alphabet), table), scheme, n_rule,
+                       alphabet.id)
+    assert columns(encode_text, text, scheme, n_rule, alphabet.id) == expected
+
+
+@FUZZ
 @given(st.sampled_from(TEXT_ALPHABETS), st.sampled_from([2, 4, 6, 8]),
        st.sampled_from(list(Scheme)), st.sampled_from(list(NRule)), edits, st.data())
 def test_decode_text_is_to_symbols_of_decode(alphabet, dim, scheme, n_rule, changes, data):

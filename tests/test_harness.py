@@ -1,11 +1,15 @@
 
+import random
+
 import pytest
 
 import golden
+from bruteforce import outcomes_by_decode
 from payloads import from_rows
-from qblock import harness
+from qblock import codec, harness
+from qblock.alphabet import get_alphabet
 from qblock.codec import CodedMessage, Scheme, encode_text, solve_missing
-from qblock.errors import DegenerateBlock, NotEnoughRows
+from qblock.errors import DegenerateBlock, NotEnoughRows, UnknownAlphabet
 from qblock.harness import (
     CorruptionSpec,
     Strategy,
@@ -165,6 +169,12 @@ def test_magnitude_must_be_positive():
         CorruptionSpec(Strategy.PERTURB_D, magnitude=0)
 
 
+def test_spec_reads_a_bool_as_an_int():
+    spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=True, seed=True)
+    assert spec == (Strategy.PERTURB_D, 1, 1)
+    assert type(spec.magnitude) is int and type(spec.seed) is int
+
+
 def test_detection_rate_accounting():
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=5, seed=0)
     report = detection_rate(golden.EX1_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=100)
@@ -250,6 +260,85 @@ def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, tr
     report = detection_rate(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
     assert report.trials == trials
     assert built == [CodedMessage]
+
+
+@pytest.mark.parametrize("trials", [1, 50])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_detection_rate_builds_one_generator_per_call(monkeypatch, strategy, trials):
+    # each trial reseeds the one generator instead of building its own
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    spec = CorruptionSpec(strategy, magnitude=60, seed=3)
+    report = detection_rate(DIM32_MESSAGE, Scheme.MINESWEEPER, spec, trials=trials)
+    assert report.trials == trials
+    assert built == [(3,)]
+
+
+@pytest.mark.parametrize("trials", [1, 50])
+@pytest.mark.parametrize(
+    "strategy,scans", [(Strategy.PERTURB_D, 0), (Strategy.PERTURB_KEPT, 0), (Strategy.SWAP_ROWS, 1)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_detection_rate_scans_for_identical_rows_once_per_call(monkeypatch, strategy, scans,
+                                                                trials):
+    # counts the all-rows-identical scans (harness's one `all`) instead of timing
+    count = 0
+
+    def counting(iterable):
+        nonlocal count
+        count += 1
+        return all(iterable)
+
+    monkeypatch.setattr(harness, "all", counting, raising=False)
+    spec = CorruptionSpec(strategy, magnitude=60, seed=0)
+    report = detection_rate(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
+    assert report.trials == trials
+    assert count == scans
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_detection_rate_looks_the_alphabet_up_a_fixed_number_of_times(monkeypatch, strategy):
+    looked_up = []
+
+    def counting(alphabet_id):
+        looked_up.append(alphabet_id)
+        return get_alphabet(alphabet_id)
+
+    for module in (harness, codec):
+        monkeypatch.setattr(module, "get_alphabet", counting)
+    spec = CorruptionSpec(strategy, magnitude=60, seed=0)
+    counts = []
+    for trials in (1, 50):
+        looked_up.clear()
+        detection_rate(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
+        counts.append(len(looked_up))
+    # encode_text and the tally's size, and perturb-kept's own draw setup
+    assert counts == ([3, 3] if strategy is Strategy.PERTURB_KEPT else [2, 2])
+
+
+def test_perturb_d_damages_a_payload_whose_alphabet_is_not_registered():
+    # only perturb-kept reduces by the alphabet size; perturb-d never looks it up
+    rows = [(d, 1, 2, 3) for d in range(4)]
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "not-registered", rows)
+    damaged = corrupt(coded, CorruptionSpec(Strategy.PERTURB_D, magnitude=5, seed=1))
+    assert len(diff_fields(coded, damaged)) == 1
+    with pytest.raises(UnknownAlphabet):
+        corrupt(coded, CorruptionSpec(Strategy.PERTURB_KEPT, magnitude=5, seed=1))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 2**31 - 1, 2**64, 10**30])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_detection_rate_equals_the_full_decode_oracle_at_negative_and_large_seeds(strategy, seed):
+    spec = CorruptionSpec(strategy, magnitude=60, seed=seed)
+    for scheme in Scheme:
+        expected = outcomes_by_decode(DIM32_MESSAGE, scheme, spec, 20, NRule.HALF)
+        assert detection_rate(DIM32_MESSAGE, scheme, spec, trials=20) == expected
 
 
 def test_trial_spec_offsets_seed():

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -82,7 +83,7 @@ def test_preprocess_screens_with_the_alphabet_table_and_builds_none_of_its_own(m
     padded = preprocess("ab c", fresh)
     assert (padded, built) == ("AB0C", ["_Refusing"])
     built.clear()
-    assert CharTable(fresh, fresh.size)._codes_of(padded) == [1, 2, 0, 3]
+    assert CharTable(fresh, fresh.size)._codes_of(padded) == bytearray([1, 2, 0, 3])
     assert built == []
 
 
@@ -210,13 +211,27 @@ def test_columns_and_grid_invert_each_other(dim, data):
     # distinct codes, so any misplaced element shows
     codes = data.draw(st.permutations(range(dim * dim)), label="codes")
     cells = tuple(tuple(codes[r * dim : (r + 1) * dim]) for r in range(dim))
-    assert _grid(*_columns(cells), dim) == cells
-    assert _flat(*_columns(cells), dim) == list(codes)  # the row-major form of _grid
+    assert _grid(*_columns(codes, dim), dim) == cells
+    assert _flat(*_columns(codes, dim), dim) == list(codes)  # the row-major form of _grid
     block_count = len(codes) // 4
     columns = tuple(codes[i * block_count : (i + 1) * block_count] for i in range(4))
-    assert _columns(_grid(*columns, dim)) == columns
-    flat = _flat(*columns, dim)
-    assert _columns([flat[r * dim : (r + 1) * dim] for r in range(dim)]) == columns
+    assert _columns([*chain.from_iterable(_grid(*columns, dim))], dim) == columns
+    assert _columns(_flat(*columns, dim), dim) == columns
+
+
+@pytest.mark.parametrize("dim", range(2, 33, 2))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_columns_inverts_flat_on_bytearrays_and_lists(dim, data):
+    # the table's codes arrive as a bytearray, every other caller's as a list;
+    # up to dim 16 the codes are distinct, so any misplaced element shows
+    order = data.draw(st.permutations(range(dim * dim)), label="order")
+    codes = [code % 256 for code in order]
+    from_list = _columns(codes, dim)
+    from_bytes = _columns(bytearray(codes), dim)
+    assert [type(column) for column in from_list + from_bytes] == [list] * 4 + [bytearray] * 4
+    assert tuple(map(list, from_bytes)) == from_list
+    assert _flat(*from_list, dim) == _flat(*from_bytes, dim) == codes
 
 
 def test_matrix_shape_checked():

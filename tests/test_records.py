@@ -47,6 +47,12 @@ CHECKED = {
     "CorruptionSpec-strategy": (
         CorruptionSpec(Strategy.PERTURB_D), {"strategy": "perturb-d"}, TypeError
     ),
+    # refused when the spec is built, not when a trial first draws
+    "CorruptionSpec-float-magnitude": (CorruptionSpec(Strategy.PERTURB_D), {"magnitude": 2.5},
+                                       TypeError),
+    "CorruptionSpec-str-magnitude": (CorruptionSpec(Strategy.PERTURB_D), {"magnitude": "3"},
+                                     TypeError),
+    "CorruptionSpec-float-seed": (CorruptionSpec(Strategy.PERTURB_D), {"seed": 1.5}, TypeError),
     "CharTable-shift": (CharTable(AB, 3), {"shift": 0}, ValueError),
 }
 
