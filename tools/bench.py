@@ -15,12 +15,16 @@ alphabet without the symbol that its table gives code 0, so no pivot is
 zero and every stage succeeds.  The same `--sizes` gives the same messages
 on every tree.
 
-A time is the median over repeats of one loop of calls, each loop long
-enough for the clock (about 50 ms); the host's speed drifts, so compare
-times only within files taken close together, and read them against
-`calibration_us`: the median time of `perfbench/calibrate.py`'s fixed
-kernel, which uses nothing from the package, taken before and after the
-stages.  `gen0_per_call` counts the garbage collector's youngest-generation
+A stage is timed in 7 loops of calls, each long enough for the clock (about
+30 ms).  The speed of a shared host drifts, by up to a factor of two within
+a minute, so each loop is scaled as `perfbench` scales its times: by
+NOMINAL_NS over the mean time of `perfbench/calibrate.py`'s fixed kernel,
+which uses nothing from the package, run just before and just after the
+loop.  A time is the median of the scaled loops, which one kernel run that
+a spike slowed cannot pull down; `raw_us_per_block` and `raw_us_per_trial`
+are the fastest loop unscaled, and `calibration_us` is the kernel's median
+time over the run.
+`gen0_per_call` counts the garbage collector's youngest-generation
 collections over a loop started right after a full collection; unlike a
 time it repeats exactly for one tree and one Python.  `--sizes tiny` runs
 dims 4 and 8, the harness at dim 8, and short loops, for a schema check.
@@ -28,9 +32,9 @@ dims 4 and 8, the harness at dim 8, and short loops, for a schema check.
 The file holds, with `schema` 1:
 
     python, git_sha, sizes, calibration_us,
-    stages: {stage: {scheme: {dim: {"us_per_block", "gen0_per_call"}}}},
-    detection_rate: {"dim", "trials_per_call",
-                     strategies: {strategy: {scheme: {"us_per_trial", "gen0_per_call"}}}}
+    stages: {stage: {scheme: {dim: {"us_per_block", "raw_us_per_block", "gen0_per_call"}}}},
+    detection_rate: {"dim", "trials_per_call", strategies: {strategy: {scheme:
+                     {"us_per_trial", "raw_us_per_trial", "gen0_per_call"}}}}
 """
 
 import argparse
@@ -51,7 +55,7 @@ STAGES = ("preprocess", "to_matrix", "encode", "encode_text", "serialize", "pars
           "decode_text", "decode_with_trace")
 SIZES = {
     # dims, harness dim, repeats, seconds a timed loop lasts at least
-    "full": ((8, 32, 128, 512), 32, 5, 0.05),
+    "full": ((8, 32, 128, 512), 32, 7, 0.03),
     "tiny": ((4, 8), 8, 2, 0.002),
 }
 TRIALS_PER_CALL = 8
@@ -59,11 +63,11 @@ MAGNITUDE = 60
 
 
 def calibration():
-    """`perfbench/calibrate.py`'s `measure`, loaded read-only by path."""
+    """`perfbench/calibrate.py`, loaded read-only by path."""
     spec = importlib.util.spec_from_file_location("calibrate", ROOT / "perfbench" / "calibrate.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.measure
+    return module
 
 
 def git_sha(src):
@@ -84,22 +88,27 @@ def message(q, dim, rng):
     return "".join(rng.choice([s for s in symbols if s != zero]) for _ in range(dim * dim))
 
 
-def per_call(f, args, repeats, seconds):
-    """(median seconds per call, gen0 collections per call) of f(*args)."""
+def per_call(f, args, repeats, seconds, kernel, samples):
+    """(median scaled seconds per call, fastest raw seconds per call, gen0
+    collections per call) of f(*args); each kernel time is appended to `samples`."""
     start = time.perf_counter()
     f(*args)  # a warm-up, which also sizes the loop
     number = max(1, int(seconds / max(time.perf_counter() - start, 1e-9)))
-    times = []
+    scaled, raw = [], []
     for _ in range(repeats):
+        before = kernel.measure()
         start = time.perf_counter()
         for _ in range(number):
             f(*args)
-        times.append((time.perf_counter() - start) / number)
+        took = (time.perf_counter() - start) / number
+        samples += before, kernel.measure()
+        raw.append(took)
+        scaled.append(took * kernel.NOMINAL_NS * 2 / (samples[-2] + samples[-1]))
     gc.collect()
     before = gc.get_stats()[0]["collections"]
     for _ in range(number):
         f(*args)
-    return statistics.median(times), (gc.get_stats()[0]["collections"] - before) / number
+    return statistics.median(scaled), min(raw), (gc.get_stats()[0]["collections"] - before) / number
 
 
 def stage_calls(q, text, dim, scheme):
@@ -125,16 +134,17 @@ def stage_calls(q, text, dim, scheme):
 
 def bench(q, sizes):
     dims, harness_dim, repeats, seconds = SIZES[sizes]
-    measure = calibration()
-    kernel = [measure() for _ in range(11)]
+    kernel, samples = calibration(), []
     stages = {stage: {scheme.value: {} for scheme in q.Scheme} for stage in STAGES}
     for dim in dims:
         text = message(q, dim, random.Random(f"bench-{dim}"))
         for scheme in q.Scheme:
             for stage, (f, args) in stage_calls(q, text, dim, scheme).items():
-                took, gen0 = per_call(f, args, repeats, seconds)
+                scaled, raw, gen0 = per_call(f, args, repeats, seconds, kernel, samples)
+                blocks = (dim // 2) ** 2
                 stages[stage][scheme.value][str(dim)] = {
-                    "us_per_block": round(took * 1e6 / (dim // 2) ** 2, 4),
+                    "us_per_block": round(scaled * 1e6 / blocks, 4),
+                    "raw_us_per_block": round(raw * 1e6 / blocks, 4),
                     "gen0_per_call": round(gen0, 4),
                 }
     text = message(q, harness_dim, random.Random(f"bench-{harness_dim}"))
@@ -143,18 +153,18 @@ def bench(q, sizes):
         spec = q.CorruptionSpec(strategy, MAGNITUDE, 0)
         strategies[strategy.value] = {}
         for scheme in q.Scheme:
-            took, gen0 = per_call(q.detection_rate, (text, scheme, spec, TRIALS_PER_CALL),
-                                  repeats, seconds)
+            scaled, raw, gen0 = per_call(q.detection_rate, (text, scheme, spec, TRIALS_PER_CALL),
+                                         repeats, seconds, kernel, samples)
             strategies[strategy.value][scheme.value] = {
-                "us_per_trial": round(took * 1e6 / TRIALS_PER_CALL, 4),
+                "us_per_trial": round(scaled * 1e6 / TRIALS_PER_CALL, 4),
+                "raw_us_per_trial": round(raw * 1e6 / TRIALS_PER_CALL, 4),
                 "gen0_per_call": round(gen0, 4),
             }
-    kernel += [measure() for _ in range(11)]
     return {
         "stages": stages,
         "detection_rate": {"dim": harness_dim, "trials_per_call": TRIALS_PER_CALL,
                            "strategies": strategies},
-        "calibration_us": round(statistics.median(kernel) / 1e3, 2),
+        "calibration_us": round(statistics.median(samples) / 1e3, 2),
     }
 
 
