@@ -18,8 +18,9 @@ symbols do not).
 import re
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 
-from .errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol
+from .errors import CodeOutOfRange, UnknownAlphabet, UnknownSymbol, _int_text
 
 DEFAULT_ALPHABET_ID = "default"
 
@@ -126,8 +127,9 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
     __slots__ = ()
 
     def __new__(cls, alphabet: Alphabet, shift: int):
+        shift = index(shift)
         if shift < 1:
-            raise ValueError(f"shift must be >= 1, got {shift}")
+            raise ValueError(f"shift must be >= 1, got {_int_text(shift)}")
         return super().__new__(cls, alphabet, shift)
 
     def code_of(self, symbol: str) -> int:
@@ -160,4 +162,4 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
             return "".join(map(table.__getitem__, codes))
         except _Miss as miss:
             code = miss.args[0]
-        raise CodeOutOfRange(f"code {code} outside [0, {self.alphabet.size})")
+        raise CodeOutOfRange(f"code {_int_text(code)} outside [0, {self.alphabet.size})")

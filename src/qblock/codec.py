@@ -43,7 +43,7 @@ it when called, so encode and decode never load the key matrices.
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import chain, count
+from itertools import count
 from operator import add, floordiv, index, mod, mul, sub
 
 from .alphabet import (
@@ -54,10 +54,11 @@ from .alphabet import (
     _Record,
     get_alphabet,
 )
-from .errors import CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected
+from .errors import CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected, _int_text
 from .layout import (
     MessageMatrix,
     NRule,
+    _cells,
     _columns,
     _flat,
     _grid,
@@ -100,7 +101,7 @@ class CodedMessage(
         _member(n_rule, NRule)
         dim = index(dim)
         if dim < 2 or dim % 2:
-            raise HeaderMismatch(f"dimension must be even and >= 2, got {dim}")
+            raise HeaderMismatch(f"dimension must be even and >= 2, got {_int_text(dim)}")
         ds, k1s, k2s, k3s = tuple(ds), tuple(k1s), tuple(k2s), tuple(k3s)
         if not len(ds) == len(k1s) == len(k2s) == len(k3s):
             lengths = f"ds {len(ds)}, k1s {len(k1s)}, k2s {len(k2s)}, k3s {len(k3s)}"
@@ -110,7 +111,7 @@ class CodedMessage(
             # past ~4300 digits Python refuses to print an int
             implied = expected if expected.bit_length() <= 10_000 else "too many"
             raise HeaderMismatch(
-                f"dimension {dim} implies {implied} rows, payload has {len(ds)}"
+                f"dimension {_int_text(dim)} implies {implied} rows, payload has {len(ds)}"
             )
         _check_id(alphabet_id)
         return super().__new__(cls, scheme, n_rule, dim, alphabet_id, ds, k1s, k2s, k3s)
@@ -149,10 +150,10 @@ def encode(
     """
     _member(scheme, Scheme)
     size = get_alphabet(alphabet_id).size
-    codes = [*chain.from_iterable(matrix.cells)]
+    codes = _cells(matrix)
     if min(values := set(codes)) < 0 or max(values) >= size:  # of the distinct codes only
         code = next(c for c in codes if not 0 <= c < size)
-        raise CodeOutOfRange(f"code {code} outside [0, {size})")
+        raise CodeOutOfRange(f"code {_int_text(code)} outside [0, {size})")
     return _encode(_columns(codes, matrix.dim), scheme, n_rule, matrix.dim, alphabet_id)
 
 
@@ -181,19 +182,19 @@ def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.siz
     d, k1, k2, k3 = row
     for code in (k1, k2, k3):
         if not 0 <= code < size:
-            raise TamperDetected(f"kept code {code} outside [0, {size})")
+            raise TamperDetected(f"kept code {_int_text(code)} outside [0, {size})")
     if lucas:
         pivot, numerator = k2, k1 * k3 - d
     else:
         pivot, numerator = k1, d + k2 * k3
     if pivot == 0:
         # the determinant does not involve the dropped element
-        raise TamperDetected(f"zero pivot, dropped element unrecoverable (d={d})")
+        raise TamperDetected(f"zero pivot, dropped element unrecoverable (d={_int_text(d)})")
     x, remainder = divmod(numerator, pivot)
     if remainder != 0:
-        raise TamperDetected(f"no exact solution for dropped element (d={d})")
+        raise TamperDetected(f"no exact solution for dropped element (d={_int_text(d)})")
     if not 0 <= x < size:
-        raise TamperDetected(f"recovered code {x} outside [0, {size})")
+        raise TamperDetected(f"recovered code {_int_text(x)} outside [0, {size})")
     return x
 
 

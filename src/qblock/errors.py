@@ -53,3 +53,11 @@ class MalformedPayload(QblockError):
 
 class NotEnoughRows(QblockError):
     """The corruption strategy needs more rows than the payload has."""
+
+
+def _int_text(value) -> str:
+    """`value` as str() shows it, or, for an int past the int-string limit, its size."""
+    try:
+        return str(value)
+    except ValueError:  # str() refuses an int longer than the interpreter's limit
+        return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer"

@@ -21,7 +21,7 @@ from operator import index
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
 from .codec import CodedMessage, Scheme, encode_text, solve_missing
-from .errors import NotEnoughRows, TamperDetected
+from .errors import NotEnoughRows, TamperDetected, _int_text
 from .layout import NRule, _member
 
 OUTCOME_DETECTED = "detected"
@@ -42,7 +42,7 @@ class CorruptionSpec(_Record, namedtuple("CorruptionSpec", "strategy magnitude s
         _member(strategy, Strategy)
         magnitude, seed = index(magnitude), index(seed)
         if magnitude < 1:
-            raise ValueError(f"magnitude must be >= 1, got {magnitude}")
+            raise ValueError(f"magnitude must be >= 1, got {_int_text(magnitude)}")
         return super().__new__(cls, strategy, magnitude, seed)
 
 
@@ -136,7 +136,7 @@ def detection_rate(
     """Corrupt `trials` times and tally decode's verdicts, each taken by
     solving only the rows `_damage` edits (see the module docstring)."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValueError(f"trials must be >= 1, got {_int_text(trials)}")
     coded = encode_text(message, scheme, n_rule, alphabet_id)
     size = get_alphabet(coded.alphabet_id).size
     draw, rng = _drawer(coded, spec), random.Random(spec.seed)

@@ -14,10 +14,12 @@ screens for strays with the alphabet's own table of shift 0 from `_lookup`.
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import chain, count
+from functools import reduce
+from itertools import count
+from operator import iconcat, index
 
 from .alphabet import Alphabet, CharTable, _Miss, _Record, _lookup
-from .errors import BadLength, EmptyMessage, UnknownSymbol
+from .errors import BadLength, EmptyMessage, UnknownSymbol, _int_text
 
 PAD_SYMBOL = "0"
 
@@ -35,10 +37,11 @@ class MessageMatrix(_Record, namedtuple("MessageMatrix", "dim cells")):
     __slots__ = ()
 
     def __new__(cls, dim: int, cells: tuple[tuple[int, ...], ...]):
+        dim = index(dim)
         if dim < 2 or dim % 2:
-            raise BadLength(f"matrix dimension must be even and >= 2, got {dim}")
+            raise BadLength(f"matrix dimension must be even and >= 2, got {_int_text(dim)}")
         if len(cells) != dim or any(len(row) != dim for row in cells):
-            raise BadLength(f"cell grid does not match dimension {dim}")
+            raise BadLength(f"cell grid does not match dimension {_int_text(dim)}")
         return super().__new__(cls, dim, cells)
 
 
@@ -95,7 +98,12 @@ def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:
 
 def to_symbols(matrix: MessageMatrix, table: CharTable) -> str:
     """Row-major symbol string of a code matrix (inverse of to_matrix)."""
-    return table._symbols_of([*chain.from_iterable(matrix.cells)])
+    return table._symbols_of(_cells(matrix))
+
+
+def _cells(matrix: MessageMatrix) -> list[int]:
+    """The grid's codes, row-major, in one list built by a `+=` per row."""
+    return reduce(iconcat, matrix.cells, [])
 
 
 def _columns(codes, dim: int):
@@ -127,16 +135,17 @@ def _grid(b1, b2, b3, b4, dim: int) -> tuple[tuple[int, ...], ...]:
 
 def to_blocks(matrix: MessageMatrix) -> list[Block]:
     """Split into 2x2 blocks, left to right within a row of blocks, rows top down."""
-    return list(map(Block, count(1), *_columns([*chain.from_iterable(matrix.cells)], matrix.dim)))
+    return list(map(Block, count(1), *_columns(_cells(matrix), matrix.dim)))
 
 
 def reassemble(blocks: list[Block], dim: int) -> MessageMatrix:
     """Rebuild the matrix from its block sequence (inverse of to_blocks)."""
     if dim < 2 or dim % 2:
-        raise BadLength(f"matrix dimension must be even and >= 2, got {dim}")
+        raise BadLength(f"matrix dimension must be even and >= 2, got {_int_text(dim)}")
     m = dim // 2
     if len(blocks) != m * m:
-        raise BadLength(f"expected {m * m} blocks for dimension {dim}, got {len(blocks)}")
+        raise BadLength(f"expected {_int_text(m * m)} blocks for dimension {_int_text(dim)}, "
+                        f"got {len(blocks)}")
     _, *columns = zip(*blocks)  # index, then the element columns b1..b4
     return MessageMatrix(dim, _grid(*columns, dim))
 
@@ -152,8 +161,9 @@ def _member(value, kind: type[Enum]):
 
 def choose_n(b: int, rule: NRule) -> int:
     """Key index for b blocks under the selected rule."""
+    b = index(b)
     if b < 1:
-        raise ValueError(f"block count must be >= 1, got {b}")
+        raise ValueError(f"block count must be >= 1, got {_int_text(b)}")
     if _member(rule, NRule) is NRule.HALF:
         return b if b <= 3 else b // 2
     return 3 if b <= 3 else b

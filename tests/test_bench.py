@@ -1,4 +1,5 @@
-"""tools/bench.py runs at tiny sizes and writes the documented schema."""
+"""tools/bench.py runs at tiny sizes and writes the documented schema, and the
+benchmark under perfbench/ passes its own self-check."""
 
 import json
 import subprocess
@@ -40,3 +41,11 @@ def test_tiny_run_writes_the_schema(tmp_path):
             assert sorted(cell) == ["gen0_per_call", "raw_us_per_trial", "us_per_trial"]
             assert min(cell["us_per_trial"], cell["raw_us_per_trial"]) > 0
             assert cell["gen0_per_call"] >= 0
+
+
+def test_benchmark_selfcheck_passes():
+    # every workload at tiny sizes, in both trace modes; it writes only under perfbench/out/
+    done = subprocess.run([sys.executable, "perfbench/selfcheck.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "selfcheck ok"

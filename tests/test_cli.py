@@ -218,27 +218,36 @@ def test_demo_reports_a_wrong_pinned_value_and_exits_1(capsys, monkeypatch):
     assert "verification: OK" not in out
 
 
-def test_harness_summary_and_csv(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "scheme,strategy,options,counts",
+    [
+        ("lucas", "perturb-d", ["--seed", "3", "--magnitude", "5"], "detected="),
+        # swap-rows exchanges two rows that differ, and each still solves
+        ("mine", "swap-rows", [], "detected=0 miscorrected=20 "),
+    ],
+    ids=["perturb-d", "swap-rows"],
+)
+def test_harness_summary_and_csv(scheme, strategy, options, counts, tmp_path, capsys,
+                                 monkeypatch):
     csv_file = tmp_path / "trials.csv"
     code, out, _ = run_cli(
         [
             "harness",
-            "--scheme", "lucas",
-            "--strategy", "perturb-d",
+            "--scheme", scheme,
+            "--strategy", strategy,
             "--trials", "20",
-            "--seed", "3",
-            "--magnitude", "5",
+            *options,
             "--csv", str(csv_file),
         ],
         capsys,
         monkeypatch,
     )
     assert code == 0
-    assert "trials=20" in out and "detected=" in out
+    assert f"trials=20 {counts}" in out
     lines = csv_file.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "trial,strategy,outcome"
     assert len(lines) == 21
-    assert lines[1].startswith("0,perturb-d,")
+    assert lines[1].startswith(f"0,{strategy},")
 
 
 def test_harness_deterministic(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ import golden
 from bruteforce import fib, key_det, luc, scan_lucas, scan_mine
 from payloads import from_rows, with_rows
 from qblock import alphabet, layout, numtheory
-from qblock.alphabet import Alphabet, register_alphabet
+from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
 from qblock.codec import (
     CodedMessage,
     DecodeTrace,
@@ -22,6 +23,7 @@ from qblock.codec import (
 )
 from qblock.demo import run_demo
 from qblock.errors import (
+    BadLength,
     CodeOutOfRange,
     DegenerateBlock,
     HeaderMismatch,
@@ -29,7 +31,7 @@ from qblock.errors import (
     UnknownAlphabet,
 )
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate
-from qblock.layout import MessageMatrix, NRule, choose_n, to_blocks
+from qblock.layout import MessageMatrix, NRule, choose_n, reassemble, to_blocks, to_symbols
 from qblock.numtheory import Family
 from qblock.wire import parse, serialize
 
@@ -123,6 +125,53 @@ def test_a_scheme_or_n_rule_that_is_not_a_member_is_a_type_error(call, value):
     # a value that is not a member must not fall through to another member's branch
     with pytest.raises(TypeError, match=f"member, got {value!r}$"):
         call(value)
+
+
+# ---- an error text never fails on an int too long to print ----
+
+BIG = 10**5000  # str(BIG) raises ValueError: past the interpreter's int-string limit
+SIZE = f"a {BIG.bit_length()}-bit integer"
+NEGATIVE = f"a negative {BIG.bit_length()}-bit integer"
+NO_ROWS = ((), (), (), ())
+LUCAS = Scheme.LUCAS_BLOCKING
+TABLE = CharTable(DEFAULT_ALPHABET, 1)
+OVERSIZED = {
+    "solve_missing-kept": (lambda: solve_missing(FRow(0, BIG, 1, 1), LUCAS), TamperDetected,
+                           f"kept code {SIZE} outside"),
+    "solve_missing-zero-pivot": (lambda: solve_missing(FRow(BIG, 1, 0, 1), LUCAS), TamperDetected,
+                                 f"unrecoverable (d={SIZE})"),
+    "solve_missing-inexact": (lambda: solve_missing(FRow(BIG + 1, 0, 2, 0), LUCAS),
+                              TamperDetected, f"dropped element (d={SIZE})"),
+    "solve_missing-x": (lambda: solve_missing(FRow(-BIG, 0, 1, 0), LUCAS), TamperDetected,
+                        f"recovered code {SIZE} outside"),
+    "encode": (lambda: encode(MessageMatrix(2, ((1, 1), (BIG, 1))), LUCAS), CodeOutOfRange,
+               f"code {SIZE} outside"),
+    "symbol_of": (lambda: TABLE.symbol_of(BIG), CodeOutOfRange, f"code {SIZE} outside"),
+    "to_symbols": (lambda: to_symbols(MessageMatrix(2, ((1, 1), (1, BIG))), TABLE),
+                   CodeOutOfRange, f"code {SIZE} outside"),
+    "CharTable": (lambda: CharTable(DEFAULT_ALPHABET, -BIG), ValueError, f"got {NEGATIVE}"),
+    "choose_n": (lambda: choose_n(-BIG, NRule.HALF), ValueError, f"got {NEGATIVE}"),
+    "MessageMatrix-odd": (lambda: MessageMatrix(BIG + 1, ()), BadLength, f"got {SIZE}"),
+    "MessageMatrix-cells": (lambda: MessageMatrix(BIG, ()), BadLength, f"dimension {SIZE}"),
+    "CodedMessage-odd": (lambda: CodedMessage(LUCAS, NRule.HALF, BIG + 1, "default", *NO_ROWS),
+                         HeaderMismatch, f"got {SIZE}"),
+    "CodedMessage-rows": (lambda: CodedMessage(LUCAS, NRule.HALF, BIG, "default", *NO_ROWS),
+                          HeaderMismatch, f"dimension {SIZE} implies too many rows"),
+    "reassemble-odd": (lambda: reassemble([], BIG + 1), BadLength, f"got {SIZE}"),
+    "reassemble-blocks": (lambda: reassemble([], BIG), BadLength, f"for dimension {SIZE}"),
+    "CorruptionSpec": (lambda: CorruptionSpec(Strategy.PERTURB_D, -BIG), ValueError,
+                       f"got {NEGATIVE}"),
+    "detection_rate": (
+        lambda: detection_rate("HI", LUCAS, CorruptionSpec(Strategy.PERTURB_D), -BIG),
+        ValueError, f"got {NEGATIVE}",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, text", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_an_error_text_shows_an_oversized_int_by_its_size(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
 
 
 # ---- the row type ----

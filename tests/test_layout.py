@@ -270,3 +270,9 @@ def test_choose_n_half_below_tas_beyond_three():
 def test_choose_n_rejects_nonpositive():
     with pytest.raises(ValueError):
         choose_n(0, NRule.HALF)
+
+
+def test_choose_n_takes_the_block_count_as_an_int():
+    with pytest.raises(TypeError):
+        choose_n(2.5, NRule.HALF)
+    assert type(choose_n(True, NRule.HALF)) is int and choose_n(True, NRule.TAS) == 3

@@ -114,7 +114,7 @@ def test_start_up_and_round_trips_without_site_load_no_forbidden_module():
     assert not loaded_after(NO_SITE_ROUND_TRIPS, "-S") & forbidden
 
 
-def test_strategy_choices_are_the_strategy_values():
+def test_strategy_choices_are_the_strategy_values(capsys):
     from qblock.cli import STRATEGIES
 
     assert list(STRATEGIES) == [s.value for s in Strategy]
@@ -123,3 +123,7 @@ def test_strategy_choices_are_the_strategy_values():
     for value in STRATEGIES:
         args = build_parser().parse_args(["harness", "--scheme", "lucas", "--strategy", value])
         assert args.strategy == value
+    with pytest.raises(SystemExit, match="^0$"):
+        build_parser().parse_args(["harness", "--help"])
+    help_text = capsys.readouterr().out
+    assert [value for value in STRATEGIES if value in help_text] == list(STRATEGIES)

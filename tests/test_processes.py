@@ -1,0 +1,106 @@
+"""The CLI as real processes: `python -m qblock.cli` runs and pipes between them.
+
+Each row feeds bytes to the first stage and each process's stdout to the next
+stage; a stage is either an argv for the CLI or an edit of the payload in
+flight.  A row pins the exit code of every process, the last one's stdout,
+and how its stderr starts.  No process may print a traceback, whatever its
+input: the CLI exits 0, 1 or 2.
+"""
+
+import os
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+LUCAS = ["encode", "--scheme", "lucas"]
+DECODE = ["decode"]
+HI = b"HI THERE\n"
+# no 'O' or 'W', the symbols that code 0 falls on at n = 4096 (tas) and n = 2048 (half)
+LONG = "HI THERE! " * 1600
+HEADER = "QBLK1;scheme=mine;nrule=half;dim=2;alpha=default\n"
+
+
+def set_d(line_no: int, d: bytes):
+    """An edit of a payload that sets the d field of line `line_no` (1-based)."""
+    def edit(payload: bytes) -> bytes:
+        lines = payload.split(b"\n")
+        lines[line_no - 1] = d + b"," + lines[line_no - 1].split(b",", 1)[1]
+        return b"\n".join(lines)
+    return edit
+
+
+def crlf(payload: bytes) -> bytes:
+    return payload.replace(b"\n", b"\r\n")
+
+
+# err: how the last stderr starts, a whole line ending in "\n"; "" asks for no stderr at all
+Row = namedtuple("Row", "stdin stages codes out err")
+ROWS = {
+    "pipe": Row(HI, [LUCAS, DECODE], (0, 0), "HI0THERE00000000\n", ""),
+    # a file is read with universal newlines; real stdin must be too
+    "crlf-stdin": Row(HI, [LUCAS, crlf, DECODE], (0, 0), "HI0THERE00000000\n", ""),
+    **{
+        f"dim-128-{scheme}-{rule}": Row(
+            f"{LONG}\n".encode(),
+            [["encode", "--scheme", scheme, "--n-rule", rule], DECODE],
+            (0, 0),
+            LONG.replace(" ", "0").ljust(128 * 128, "0") + "\n",
+            "",
+        )
+        for rule in ("half", "tas")
+        for scheme in ("lucas", "mine")
+    },
+    "tampered": Row(HI, [LUCAS, set_d(2, b"999"), DECODE], (0, 1), "",
+                    "error: TamperDetected: block 1: "),
+    "malformed": Row(HI, [LUCAS, set_d(3, b"01"), DECODE], (0, 1), "",
+                     "error: MalformedPayload: line 3: '01' is not a canonical integer\n"),
+    # x = 10**4300 + 840 has 4301 digits, past the interpreter's int-string limit
+    "oversized-x": Row(
+        f"{HEADER}{'9' * 4300},1,29,29\n".encode(), [DECODE], (1,), "",
+        "error: TamperDetected: block 1: recovered code a 14285-bit integer outside [0, 30)\n",
+    ),
+    "long-token": Row(f"{HEADER}{'9' * 4301},1,29,29\n".encode(), [DECODE], (1,), "",
+                      "error: MalformedPayload: line 2: 4301-digit integer is too long\n"),
+    "missing-input": Row(b"", [["decode", "-i", "missing.txt"]], (1,), "",
+                         "error: FileNotFoundError: [Errno 2] No such file or directory: "
+                         "'missing.txt'\n"),
+    "missing-dir": Row(HI, [[*LUCAS, "-o", "nodir/x"]], (1,), "",
+                       "error: FileNotFoundError: [Errno 2] No such file or directory: "
+                       "'nodir/x'\n"),
+    # how undecodable bytes surface depends on the locale's stdin error handler
+    "undecodable-encode": Row(b"\xff\xfe", [LUCAS], (1,), "", "error: "),
+    "undecodable-decode": Row(b"\xff\xfe", [DECODE], (1,), "", "error: "),
+    "empty-stdin": Row(b"", [LUCAS], (1,), "", "error: EmptyMessage: message text is empty\n"),
+    "unknown-flag": Row(b"", [[*DECODE, "-x"]], (2,), "",
+                        "usage: qblock [-h] {encode,decode,demo,harness} ...\n"
+                        "qblock: error: unrecognized arguments: -x\n"),
+}
+
+
+def run(stdin: bytes, stages, cwd) -> list[subprocess.CompletedProcess]:
+    """The processes of `stages`, each fed the stdout before it, edits applied in between."""
+    procs, data = [], stdin
+    for stage in stages:
+        if callable(stage):
+            data = stage(data)
+            continue
+        procs.append(subprocess.run([sys.executable, "-m", "qblock.cli", *stage], input=data,
+                                    capture_output=True, env=ENV, cwd=cwd, timeout=120))
+        data = procs[-1].stdout
+    return procs
+
+
+@pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
+def test_cli_process(row, tmp_path):
+    procs = run(row.stdin, row.stages, tmp_path)
+    assert tuple(proc.returncode for proc in procs) == row.codes
+    assert procs[-1].stdout.decode() == row.out
+    err = procs[-1].stderr.decode()
+    assert err.startswith(row.err) if row.err else err == ""
+    assert not [proc.stderr for proc in procs if b"Traceback" in proc.stderr]

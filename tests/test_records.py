@@ -41,6 +41,8 @@ CHECKED = {
     "CodedMessage-id-newline": (CODED, {"alphabet_id": "x\n"}, ValueError),
     "MessageMatrix-dim": (MessageMatrix(2, ((1, 2), (3, 4))), {"dim": 4}, BadLength),
     "MessageMatrix-cells": (MessageMatrix(2, ((1, 2), (3, 4))), {"cells": ((1, 2),)}, BadLength),
+    # refused when built, not when `encode` or a lookup first reads the field
+    "MessageMatrix-float-dim": (MessageMatrix(2, ((1, 2), (3, 4))), {"dim": 2.0}, TypeError),
     "Alphabet-id": (AB, {"id": "a b"}, ValueError),
     "Alphabet-symbols": (AB, {"symbols": tuple("aa")}, ValueError),
     "CorruptionSpec": (CorruptionSpec(Strategy.PERTURB_D), {"magnitude": 0}, ValueError),
@@ -54,6 +56,7 @@ CHECKED = {
                                      TypeError),
     "CorruptionSpec-float-seed": (CorruptionSpec(Strategy.PERTURB_D), {"seed": 1.5}, TypeError),
     "CharTable-shift": (CharTable(AB, 3), {"shift": 0}, ValueError),
+    "CharTable-float-shift": (CharTable(AB, 3), {"shift": 1.5}, TypeError),
 }
 
 
@@ -65,6 +68,13 @@ def test_replace_raises_what_the_constructor_raises(record, fields, error):
         record._replace(**fields)
     with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
         type(record)._make({**record._asdict(), **fields}.values())
+
+
+def test_an_int_field_reads_a_bool_as_its_int():
+    assert repr(CharTable(AB, True)) == repr(CharTable(AB, 1))
+    assert type(CharTable(AB, True).shift) is int
+    with pytest.raises(BadLength, match="^matrix dimension must be even and >= 2, got 1$"):
+        MessageMatrix(True, ((1,),))
 
 
 @pytest.mark.parametrize("record", [CODED, MessageMatrix(2, ((1, 2), (3, 4))), AB,
