@@ -94,6 +94,9 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
         raise UnknownAlphabet(f"no alphabet registered under id {alphabet_id!r}") from None
 
 
+_BYTES = bytes(range(256))  # the codes of a byte: at most 256 symbols convert as bytes
+
+
 class _Miss(Exception):
     """Carries the key that a `_Refusing` table lacks."""
 
@@ -141,7 +144,7 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
     def _codes_of(self, symbols) -> bytearray | list[int]:
         alphabet = self.alphabet
         start = self.shift % alphabet.size
-        by_ordinal = isinstance(symbols, str) and alphabet.size <= 256
+        by_ordinal = isinstance(symbols, str) and alphabet.size <= len(_BYTES)
         try:
             if by_ordinal:
                 coded = symbols.translate(_lookup(alphabet, start, "ord"))

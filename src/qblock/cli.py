@@ -59,8 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path):
     if path is None:
-        # the universal-newline translation open() gives a file
-        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+        # strict UTF-8 and universal newlines, as open() reads a file; a StringIO has no buffer
+        stream = getattr(sys.stdin, "buffer", None)
+        text = sys.stdin.read() if stream is None else stream.read().decode("utf-8")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     with open(path, encoding="utf-8") as handle:
         return handle.read()
 

@@ -9,21 +9,22 @@ dropped one:
   MINESWEEPER      keeps (b1, b2, b3), drops b4:   b4 = (d + b2*b3) / b1
 
 A payload is four columns in block order, which `layout` alone writes
-down: the determinants `ds` and the kept codes `k1s`, `k2s`, `k3s`.
-`_encode` computes them from the block columns of `_columns`; `_solve`
-returns the block columns (k1, k2, x, k3), resp. (k1, k2, k3, x).
-The dropped element is unique exactly when the pivot (b2, resp. b1) is
+down: the determinants `ds` and the kept codes `k1s`, `k2s`, `k3s`.  The
+dropped element is unique exactly when the pivot (b2, resp. b1) is
 nonzero, so encoding refuses zero-pivot blocks, and codes outside the
 alphabet, up front; any corruption that leaves no exact in-range solution
 is reported as tampering.
 
-`_solve` accepts a payload by one test over the columns that makes ints
-only, no pair per row: kept codes in range, no zero pivot, and every x
-(`floordiv` of the numerators) exact (`mod`) and in range.  Otherwise
-`solve_missing`, the one per-row verdict, names the first row it rejects.
-`decode` hands its columns to `_grid`; the text paths build no
-`MessageMatrix`: `encode_text` hands the table's in-range codes (bytes) to
-`_columns`, and `decode_text` maps `_flat` of the columns through the table.
+`_encode` computes the columns from the block columns of `_columns`.
+`_solve` returns the block columns (k1, k2, x, k3), resp. (k1, k2, k3, x),
+after one test over the columns, no pair per row: kept codes in range, no
+zero pivot, every x (`floordiv` of the numerators) exact (`mod`) and in
+range.  For an alphabet of at most 256 symbols it tests and returns each
+column as `bytes`.  Otherwise `solve_missing`, the one per-row verdict,
+names the first row it rejects.  `decode` hands the columns to `_grid`;
+the text paths build no `MessageMatrix`: `encode_text` cuts the table's
+codes (bytes) with `_columns`, and `decode_text` maps `_flat` of the
+columns through the table.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -36,8 +37,9 @@ carries the factor det(K), so the key cancels and the equation reduces to
 the identities above.  `decode_with_trace` reports the paper's per-block
 record: the key (r_matrix(n) for every LUCAS_BLOCKING block; for
 MINESWEEPER q_power(n) on odd-indexed blocks, r_matrix(n) on even ones),
-e1, e2 and the recovered x.  It is the only user of `numtheory` and imports
-it when called, so encode and decode never load the key matrices.
+e1, e2 (computed once per key and (b1, b2)) and the recovered x.  It is the
+only user of `numtheory` and imports it when called, so encode and decode
+never load the key matrices.
 """
 
 import math
@@ -49,6 +51,7 @@ from operator import add, floordiv, index, mod, mul, sub
 from .alphabet import (
     DEFAULT_ALPHABET,
     DEFAULT_ALPHABET_ID,
+    _BYTES,
     CharTable,
     _check_id,
     _Record,
@@ -198,27 +201,38 @@ def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.siz
     return x
 
 
+def _in_range(codes, size: int):
+    """`codes` if all are in [0, size), as bytes if size <= 256; else None."""
+    if size <= len(_BYTES):
+        try:  # bytes() refuses all but an int in range(256), and leaves those to the test below
+            codes = bytes(codes)
+            return None if codes.translate(None, _BYTES[:size]) else codes
+        except (TypeError, ValueError):
+            pass
+    return codes if 0 <= min(codes) and max(codes) < size else None
+
+
 def _solve(coded: CodedMessage):
     """(k1s, k2s, xs, k3s), resp. (k1s, k2s, k3s, xs): the block columns of
-    the payload's grid.  Raises what `decode` raises."""
+    the payload's grid, as `_in_range` gives them.  Raises what `decode` raises."""
     size = get_alphabet(coded.alphabet_id).size
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
-    ds, k1s, k2s, k3s = coded.ds, coded.k1s, coded.k2s, coded.k3s
-    pivots = k2s if lucas else k1s
-    kept = set(k1s).union(k2s, k3s)
+    ds = coded.ds
+    kept = [_in_range(column, size) for column in (coded.k1s, coded.k2s, coded.k3s)]
     start = 0
-    if 0 <= min(kept) and max(kept) < size and 0 not in pivots:
+    if None not in kept and 0 not in kept[1 if lucas else 0]:
+        k1s, k2s, k3s = kept
         if lucas:
-            numerators = [*map(sub, map(mul, k1s, k3s), ds)]
+            pivots, numerators = k2s, [*map(sub, map(mul, k1s, k3s), ds)]
         else:
-            numerators = [*map(add, ds, map(mul, k2s, k3s))]
+            pivots, numerators = k1s, [*map(add, ds, map(mul, k2s, k3s))]
         xs = [*map(floordiv, numerators, pivots)]
         remainders = [*map(mod, numerators, pivots)]
-        if not any(remainders) and 0 <= min(xs) and max(xs) < size:
-            return (k1s, k2s, xs, k3s) if lucas else (k1s, k2s, k3s, xs)
+        if not any(remainders) and (column := _in_range(xs, size)) is not None:
+            return (k1s, k2s, column, k3s) if lucas else (k1s, k2s, k3s, column)
         start = next(i for i in range(len(xs)) if remainders[i] or not 0 <= xs[i] < size)
     # from start, a lower bound on the first bad row, the per-row verdict names it
-    rows = zip(ds[start:], k1s[start:], k2s[start:], k3s[start:])
+    rows = zip(ds[start:], coded.k1s[start:], coded.k2s[start:], coded.k3s[start:])
     for index, row in enumerate(rows, start + 1):
         try:
             solve_missing(row, coded.scheme, size=size)
@@ -245,12 +259,13 @@ def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeT
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
     odd_key = rmat if lucas else numtheory.q_power(coded.n)
-    traces = []
+    traces, products = [], {}  # (e1, e2) by (key is rmat, b1, b2): at most 2 * size**2 of them
     for index, b1, b2, x in zip(count(1), b1s, b2s, b3s if lucas else b4s):
         key = odd_key if index % 2 else rmat
-        e1 = key.m11 * b1 + key.m21 * b2
-        e2 = key.m12 * b1 + key.m22 * b2
-        traces.append(DecodeTrace(index, e1, e2, x, key))
+        block = key is rmat, b1, b2
+        if (pair := products.get(block)) is None:
+            pair = products[block] = (key.m11 * b1 + key.m21 * b2, key.m12 * b1 + key.m22 * b2)
+        traces.append(DecodeTrace(index, *pair, x, key))
     return MessageMatrix(coded.dim, _grid(*columns, coded.dim)), tuple(traces)
 
 

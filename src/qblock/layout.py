@@ -6,9 +6,10 @@ string fills an even-sided square matrix row-major, and the matrix splits
 into 2x2 blocks numbered left to right, top to bottom.  The number of blocks
 b fixes the key index n.  That order is written only here, in one inverse
 pair: `_columns` cuts row-major codes (a bytearray or list) into the blocks'
-element columns and `_flat` lays them out row-major; `_grid` is the rows of `_flat`.  `to_matrix`/
-`to_symbols` map whole sequences through the table at once; `preprocess`
-screens for strays with the alphabet's own table of shift 0 from `_lookup`.
+element columns and `_flat` lays bytes or other columns out row-major in a
+bytearray or list; `_grid` is the rows of `_flat`.  `to_matrix`/`to_symbols`
+map whole sequences through the table at once; `preprocess` screens for
+strays with the alphabet's own table of shift 0 from `_lookup`.
 """
 
 import math
@@ -116,11 +117,12 @@ def _columns(codes, dim: int):
     return tops[0::2], tops[1::2], bottoms[0::2], bottoms[1::2]
 
 
-def _flat(b1, b2, b3, b4, dim: int) -> list[int]:
+def _flat(b1, b2, b3, b4, dim: int) -> bytearray | list[int]:
     """Row-major codes of a dim x dim grid from its blocks' element columns."""
-    tops, bottoms = [0] * (2 * len(b1)), [0] * (2 * len(b3))
+    zero = bytearray(1) if isinstance(b1, bytes) else [0]
+    tops, bottoms = zero * (2 * len(b1)), zero * (2 * len(b3))
     tops[0::2], tops[1::2], bottoms[0::2], bottoms[1::2] = b1, b2, b3, b4
-    flat = []
+    flat = zero[:0]
     for start in range(0, len(tops), dim):  # one row of blocks: its top row, then its bottom row
         flat += tops[start : start + dim]
         flat += bottoms[start : start + dim]

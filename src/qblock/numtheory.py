@@ -17,6 +17,8 @@ Everything is plain Python int, so the identities hold exactly for any n.
 from collections import namedtuple
 from enum import Enum
 
+from .errors import _int_text
+
 
 class Family(Enum):
     """Which key family a matrix belongs to."""
@@ -44,7 +46,7 @@ def _terms(n: int, a: int, b: int) -> tuple[int, int]:
 
 def _check_index(n: int) -> None:
     if n < 1:
-        raise ValueError(f"key index must be >= 1, got {n}")
+        raise ValueError(f"key index must be >= 1, got {_int_text(n)}")
 
 
 def q_power(n: int) -> KeyMatrix:

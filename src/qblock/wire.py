@@ -14,6 +14,9 @@ deleted, each line must read ',,,'.  It then splits the body once into
 tokens and converts each by one lookup in `_TOKENS`, a memo of canonical
 tokens; every fourth one is a column of the `CodedMessage`.  A refused body
 is read line by line to name its fault, each token through that same memo.
+
+serialize mirrors it: one lookup per int in `_COMMA` or `_LINE`, memos of the
+int's text then ',' or '\\n', four column-wide maps into one list, one join.
 """
 
 import re
@@ -51,14 +54,35 @@ class _Memo(dict):
 _TOKENS = _Memo()
 
 
+class _Text(dict):
+    """Int -> its text, then `end`: an equal True or 2.0 reads as 1 or 2.  A miss
+    that equals no int raises TypeError, one past the int-string limit ValueError.
+    Only texts of at most 4 characters are kept, so it never holds more than 10,999."""
+
+    def __init__(self, end: str):
+        self.end = end
+
+    def __missing__(self, value):
+        if (number := int(value)) != value:
+            raise TypeError(f"cannot serialize {value!r}: not an integer")
+        if len(text := str(number)) <= 4:
+            self[number] = text + self.end
+        return text + self.end
+
+
+_COMMA, _LINE = _Text(","), _Text("\n")
+
+
 def serialize(coded: CodedMessage) -> str:
-    ints = [None] * (4 * len(coded.ds))
-    # the columns interleaved row by row, then formatted by one %
-    ints[0::4], ints[1::4], ints[2::4], ints[3::4] = coded.ds, coded.k1s, coded.k2s, coded.k3s
+    texts = [None] * (4 * len(coded.ds))  # each column's texts, interleaved row by row
+    texts[0::4] = map(_COMMA.__getitem__, coded.ds)
+    texts[1::4] = map(_COMMA.__getitem__, coded.k1s)
+    texts[2::4] = map(_COMMA.__getitem__, coded.k2s)
+    texts[3::4] = map(_LINE.__getitem__, coded.k3s)
     return (
         f"{MAGIC};scheme={coded.scheme.value};nrule={coded.n_rule.value}"
         f";dim={coded.dim};alpha={coded.alphabet_id}\n"
-    ) + ("%s,%s,%s,%s\n" * len(coded.ds)) % tuple(ints)
+    ) + "".join(texts)
 
 
 def _parse_int(token: str, line_no: int) -> int:

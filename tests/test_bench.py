@@ -1,5 +1,5 @@
-"""tools/bench.py runs at tiny sizes and writes the documented schema, and the
-benchmark under perfbench/ passes its own self-check."""
+"""tools/bench.py runs at tiny sizes and writes the documented schema, compares
+two records, and the benchmark under perfbench/ passes its own self-check."""
 
 import json
 import subprocess
@@ -41,6 +41,27 @@ def test_tiny_run_writes_the_schema(tmp_path):
             assert sorted(cell) == ["gen0_per_call", "raw_us_per_trial", "us_per_trial"]
             assert min(cell["us_per_trial"], cell["raw_us_per_trial"]) > 0
             assert cell["gen0_per_call"] >= 0
+
+
+def test_compare_prints_new_over_old_per_stage_and_strategy(tmp_path):
+    def record(us):
+        cell = {"us_per_block": us, "raw_us_per_block": us, "gen0_per_call": 0}
+        trial = {"us_per_trial": 10 * us, "raw_us_per_trial": 10 * us, "gen0_per_call": 0}
+        return {"stages": {"serialize": {"lucas": {"128": cell, "8": cell}}},
+                "detection_rate": {"dim": 32, "trials_per_call": 8,
+                                   "strategies": {"swap-rows": {"mine": trial}}}}
+
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record(2.0)), encoding="utf-8")
+    new.write_text(json.dumps(record(1.5)), encoding="utf-8")
+    done = subprocess.run([sys.executable, str(TOOL), "--compare", str(old), str(new)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert [line.split() for line in done.stdout.splitlines()] == [
+        ["stage", "scheme", "dim", "old", "us", "new", "us", "new/old"],
+        ["serialize", "lucas", "8", "2.0000", "1.5000", "0.750"],
+        ["serialize", "lucas", "128", "2.0000", "1.5000", "0.750"],
+        ["detection_rate", "swap-rows", "mine", "32", "20.0000", "15.0000", "0.750"],
+    ]
 
 
 def test_benchmark_selfcheck_passes():

@@ -1,13 +1,14 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
 import golden
 from bruteforce import fib, key_det, luc, scan_lucas, scan_mine
 from payloads import from_rows, with_rows
-from qblock import alphabet, layout, numtheory
+from qblock import alphabet, codec, layout, numtheory
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
 from qblock.codec import (
     CodedMessage,
@@ -31,7 +32,15 @@ from qblock.errors import (
     UnknownAlphabet,
 )
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate
-from qblock.layout import MessageMatrix, NRule, choose_n, reassemble, to_blocks, to_symbols
+from qblock.layout import (
+    MessageMatrix,
+    NRule,
+    choose_n,
+    reassemble,
+    to_blocks,
+    to_matrix,
+    to_symbols,
+)
 from qblock.numtheory import Family
 from qblock.wire import parse, serialize
 
@@ -414,6 +423,54 @@ def test_trace_x_is_the_dropped_element():
             assert [t.index for t in traces] == [b.index for b in blocks]
             dropped = [b.b3 if scheme is Scheme.LUCAS_BLOCKING else b.b4 for b in blocks]
             assert [t.x for t in traces] == dropped
+
+
+def message(alphabet, dim, n_rule, rng):
+    """dim * dim symbols of `alphabet`, none of them the one its table codes
+    to 0, so that no pivot is zero."""
+    n = choose_n((dim // 2) ** 2, n_rule)
+    symbols = [s for s in alphabet.symbols if s != alphabet.symbols[-n % alphabet.size]]
+    return "".join(rng.choice(symbols) for _ in range(dim * dim))
+
+
+def test_a_dim_128_tas_trace_holds_one_pair_of_helper_products_per_key_and_pair_of_codes():
+    # 4096 blocks at n = 4096, where e1 and e2 have about 2840 bits each: with
+    # a pair per block the trace held 3.98 MB, with one per (key, b1, b2), at
+    # most 2 * 30**2 of them, it holds 1.89 MB (Python 3.11)
+    coded = encode_text(message(DEFAULT_ALPHABET, 128, NRule.TAS, random.Random(5)),
+                        Scheme.MINESWEEPER, NRule.TAS)
+    decode_with_trace(coded)  # the tables it looks up, outside the measurement
+    tracemalloc.start()
+    try:
+        decoded, traces = decode_with_trace(coded)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == 4096 and decoded == decode(coded)
+    assert held < 2_500_000
+
+
+WIDE = Alphabet("codec-wide", tuple(chr(0x100 + i) for i in range(300)))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, WIDE], ids=["bytes", "list"])
+def test_both_column_paths_round_trip_and_agree_with_the_scan(alphabet, scheme):
+    # the default alphabet's accepted columns are bytes; the 300-symbol one's
+    # codes do not fit a byte, so its columns stay tuples and lists
+    register_alphabet(WIDE)
+    text = message(alphabet, 8, NRule.HALF, random.Random(17))
+    coded = encode_text(text, scheme, NRule.HALF, alphabet.id)
+    assert [type(c) is bytes for c in codec._solve(coded)] == [alphabet is DEFAULT_ALPHABET] * 4
+    assert decode_text(parse(serialize(coded))) == text
+    decoded = decode(parse(serialize(coded)))
+    assert decoded == to_matrix(text, CharTable(alphabet, coded.n))
+    size = alphabet.size
+    for (d, *_), (i, b1, b2, b3, b4) in zip(coded.rows, to_blocks(decoded)):
+        if scheme is Scheme.LUCAS_BLOCKING:
+            assert scan_lucas(d, b1, b2, b4, coded.n, size) == [b3]
+        else:
+            assert scan_mine(d, b1, b2, b3, coded.n, i, size) == [b4]
 
 
 def test_decode_trace_is_a_named_tuple():

@@ -37,6 +37,14 @@ def test_negative_index_rejected():
         r_matrix(-3)
 
 
+@pytest.mark.parametrize("key", [q_power, r_matrix])
+def test_an_index_past_the_int_string_limit_is_named_by_its_size(key):
+    # str() refuses an int of 5001 digits, so the text gives its size instead
+    with pytest.raises(ValueError) as info:
+        key(-(10**5000))
+    assert str(info.value) == "key index must be >= 1, got a negative 16610-bit integer"
+
+
 @pytest.mark.parametrize(
     "n,entries",
     [(1, (1, 1, 1, 0)), (2, (2, 1, 1, 1)), (4, (5, 3, 3, 2))],

@@ -73,9 +73,15 @@ ROWS = {
     "missing-dir": Row(HI, [[*LUCAS, "-o", "nodir/x"]], (1,), "",
                        "error: FileNotFoundError: [Errno 2] No such file or directory: "
                        "'nodir/x'\n"),
-    # how undecodable bytes surface depends on the locale's stdin error handler
-    "undecodable-encode": Row(b"\xff\xfe", [LUCAS], (1,), "", "error: "),
-    "undecodable-decode": Row(b"\xff\xfe", [DECODE], (1,), "", "error: "),
+    # stdin is strict UTF-8 whatever the locale, as a file read with -i is
+    **{
+        f"undecodable-{stage[0]}": Row(
+            b"\xff\xfe", [stage], (1,), "",
+            "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n",
+        )
+        for stage in (LUCAS, DECODE)
+    },
     "empty-stdin": Row(b"", [LUCAS], (1,), "", "error: EmptyMessage: message text is empty\n"),
     "unknown-flag": Row(b"", [[*DECODE, "-x"]], (2,), "",
                         "usage: qblock [-h] {encode,decode,demo,harness} ...\n"

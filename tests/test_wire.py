@@ -1,7 +1,10 @@
+import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from payloads import from_rows
@@ -252,3 +255,71 @@ def test_unknown_alphabet_in_header():
 
 def test_negative_values_survive_roundtrip():
     assert parse(golden.EX1_PAYLOAD).rows[3].d == -616
+
+
+
+# one past the int-string limit: str(), '%d' and so serialize refuse it
+PAST_LIMIT = 10**4300
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and text of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def int_rows(draw):
+    """The rows of a payload of dim 2 to 8: ints of up to 4 characters, any
+    ints, and now and then one that no text can show."""
+    half = draw(st.integers(1, 4))
+    ints = st.one_of(st.integers(-999, 9999), st.integers(),
+                     st.sampled_from([PAST_LIMIT, -PAST_LIMIT]))
+    return draw(st.lists(st.tuples(ints, ints, ints, ints), min_size=half * half,
+                         max_size=half * half))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+def test_serialize_formats_ints_as_percent_d_does(rows):
+    dim = 2 * math.isqrt(len(rows))
+    coded = from_rows(Scheme.MINESWEEPER, NRule.TAS, dim, "default", rows)
+
+    def reference():
+        body = ("%d,%d,%d,%d\n" * len(rows)) % tuple(i for row in rows for i in row)
+        return f"QBLK1;scheme=mine;nrule=tas;dim={dim};alpha=default\n{body}"
+
+    assert outcome(serialize, coded) == outcome(reference)
+
+
+def test_text_memos_stay_bounded():
+    # 16,384 distinct ints of 6 or more characters, some negative, and the
+    # small ones every payload has: only texts of at most 4 characters stay
+    rng = random.Random(5)
+    ints = [v * rng.choice((1, -1)) for v in rng.sample(range(100_000, 10**9), 4 * 64 * 64)]
+    rows = [ints[i:i + 4] for i in range(0, len(ints), 4)]
+    for coded in (from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 128, "default", rows),
+                  ex1_coded(), ex2_coded()):
+        assert parse(serialize(coded)) == coded
+    for memo, end in ((wire._COMMA, ","), (wire._LINE, "\n")):
+        assert 0 < len(memo) <= 10_999
+        assert all(type(i) is int and text == f"{i}{end}" and len(text) <= 5
+                   for i, text in memo.items())
+
+
+@pytest.mark.parametrize("first", [1, True, 1.0])
+def test_serialize_writes_an_element_as_the_int_it_equals(first):
+    # True and 2.0 hash and compare equal to 1 and 2, so a memo of texts
+    # shows them as those ints, whichever of them it met first
+    serialize(from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(first, 2, 0, 2)]))
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(True, 2.0, False, 1)])
+    assert serialize(coded) == HEADER + "\n1,2,0,1\n"
+
+
+@pytest.mark.parametrize("element", [1.5, "7", b"7", None, [1]])
+def test_serialize_refuses_an_element_that_equals_no_int(element):
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(1, 2, 3, element)])
+    with pytest.raises(TypeError):
+        serialize(coded)

@@ -1,6 +1,7 @@
 """Per-stage timings of qblock, written as one `BENCH_<n>.json` file.
 
     python tools/bench.py --src PATH --out FILE [--sizes tiny]
+    python tools/bench.py --compare OLD NEW
 
 Imports qblock from PATH, the `src` directory of a checkout, as
 tools/diffhash.py does, and times each stage of the codec on its own:
@@ -28,6 +29,10 @@ time over the run.
 collections over a loop started right after a full collection; unlike a
 time it repeats exactly for one tree and one Python.  `--sizes tiny` runs
 dims 4 and 8, the harness at dim 8, and short loops, for a schema check.
+
+`--compare` reads two such files and prints, for each stage, scheme and dim
+and for each harness strategy and scheme that both hold, the old and the new
+scaled time and their ratio new/old: below 1 is faster.
 
 The file holds, with `schema` 1:
 
@@ -168,12 +173,44 @@ def bench(q, sizes):
     }
 
 
+def compare(old, new):
+    """Lines of a table: the scaled times of two records and new/old, per stage,
+    scheme and dim, then per harness strategy and scheme."""
+    cells = []
+    for stage, schemes in old["stages"].items():
+        for scheme, dims in schemes.items():
+            for dim, cell in sorted(dims.items(), key=lambda item: int(item[0])):
+                other = new["stages"].get(stage, {}).get(scheme, {}).get(dim)
+                if other:
+                    cells.append((stage, scheme, dim, cell["us_per_block"], other["us_per_block"]))
+    dim = str(old["detection_rate"]["dim"])
+    for strategy, schemes in old["detection_rate"]["strategies"].items():
+        for scheme, cell in schemes.items():
+            other = new["detection_rate"]["strategies"].get(strategy, {}).get(scheme)
+            if other and new["detection_rate"]["dim"] == old["detection_rate"]["dim"]:
+                cells.append((f"detection_rate {strategy}", scheme, dim, cell["us_per_trial"],
+                              other["us_per_trial"]))
+    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'old us':>10}{'new us':>10}{'new/old':>9}"]
+    for stage, scheme, dim, before, after in cells:
+        lines.append(f"{stage:<28}{scheme:<7}{dim:>4}{before:>10.4f}{after:>10.4f}"
+                     f"{after / before:>9.3f}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="directory that holds the qblock package")
-    parser.add_argument("--out", required=True, help="file the JSON record is written to")
+    parser.add_argument("--src", help="directory that holds the qblock package")
+    parser.add_argument("--out", help="file the JSON record is written to")
     parser.add_argument("--sizes", choices=sorted(SIZES), default="full")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="print new/old of two BENCH files instead of timing")
     args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(name).read_text(encoding="utf-8")) for name in args.compare)
+        print("\n".join(compare(old, new)))
+        return
+    if not (args.src and args.out):
+        parser.error("--src and --out are required unless --compare is given")
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import qblock
