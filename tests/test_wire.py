@@ -309,11 +309,14 @@ def test_text_memos_stay_bounded():
                    for i, text in memo.items())
 
 
-@pytest.mark.parametrize("first", [1, True, 1.0])
-def test_serialize_writes_an_element_as_the_int_it_equals(first):
-    # True and 2.0 hash and compare equal to 1 and 2, so a memo of texts
-    # shows them as those ints, whichever of them it met first
-    serialize(from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(first, 2, 0, 2)]))
+@pytest.mark.parametrize("first", [None, (1, 2, 0, 1), (True, 2.0, False, 1.0)])
+def test_serialize_writes_an_element_as_the_int_it_equals(first, monkeypatch):
+    # True and 2.0 hash and compare equal to 1 and 2, so fresh memos show them
+    # as those ints, whether they meet them or the ints first
+    monkeypatch.setattr(wire, "_COMMA", wire._Text(","))
+    monkeypatch.setattr(wire, "_LINE", wire._Text("\n"))
+    if first:
+        serialize(from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [first]))
     coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(True, 2.0, False, 1)])
     assert serialize(coded) == HEADER + "\n1,2,0,1\n"
 
