@@ -1,10 +1,15 @@
 """Command-line front end: encode, decode, demo, harness.
 
-Exit codes: 0 success, 1 codec/tamper/module errors and files that cannot
-be opened, written or read as UTF-8 (message on stderr), 2 usage errors.
+Exit codes: 0 success, 1 codec/tamper/module errors, files that cannot be
+opened, written or read as UTF-8, and a stdout whose reader has gone (message
+on stderr), 2 usage errors.  entrypoint(), which the console script and
+`python -m qblock.cli` run, calls gc.freeze() before sys.exit; of the
+shutdown's work, only its final cyclic collections skip the frozen objects.
 """
 
 import argparse
+import gc
+import os
 import sys
 
 from .codec import Scheme, decode_text, encode_text
@@ -144,14 +149,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a reader that has gone fails here, not at exit
+        return code
     except (QblockError, OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # else the flush at exit fails again (the SIGPIPE note in the signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # the shutdown's collections never walk the permanent generation; the OS frees it
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

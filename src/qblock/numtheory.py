@@ -37,10 +37,14 @@ class KeyMatrix(namedtuple("KeyMatrix", "family n m11 m12 m21 m22")):
         return f"Q^{self.n}" if self.family is Family.QPOW else f"R_{self.n}"
 
 
-def _terms(n: int, a: int, b: int) -> tuple[int, int]:
-    """Terms n and n+1 of the recurrence t(k+1) = t(k) + t(k-1), t(0) = a, t(1) = b."""
-    for _ in range(n):
-        a, b = b, a + b
+def _fibonacci(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)), n >= 1, doubling from (F(1), F(2)) bit by bit of n:
+    F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
+    a, b = 1, 1
+    for bit in bin(n)[3:]:  # bin() refuses a non-integral n with TypeError
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a, b
 
 
@@ -52,13 +56,12 @@ def _check_index(n: int) -> None:
 def q_power(n: int) -> KeyMatrix:
     """The n-th power of the matrix [[1, 1], [1, 0]], for n >= 1."""
     _check_index(n)
-    # one pass of the recurrence yields the three consecutive terms
-    prev, cur = _terms(n - 1, 0, 1)
-    return KeyMatrix(Family.QPOW, n, prev + cur, cur, cur, prev)
+    f, g = _fibonacci(n)
+    return KeyMatrix(Family.QPOW, n, g, f, f, g - f)
 
 
 def r_matrix(n: int) -> KeyMatrix:
-    """[[1, 2], [2, -1]] times q_power(n), written with Lucas entries, n >= 1."""
+    """[[1, 2], [2, -1]] times q_power(n), whose entries are Lucas numbers, n >= 1."""
     _check_index(n)
-    prev, cur = _terms(n - 1, 2, 1)
-    return KeyMatrix(Family.RMAT, n, prev + cur, cur, cur, prev)
+    f, g = _fibonacci(n)  # the product with [[g, f], [f, g - f]], multiplied out
+    return KeyMatrix(Family.RMAT, n, g + 2 * f, 2 * g - f, 2 * g - f, 3 * f - g)

@@ -1,5 +1,6 @@
-"""tools/bench.py runs at tiny sizes and writes the documented schema, compares
-two records, and the benchmark under perfbench/ passes its own self-check."""
+"""tools/bench.py runs at tiny sizes and writes the documented schema, pipe
+timings included, compares two records, and the benchmark under perfbench/
+passes its own self-check."""
 
 import json
 import subprocess
@@ -18,9 +19,9 @@ def test_tiny_run_writes_the_schema(tmp_path):
             "--sizes", "tiny"]
     subprocess.run(argv, capture_output=True, check=True, timeout=120)
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert sorted(record) == ["calibration_us", "detection_rate", "git_sha", "python",
+    assert sorted(record) == ["calibration_us", "detection_rate", "git_sha", "pipe", "python",
                               "schema", "sizes", "stages"]
-    assert (record["schema"], record["sizes"]) == (1, "tiny")
+    assert (record["schema"], record["sizes"]) == (2, "tiny")
     assert record["python"] == ".".join(map(str, sys.version_info[:3]))
     assert isinstance(record["git_sha"], str) and record["calibration_us"] > 0
     assert sorted(record["stages"]) == STAGES
@@ -41,15 +42,26 @@ def test_tiny_run_writes_the_schema(tmp_path):
             assert sorted(cell) == ["gen0_per_call", "raw_us_per_trial", "us_per_trial"]
             assert min(cell["us_per_trial"], cell["raw_us_per_trial"]) > 0
             assert cell["gen0_per_call"] >= 0
+    pipe = record["pipe"]
+    assert sorted(pipe) == ["control_ms", "dim", "excess_ms", "pairs", "qblock_ms", "scheme"]
+    assert (pipe["dim"], pipe["scheme"], pipe["pairs"]) == (8, "lucas", 2)
+    for name in ("qblock_ms", "control_ms"):
+        q1, median, q3 = pipe[name]
+        assert 0 < q1 <= median <= q3
+    q1, median, q3 = pipe["excess_ms"]
+    assert q1 <= median <= q3
 
 
 def test_compare_prints_new_over_old_per_stage_and_strategy(tmp_path):
     def record(us):
         cell = {"us_per_block": us, "raw_us_per_block": us, "gen0_per_call": 0}
         trial = {"us_per_trial": 10 * us, "raw_us_per_trial": 10 * us, "gen0_per_call": 0}
+        pipe = {"dim": 8, "scheme": "lucas", "pairs": 3, "qblock_ms": [0, 40 * us, 0],
+                "control_ms": [0, 20 * us, 0], "excess_ms": [0, 20 * us, 0]}
         return {"stages": {"serialize": {"lucas": {"128": cell, "8": cell}}},
                 "detection_rate": {"dim": 32, "trials_per_call": 8,
-                                   "strategies": {"swap-rows": {"mine": trial}}}}
+                                   "strategies": {"swap-rows": {"mine": trial}}},
+                "pipe": pipe}
 
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps(record(2.0)), encoding="utf-8")
@@ -61,6 +73,9 @@ def test_compare_prints_new_over_old_per_stage_and_strategy(tmp_path):
         ["serialize", "lucas", "8", "2.0000", "1.5000", "0.750"],
         ["serialize", "lucas", "128", "2.0000", "1.5000", "0.750"],
         ["detection_rate", "swap-rows", "mine", "32", "20.0000", "15.0000", "0.750"],
+        ["pipe", "qblock", "lucas", "8", "80000.0000", "60000.0000", "0.750"],
+        ["pipe", "control", "lucas", "8", "40000.0000", "30000.0000", "0.750"],
+        ["pipe", "excess", "lucas", "8", "40000.0000", "30000.0000", "0.750"],
     ]
 
 

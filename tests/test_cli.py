@@ -1,3 +1,4 @@
+import gc
 import io
 
 import pytest
@@ -126,17 +127,26 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
             assert run_cli([*harness, flag, value], capsys, monkeypatch)[0] == 2
 
 
+@pytest.fixture
+def unfreeze():
+    # entrypoint() freezes the heap; later tests see the collector as before
+    yield
+    gc.unfreeze()
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [(["demo", "--example", "1"], 0), (["decode", "-i", "missing.txt"], 1), (["demo"], 2)],
     ids=["ok", "error", "usage"],
 )
-def test_entrypoint_exits_with_main_code(argv, code, tmp_path, capsys, monkeypatch):
+def test_entrypoint_exits_with_main_code(argv, code, tmp_path, capsys, monkeypatch, unfreeze):
     # the `qblock` console script of [project.scripts] runs entrypoint()
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.argv", ["qblock", *argv])
     with pytest.raises(SystemExit) as info:
         entrypoint()
+    # on every exit path the heap is frozen, so the shutdown's collections skip it
+    assert gc.get_freeze_count() > 0
     assert info.value.code == code == main(argv)
 
 

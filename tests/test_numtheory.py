@@ -38,6 +38,13 @@ def test_negative_index_rejected():
 
 
 @pytest.mark.parametrize("key", [q_power, r_matrix])
+@pytest.mark.parametrize("n", [2.5, 2.0])
+def test_a_non_integral_index_is_a_type_error(key, n):
+    with pytest.raises(TypeError):
+        key(n)
+
+
+@pytest.mark.parametrize("key", [q_power, r_matrix])
 def test_an_index_past_the_int_string_limit_is_named_by_its_size(key):
     # str() refuses an int of 5001 digits, so the text gives its size instead
     with pytest.raises(ValueError) as info:
@@ -94,6 +101,13 @@ def test_determinant_identities_hold_up_to_90():
         assert det(r) == key_det(luc, n) == 5 * (-1) ** (n + 1)
         assert (q.m11, q.m12, q.m22) == (fib(n + 1), fib(n), fib(n - 1))
         assert (r.m11, r.m12, r.m22) == (luc(n + 1), luc(n), luc(n - 1))
+
+
+def test_keys_equal_the_oracle_terms_up_to_500_and_past_10_000():
+    # the doubling that builds both keys, against the oracle's plain recurrence
+    for n in [*range(1, 501), 10_007, 16_384, 32_769]:
+        assert q_power(n)[2:] == (fib(n + 1), fib(n), fib(n), fib(n - 1)), n
+        assert r_matrix(n)[2:] == (luc(n + 1), luc(n), luc(n), luc(n - 1)), n
 
 
 def test_r_matrix_is_literal_product():

@@ -110,3 +110,21 @@ def test_cli_process(row, tmp_path):
     err = procs[-1].stderr.decode()
     assert err.startswith(row.err) if row.err else err == ""
     assert not [proc.stderr for proc in procs if b"Traceback" in proc.stderr]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_reader_that_has_gone_exits_1(buffered, tmp_path):
+    # block-buffered stdout fails only at the flush, which must come before exit
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qblock.cli", *LUCAS], input=HI,
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"

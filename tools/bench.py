@@ -1,4 +1,4 @@
-"""Per-stage timings of qblock, written as one `BENCH_<n>.json` file.
+"""Per-stage and pipe timings of qblock, written as one `BENCH_<n>.json` file.
 
     python tools/bench.py --src PATH --out FILE [--sizes tiny]
     python tools/bench.py --compare OLD NEW
@@ -27,25 +27,40 @@ are the fastest loop unscaled, and `calibration_us` is the kernel's median
 time over the run.
 `gen0_per_call` counts the garbage collector's youngest-generation
 collections over a loop started right after a full collection; unlike a
-time it repeats exactly for one tree and one Python.  `--sizes tiny` runs
-dims 4 and 8, the harness at dim 8, and short loops, for a schema check.
+time it repeats exactly for one tree and one Python.
+
+`pipe` times whole processes: one `qblock encode --scheme lucas | qblock
+decode` pipe (`python -m qblock.cli`, importing PATH) on the dim-8 message,
+against a control pipe of two bare interpreters that copy stdin to stdout,
+which pays the same interpreter start, `site` imports and shutdown but
+nothing of qblock.  The two run in alternating order, pair after pair, and
+each pipe is timed from the first process's start to the last one's exit.
+`qblock_ms` and `control_ms` are the quartiles [q1, median, q3] of each,
+`excess_ms` those of qblock minus control within a pair: what qblock adds
+to a pipe.  These times are not scaled.
+
+`--sizes tiny` runs dims 4 and 8, the harness at dim 8, short loops and two
+pipe pairs, for a schema check.
 
 `--compare` reads two such files and prints, for each stage, scheme and dim
 and for each harness strategy and scheme that both hold, the old and the new
-scaled time and their ratio new/old: below 1 is faster.
+scaled time and their ratio new/old: below 1 is faster.  Where both hold a
+pipe, the medians of `qblock_ms`, `control_ms` and `excess_ms` follow, in µs.
 
-The file holds, with `schema` 1:
+The file holds, with `schema` 2 (1 had no `pipe`):
 
     python, git_sha, sizes, calibration_us,
     stages: {stage: {scheme: {dim: {"us_per_block", "raw_us_per_block", "gen0_per_call"}}}},
     detection_rate: {"dim", "trials_per_call", strategies: {strategy: {scheme:
-                     {"us_per_trial", "raw_us_per_trial", "gen0_per_call"}}}}
+                     {"us_per_trial", "raw_us_per_trial", "gen0_per_call"}}}},
+    pipe: {"dim", "scheme", "pairs", "qblock_ms", "control_ms", "excess_ms"}
 """
 
 import argparse
 import gc
 import importlib.util
 import json
+import os
 import platform
 import random
 import statistics
@@ -54,17 +69,19 @@ import sys
 import time
 from pathlib import Path
 
-SCHEMA = 1
+SCHEMA = 2
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("preprocess", "to_matrix", "encode", "encode_text", "serialize", "parse", "decode",
           "decode_text", "decode_with_trace")
 SIZES = {
-    # dims, harness dim, repeats, seconds a timed loop lasts at least
-    "full": ((8, 32, 128, 512), 32, 7, 0.03),
-    "tiny": ((4, 8), 8, 2, 0.002),
+    # dims, harness dim, repeats, seconds a timed loop lasts at least, pipe pairs
+    "full": ((8, 32, 128, 512), 32, 7, 0.03, 41),
+    "tiny": ((4, 8), 8, 2, 0.002, 2),
 }
 TRIALS_PER_CALL = 8
 MAGNITUDE = 60
+PIPE_DIM = 8
+COPY = "import sys; sys.stdout.write(sys.stdin.read())"
 
 
 def calibration():
@@ -137,8 +154,52 @@ def stage_calls(q, text, dim, scheme):
     }
 
 
+def pipe_ms(first, second, data, env):
+    """Milliseconds from the start of `first` to the exit of `second` in
+    `first | second`, and the second's stdout; a process that fails raises."""
+    start = time.perf_counter()
+    with subprocess.Popen(first, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env) as p1, \
+            subprocess.Popen(second, stdin=p1.stdout, stdout=subprocess.PIPE, env=env) as p2:
+        p1.stdout.close()  # the second process owns the read end now
+        p1.stdin.write(data)
+        p1.stdin.close()
+        out = p2.stdout.read()
+    took = (time.perf_counter() - start) * 1e3
+    if p1.returncode or p2.returncode:
+        raise SystemExit(f"error: pipe {first} | {second} exited {p1.returncode}|{p2.returncode}")
+    return took, out
+
+
+def quartiles(values):
+    return [round(v, 3) for v in statistics.quantiles(values, n=4, method="inclusive")]
+
+
+def pipe(q, src, pairs):
+    """The `pipe` record: a qblock pipe against a control pipe, `pairs` times each."""
+    text = message(q, PIPE_DIM, random.Random(f"bench-{PIPE_DIM}"))
+    data = f"{text}\n".encode()
+    decoded = q.decode_text(q.encode_text(text, q.Scheme.LUCAS_BLOCKING))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cli, copy = [sys.executable, "-m", "qblock.cli"], [sys.executable, "-c", COPY]
+    runs = {"qblock": ([*cli, "encode", "--scheme", "lucas"], [*cli, "decode"],
+                       f"{decoded}\n".encode()),
+            "control": (copy, copy, data)}
+    times = {name: [] for name in runs}
+    for i in range(pairs):
+        for name in sorted(runs, reverse=i % 2 == 1):  # control first in even pairs
+            first, second, expected = runs[name]
+            took, out = pipe_ms(first, second, data, env)
+            if out != expected:
+                raise SystemExit(f"error: the {name} pipe wrote {out!r}, not {expected!r}")
+            times[name].append(took)
+    excess = [a - b for a, b in zip(times["qblock"], times["control"])]
+    return {"dim": PIPE_DIM, "scheme": "lucas", "pairs": pairs,
+            "qblock_ms": quartiles(times["qblock"]), "control_ms": quartiles(times["control"]),
+            "excess_ms": quartiles(excess)}
+
+
 def bench(q, sizes):
-    dims, harness_dim, repeats, seconds = SIZES[sizes]
+    dims, harness_dim, repeats, seconds, _ = SIZES[sizes]
     kernel, samples = calibration(), []
     stages = {stage: {scheme.value: {} for scheme in q.Scheme} for stage in STAGES}
     for dim in dims:
@@ -175,7 +236,7 @@ def bench(q, sizes):
 
 def compare(old, new):
     """Lines of a table: the scaled times of two records and new/old, per stage,
-    scheme and dim, then per harness strategy and scheme."""
+    scheme and dim, then per harness strategy and scheme, then the pipe medians."""
     cells = []
     for stage, schemes in old["stages"].items():
         for scheme, dims in schemes.items():
@@ -190,9 +251,13 @@ def compare(old, new):
             if other and new["detection_rate"]["dim"] == old["detection_rate"]["dim"]:
                 cells.append((f"detection_rate {strategy}", scheme, dim, cell["us_per_trial"],
                               other["us_per_trial"]))
-    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'old us':>10}{'new us':>10}{'new/old':>9}"]
+    if "pipe" in old and "pipe" in new and old["pipe"]["dim"] == new["pipe"]["dim"]:
+        for name in ("qblock", "control", "excess"):
+            cells.append((f"pipe {name}", old["pipe"]["scheme"], str(old["pipe"]["dim"]),
+                          old["pipe"][f"{name}_ms"][1] * 1e3, new["pipe"][f"{name}_ms"][1] * 1e3))
+    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'old us':>12}{'new us':>12}{'new/old':>9}"]
     for stage, scheme, dim, before, after in cells:
-        lines.append(f"{stage:<28}{scheme:<7}{dim:>4}{before:>10.4f}{after:>10.4f}"
+        lines.append(f"{stage:<28}{scheme:<7}{dim:>4}{before:>12.4f}{after:>12.4f}"
                      f"{after / before:>9.3f}")
     return lines
 
@@ -218,7 +283,8 @@ def main(argv=None):
     if not Path(qblock.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"error: qblock imported from {qblock.__file__}, not from {src}")
     record = {"schema": SCHEMA, "python": platform.python_version(), "git_sha": git_sha(src),
-              "sizes": args.sizes, **bench(qblock, args.sizes)}
+              "sizes": args.sizes, **bench(qblock, args.sizes),
+              "pipe": pipe(qblock, src, SIZES[args.sizes][4])}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
 
