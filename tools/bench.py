@@ -174,12 +174,12 @@ def quartiles(values):
     return [round(v, 3) for v in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def pipe(q, src, pairs):
+def pipe(q, pairs):
     """The `pipe` record: a qblock pipe against a control pipe, `pairs` times each."""
     text = message(q, PIPE_DIM, random.Random(f"bench-{PIPE_DIM}"))
     data = f"{text}\n".encode()
     decoded = q.decode_text(q.encode_text(text, q.Scheme.LUCAS_BLOCKING))
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).resolve().parent.parent)}
     cli, copy = [sys.executable, "-m", "qblock.cli"], [sys.executable, "-c", COPY]
     runs = {"qblock": ([*cli, "encode", "--scheme", "lucas"], [*cli, "decode"],
                        f"{decoded}\n".encode()),
@@ -199,7 +199,7 @@ def pipe(q, src, pairs):
 
 
 def bench(q, sizes):
-    dims, harness_dim, repeats, seconds, _ = SIZES[sizes]
+    dims, harness_dim, repeats, seconds, pairs = SIZES[sizes]
     kernel, samples = calibration(), []
     stages = {stage: {scheme.value: {} for scheme in q.Scheme} for stage in STAGES}
     for dim in dims:
@@ -231,6 +231,7 @@ def bench(q, sizes):
         "detection_rate": {"dim": harness_dim, "trials_per_call": TRIALS_PER_CALL,
                            "strategies": strategies},
         "calibration_us": round(statistics.median(samples) / 1e3, 2),
+        "pipe": pipe(q, pairs),
     }
 
 
@@ -283,8 +284,7 @@ def main(argv=None):
     if not Path(qblock.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"error: qblock imported from {qblock.__file__}, not from {src}")
     record = {"schema": SCHEMA, "python": platform.python_version(), "git_sha": git_sha(src),
-              "sizes": args.sizes, **bench(qblock, args.sizes),
-              "pipe": pipe(qblock, src, SIZES[args.sizes][4])}
+              "sizes": args.sizes, **bench(qblock, args.sizes)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
 
