@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 codec/tamper/module errors, files that cannot be
 opened, written or read as UTF-8, and a stdout whose reader has gone (message
-on stderr), 2 usage errors.  entrypoint(), which the console script and
+on stderr; `--help` too, which is printed inside the same boundary), 2 usage
+errors.  entrypoint(), which the console script and
 `python -m qblock.cli` run, calls gc.freeze() before sys.exit; of the
 shutdown's work, only its final cyclic collections skip the frozen objects.
 """
@@ -30,8 +31,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose `--help` lets an error writing the help reach
+    `main`'s boundary; argparse's own print drops any OSError."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qblock")
+    parser = _Parser(prog="qblock")
     sub = parser.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="text in, wire payload out")
@@ -54,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     har.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
     har.add_argument("--strategy", required=True, choices=STRATEGIES)
     har.add_argument("--trials", type=positive_int, default=100)
-    har.add_argument("--seed", type=int, default=0)
+    har.add_argument("--seed", type=int, default=0,
+                     help="trial t draws from seed S+t: an int >= 0 as itself, "
+                          "a negative k from the string 'neg<k>'")
     har.add_argument("--magnitude", type=positive_int, default=1)
     har.add_argument("--message", default=DEFAULT_HARNESS_MESSAGE)
     har.add_argument("--n-rule", default="half", choices=[r.value for r in NRule])
@@ -145,11 +156,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = _DISPATCH[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a reader that has gone fails here, not at exit
         return code
     except (QblockError, OSError, UnicodeDecodeError) as exc:

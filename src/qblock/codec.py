@@ -15,7 +15,10 @@ nonzero, so encoding refuses zero-pivot blocks, and codes outside the
 alphabet, up front; any corruption that leaves no exact in-range solution
 is reported as tampering.
 
-`_encode` computes the columns from the block columns of `_columns`.
+`_encode` computes the columns from the block columns of `_columns`; the
+text's block columns come from `_text_columns` and the pivot check from
+`_kept`, which `harness.detection_rate` shares so that it raises what
+`encode_text` raises without building the record.
 `_solve` returns the block columns (k1, k2, x, k3), resp. (k1, k2, k3, x),
 after one test over the columns, no pair per row: kept codes in range, no
 zero pivot, every x (`floordiv` of the numerators) exact (`mod`) and in
@@ -162,13 +165,22 @@ def encode(
 
 def _encode(columns, scheme: Scheme, n_rule: NRule, dim: int, alphabet_id: str) -> CodedMessage:
     """`encode` of the block columns, whose codes are in range."""
+    kept = _kept(columns, scheme)
+    b1s, b2s, b3s, b4s = columns
+    ds = map(sub, map(mul, b1s, b4s), map(mul, b2s, b3s))
+    return CodedMessage(scheme, n_rule, dim, alphabet_id, ds, *kept)
+
+
+def _kept(columns, scheme: Scheme):
+    """The kept columns (b1s, b2s, b4s), resp. (b1s, b2s, b3s), of the block
+    columns.  Raises TypeError unless `scheme` is a Scheme, then
+    DegenerateBlock listing every block whose pivot is zero."""
     lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
     b1s, b2s, b3s, b4s = columns
     pivots = b2s if lucas else b1s
     if 0 in pivots:
         raise DegenerateBlock([index for index, p in enumerate(pivots, start=1) if p == 0])
-    ds = map(sub, map(mul, b1s, b4s), map(mul, b2s, b3s))
-    return CodedMessage(scheme, n_rule, dim, alphabet_id, ds, b1s, b2s, b4s if lucas else b3s)
+    return b1s, b2s, b4s if lucas else b3s
 
 
 def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.size) -> int:
@@ -276,11 +288,18 @@ def encode_text(
     alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> CodedMessage:
     """Full sender pipeline: preprocess, derive the table, fill, encode."""
+    columns, dim = _text_columns(text, n_rule, alphabet_id)
+    return _encode(columns, scheme, n_rule, dim, alphabet_id)
+
+
+def _text_columns(text: str, n_rule: NRule, alphabet_id: str):
+    """(block columns, dim) of the text's codes: `encode_text` up to the
+    determinants, raising what it raises there, in the same order."""
     alphabet = get_alphabet(alphabet_id)
     symbols = preprocess(text, alphabet)
     dim = math.isqrt(len(symbols))
     codes = CharTable(alphabet, choose_n((dim // 2) ** 2, n_rule))._codes_of(symbols)
-    return _encode(_columns(codes, dim), scheme, n_rule, dim, alphabet_id)
+    return _columns(codes, dim), dim
 
 
 def decode_text(coded: CodedMessage) -> str:

@@ -12,15 +12,26 @@ codes are part of it, the dropped code is injective in d for a nonzero
 pivot, and swap-rows exchanges only rows that differ.  So `undetected_equal`
 (decode gives the original matrix back) stays zero; only the full-decode
 test oracle could count one.  Trial t draws as `_damage` with seed spec.seed + t.
+
+`detection_rate` builds no `CodedMessage`.  It takes the message's block
+columns from `codec._text_columns` and the pivot check from `codec._kept`,
+so it raises what `encode_text` raises, and draws over the kept columns
+and a `_Determinants` column, which computes d = b1*b4 - b2*b3 for a row
+when the draw reads it: a row's value is the one the record would hold,
+so the draws are those of `corrupt` on `encode_text`'s record.
+
+A seed k >= 0 seeds `random.Random` as the int k; a negative k seeds it
+from the string f"neg{k}", since `Random.seed` takes an int's absolute
+value and seed -k would otherwise draw exactly what seed k draws.
 """
 
 import random
 from collections import namedtuple
 from enum import Enum
-from operator import index
+from operator import index, mul, sub
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
-from .codec import CodedMessage, Scheme, encode_text, solve_missing
+from .codec import CodedMessage, Scheme, _kept, _text_columns, solve_missing
 from .errors import NotEnoughRows, TamperDetected, _int_text
 from .layout import NRule, _member
 
@@ -82,15 +93,20 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
 def _damage(coded: CodedMessage, spec: CorruptionSpec) -> dict[int, tuple[int, int, int, int]]:
     """`corrupt`'s damage as row edits, {0-based row: new (d, k1, k2, k3)}:
     one row for the perturb strategies, the drawn pair for SWAP_ROWS."""
-    return _drawer(coded, spec)(random.Random(spec.seed))
+    return _drawer(coded[4:], coded.alphabet_id, spec)(random.Random(_seed(spec.seed)))
 
 
-def _drawer(coded: CodedMessage, spec: CorruptionSpec):
-    """`_damage`'s draw as a function of the generator, after the work that no draw changes."""
-    columns = coded[4:]
-    rows_n = len(coded.ds)
+def _seed(seed: int) -> int | str:
+    """What a generator for `seed` is seeded with (see the module docstring)."""
+    return seed if seed >= 0 else f"neg{seed}"
+
+
+def _drawer(columns, alphabet_id: str, spec: CorruptionSpec):
+    """`_damage`'s draw over the row columns (ds, k1s, k2s, k3s), as a function
+    of the generator, after the work that no draw changes."""
+    rows_n = len(columns[0])
     kept = spec.strategy is Strategy.PERTURB_KEPT
-    size = get_alphabet(coded.alphabet_id).size if kept else None
+    size = get_alphabet(alphabet_id).size if kept else None
     swap = spec.strategy is Strategy.SWAP_ROWS
     if swap:  # exchange two rows that differ in value, drawn uniformly by rejection
         if rows_n < 2:
@@ -120,6 +136,25 @@ def _drawer(coded: CodedMessage, spec: CorruptionSpec):
     return draw
 
 
+class _Determinants:
+    """The d column of the block columns b1s, b2s, b3s, b4s: each d is
+    computed when it is read, so a trial pays only for the rows it draws."""
+
+    __slots__ = ("b1s", "b2s", "b3s", "b4s")
+
+    def __init__(self, b1s, b2s, b3s, b4s):
+        self.b1s, self.b2s, self.b3s, self.b4s = b1s, b2s, b3s, b4s
+
+    def __len__(self) -> int:
+        return len(self.b1s)
+
+    def __getitem__(self, i: int) -> int:
+        return self.b1s[i] * self.b4s[i] - self.b2s[i] * self.b3s[i]
+
+    def __iter__(self):  # swap-rows' scan reads every row once per call
+        return map(sub, map(mul, self.b1s, self.b4s), map(mul, self.b2s, self.b3s))
+
+
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:
     """The spec actually used for trial number `trial` (0-based)."""
     return spec._replace(seed=spec.seed + trial)
@@ -137,16 +172,18 @@ def detection_rate(
     solving only the rows `_damage` edits (see the module docstring)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {_int_text(trials)}")
-    coded = encode_text(message, scheme, n_rule, alphabet_id)
-    size = get_alphabet(coded.alphabet_id).size
-    draw, rng = _drawer(coded, spec), random.Random(spec.seed)
+    columns, _ = _text_columns(message, n_rule, alphabet_id)
+    kept = _kept(columns, scheme)
+    size = get_alphabet(alphabet_id).size
+    draw = _drawer((_Determinants(*columns), *kept), alphabet_id, spec)
+    rng = random.Random(_seed(spec.seed))
     outcomes = []
     for trial in range(trials):
         if trial:  # reseeded as `_damage` seeds trial_spec(spec, trial)'s generator
-            rng.seed(spec.seed + trial)
+            rng.seed(_seed(spec.seed + trial))
         try:
             for row in draw(rng).values():
-                solve_missing(row, coded.scheme, size=size)
+                solve_missing(row, scheme, size=size)
         except TamperDetected:
             outcomes.append(OUTCOME_DETECTED)
         else:

@@ -6,7 +6,8 @@ per-block models built from the public pieces they replace, `solve_missing`
 against `decode` of its one row, swap-rows corruption against the matrix
 with two blocks exchanged, the row edits `_damage` returns against the rows
 `corrupt` changed, and `detection_rate` against a full decode of every
-damaged payload, which never gives the original matrix back.  The third
+damaged payload, which never gives the original matrix back, and against
+the errors of `encode_text`, whose record it does not build.  The third
 checks `parse`, which converts a whole body at once, against a model that
 reads the wire grammar line by line.  The last runs the CLI on argv drawn
 from a fixed vocabulary whose file names are all relative, inside a
@@ -452,14 +453,8 @@ def decode_text_model(coded):
     return to_symbols(decode(coded), CharTable(get_alphabet(coded.alphabet_id), coded.n))
 
 
-@FUZZ
-@given(
-    st.sampled_from(TEXT_ALPHABETS),
-    st.sampled_from([*Scheme, *Scheme, "lucas"]),  # a non-member: the error order shows
-    st.sampled_from([*NRule, *NRule, "half"]),
-    st.data(),
-)
-def test_encode_text_is_encode_of_to_matrix_of_preprocess(alphabet, scheme, n_rule, data):
+def draw_text(data, alphabet):
+    """A text and an alphabet id, mostly `alphabet`'s."""
     # an even-square length half the time, the only one the wide alphabet,
     # which has no '0' to pad with, takes; then maybe a case the alphabet
     # lacks or a stray
@@ -469,7 +464,18 @@ def test_encode_text_is_encode_of_to_matrix_of_preprocess(alphabet, scheme, n_ru
     if data.draw(st.integers(0, 3)) == 0:
         at = data.draw(st.integers(0, len(text)))
         text = text[:at] + data.draw(st.sampled_from(["A", "a", "#", "\x00"])) + text[at + 1 :]
-    alphabet_id = data.draw(st.sampled_from([alphabet.id] * 9 + ["unregistered"]))
+    return text, data.draw(st.sampled_from([alphabet.id] * 9 + ["unregistered"]))
+
+
+@FUZZ
+@given(
+    st.sampled_from(TEXT_ALPHABETS),
+    st.sampled_from([*Scheme, *Scheme, "lucas"]),  # a non-member: the error order shows
+    st.sampled_from([*NRule, *NRule, "half"]),
+    st.data(),
+)
+def test_encode_text_is_encode_of_to_matrix_of_preprocess(alphabet, scheme, n_rule, data):
+    text, alphabet_id = draw_text(data, alphabet)
     expected = raised(encode_text_model, text, scheme, n_rule, alphabet_id)
     assert raised(encode_text, text, scheme, n_rule, alphabet_id) == expected
 
@@ -641,6 +647,31 @@ def test_detection_rate_matches_full_decode_oracle(text, scheme, n_rule, strateg
     # detection_rate counts every trial that solves as miscorrected
     assert not isinstance(expected, DetectionReport) or expected.undetected_equal == 0
     assert outcome(detection_rate, text, scheme, spec, trials, n_rule) == expected
+
+
+@FUZZ
+@given(
+    st.sampled_from(TEXT_ALPHABETS),
+    st.sampled_from([*Scheme, *Scheme, "lucas"]),
+    st.sampled_from([*NRule, *NRule, "half"]),
+    st.sampled_from(list(Strategy)),
+    st.sampled_from(MAGNITUDES),
+    st.integers(-(2**16), 2**16),
+    st.data(),
+)
+def test_detection_rate_raises_what_encode_text_raises(alphabet, scheme, n_rule, strategy,
+                                                        magnitude, seed, data):
+    # detection_rate builds no record, so it must raise encode_text's errors
+    # itself, with the same type and text, in the same order
+    text, alphabet_id = draw_text(data, alphabet)
+    spec = CorruptionSpec(strategy, magnitude, seed)
+    encoded = raised(encode_text, text, scheme, n_rule, alphabet_id)
+    report = raised(detection_rate, text, scheme, spec, data.draw(st.integers(1, 5)), n_rule,
+                    alphabet_id)
+    if isinstance(encoded, CodedMessage):  # too few distinct rows is swap-rows' own error
+        assert isinstance(report, DetectionReport) or report[0] is NotEnoughRows
+    else:
+        assert report == encoded
 
 
 # ---- parse against a per-line model of the wire grammar ----

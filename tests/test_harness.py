@@ -13,6 +13,7 @@ from qblock.errors import DegenerateBlock, NotEnoughRows, UnknownAlphabet
 from qblock.harness import (
     CorruptionSpec,
     Strategy,
+    _damage,
     corrupt,
     detection_rate,
     trial_spec,
@@ -247,7 +248,8 @@ def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strate
 @pytest.mark.parametrize("trials", [1, 50])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, trials):
-    # a trial is its row edits: no damaged CodedMessage is built per trial
+    # the encoded record is now only its block columns, and a trial is its
+    # row edits: no CodedMessage is built, encoded or damaged
     built = []
     new = CodedMessage.__new__
 
@@ -259,7 +261,7 @@ def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, tr
     spec = CorruptionSpec(strategy, magnitude=60, seed=0)
     report = detection_rate(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
     assert report.trials == trials
-    assert built == [CodedMessage]
+    assert built == []
 
 
 @pytest.mark.parametrize("trials", [1, 50])
@@ -318,7 +320,7 @@ def test_detection_rate_looks_the_alphabet_up_a_fixed_number_of_times(monkeypatc
         looked_up.clear()
         detection_rate(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
         counts.append(len(looked_up))
-    # encode_text and the tally's size, and perturb-kept's own draw setup
+    # the text's block columns and the tally's size, and perturb-kept's own draw setup
     assert counts == ([3, 3] if strategy is Strategy.PERTURB_KEPT else [2, 2])
 
 
@@ -339,6 +341,20 @@ def test_detection_rate_equals_the_full_decode_oracle_at_negative_and_large_seed
     for scheme in Scheme:
         expected = outcomes_by_decode(DIM32_MESSAGE, scheme, spec, 20, NRule.HALF)
         assert detection_rate(DIM32_MESSAGE, scheme, spec, trials=20) == expected
+
+
+def test_a_negative_seed_does_not_draw_what_its_absolute_value_draws():
+    # Random.seed takes an int's absolute value; a negative seed is seeded from a string
+    coded = encode_text(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING)
+    spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=60, seed=2)
+    assert _damage(coded, spec) == {28: (175, 12, 5, 22)}
+    assert _damage(coded, spec._replace(seed=-2)) != _damage(coded, spec)
+    assert _damage(coded, spec._replace(seed=-2)) == _damage(coded, spec._replace(seed=-2))
+    for seed in range(1, 20):
+        drawn = {strategy: _damage(coded, CorruptionSpec(strategy, 60, seed))
+                 for strategy in Strategy}
+        assert drawn != {strategy: _damage(coded, CorruptionSpec(strategy, 60, -seed))
+                         for strategy in Strategy}
 
 
 def test_trial_spec_offsets_seed():

@@ -7,6 +7,7 @@ and how its stderr starts.  No process may print a traceback, whatever its
 input: the CLI exits 0, 1 or 2.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
+
+from qblock import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -112,19 +115,37 @@ def test_cli_process(row, tmp_path):
     assert not [proc.stderr for proc in procs if b"Traceback" in proc.stderr]
 
 
+@pytest.mark.parametrize(
+    "argv", [LUCAS, ["--help"], ["encode", "--help"], ["harness", "--help"]],
+    ids=["encode", "help", "encode-help", "harness-help"],
+)
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-def test_a_reader_that_has_gone_exits_1(buffered, tmp_path):
-    # block-buffered stdout fails only at the flush, which must come before exit
+def test_a_reader_that_has_gone_exits_1(buffered, argv, tmp_path):
+    # block-buffered stdout fails only at the flush, which must come before
+    # exit; argparse prints --help itself, before any command runs
     env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "qblock.cli", *LUCAS], input=HI,
+        proc = subprocess.run([sys.executable, "-m", "qblock.cli", *argv], input=HI,
                               stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
                               timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr.decode() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"], ["harness", "--help"]],
+                         ids=["help", "encode-help", "harness-help"])
+def test_help_exits_0_and_prints_what_argparse_prints(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the process
+    monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+    with pytest.raises(SystemExit, match="^0$"):
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "qblock.cli", *argv], capture_output=True,
+                          env={**ENV, "COLUMNS": "80"}, cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, expected, b"")
