@@ -115,11 +115,16 @@ def test_cli_process(row, tmp_path):
     assert not [proc.stderr for proc in procs if b"Traceback" in proc.stderr]
 
 
-@pytest.mark.parametrize(
-    "argv", [LUCAS, ["--help"], ["encode", "--help"], ["harness", "--help"]],
-    ids=["encode", "help", "encode-help", "harness-help"],
-)
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+HELPS = {"help": ["--help"], "encode-help": ["encode", "--help"],
+         "harness-help": ["harness", "--help"]}
+GONE = {
+    **{mode: (mode == "buffered", LUCAS) for mode in ("buffered", "unbuffered")},
+    **{f"{mode}-{name}": (mode == "buffered", argv)
+       for mode in ("buffered", "unbuffered") for name, argv in HELPS.items()},
+}
+
+
+@pytest.mark.parametrize("buffered,argv", GONE.values(), ids=GONE.keys())
 def test_a_reader_that_has_gone_exits_1(buffered, argv, tmp_path):
     # block-buffered stdout fails only at the flush, which must come before
     # exit; argparse prints --help itself, before any command runs
@@ -138,8 +143,7 @@ def test_a_reader_that_has_gone_exits_1(buffered, argv, tmp_path):
     assert proc.stderr.decode() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"], ["harness", "--help"]],
-                         ids=["help", "encode-help", "harness-help"])
+@pytest.mark.parametrize("argv", HELPS.values(), ids=HELPS.keys())
 def test_help_exits_0_and_prints_what_argparse_prints(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the process
     monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
