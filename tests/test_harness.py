@@ -349,7 +349,6 @@ def test_a_negative_seed_does_not_draw_what_its_absolute_value_draws():
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=60, seed=2)
     assert _damage(coded, spec) == {28: (175, 12, 5, 22)}
     assert _damage(coded, spec._replace(seed=-2)) != _damage(coded, spec)
-    assert _damage(coded, spec._replace(seed=-2)) == _damage(coded, spec._replace(seed=-2))
     for seed in range(1, 20):
         drawn = {strategy: _damage(coded, CorruptionSpec(strategy, 60, seed))
                  for strategy in Strategy}
