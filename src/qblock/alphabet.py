@@ -9,6 +9,7 @@ the table of shift mod size once, and keeps the last 128 built.
 which stops at the first symbol or code that the table lacks; the error names
 it as `code_of`/`symbol_of` do, and the codes of a `str` come back as a bytearray.  A
 non-`str` input, a code past Latin-1 or an alphabet of over 256 symbols reads item by item.
+The text paths call them as `_codes`/`_symbols` on an (alphabet, shift) pair.
 
 Alternative alphabets can be registered under an id; both endpoints must
 register the same table up front (the id travels in the wire header, the
@@ -142,8 +143,8 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
         return self._symbols_of((code,))[0]
 
     def _codes_of(self, symbols) -> bytearray | list[int]:
-        alphabet = self.alphabet
-        start = self.shift % alphabet.size
+        alphabet, shift = self
+        start = shift % alphabet.size
         by_ordinal = isinstance(symbols, str) and alphabet.size <= len(_BYTES)
         try:
             if by_ordinal:
@@ -156,7 +157,8 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
         raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {alphabet.id!r}")
 
     def _symbols_of(self, codes) -> str:
-        table = _lookup(self.alphabet, self.shift % self.alphabet.size, "code")
+        alphabet, shift = self
+        table = _lookup(alphabet, shift % alphabet.size, "code")
         try:
             try:
                 return bytes(codes).decode("latin-1").translate(table)
@@ -165,4 +167,7 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
             return "".join(map(table.__getitem__, codes))
         except _Miss as miss:
             code = miss.args[0]
-        raise CodeOutOfRange(f"code {_int_text(code)} outside [0, {self.alphabet.size})")
+        raise CodeOutOfRange(f"code {_int_text(code)} outside [0, {alphabet.size})")
+
+
+_codes, _symbols = CharTable._codes_of, CharTable._symbols_of  # on a CharTable or its pair too

@@ -24,10 +24,11 @@ after one test over the columns, no pair per row: kept codes in range, no
 zero pivot, every x (`floordiv` of the numerators) exact (`mod`) and in
 range.  For an alphabet of at most 256 symbols it tests and returns each
 column as `bytes`.  Otherwise `solve_missing`, the one per-row verdict,
-names the first row it rejects.  `decode` hands the columns to `_grid`;
-the text paths build no `MessageMatrix`: `encode_text` cuts the table's
-codes (bytes) with `_columns`, and `decode_text` maps `_flat` of the
-columns through the table.
+names the first row it rejects.  `decode` hands the columns to `_grid`; the
+text paths build no `MessageMatrix` or `CharTable`: `encode_text` codes the
+padded text in one translate through the shifted table, which screens it too
+(a miss calls `preprocess` to name the stray's position), and cuts the codes
+with `_columns`; `decode_text` maps `_flat` of the columns through the table.
 
 The paper states decode through a Fibonacci/Lucas key K: with helper
 products
@@ -55,12 +56,15 @@ from .alphabet import (
     DEFAULT_ALPHABET,
     DEFAULT_ALPHABET_ID,
     _BYTES,
-    CharTable,
     _check_id,
+    _codes,
     _Record,
+    _registry,
+    _symbols,
     get_alphabet,
 )
-from .errors import CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected, _int_text
+from .errors import (CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected,
+                     UnknownSymbol, _int_text)
 from .layout import (
     MessageMatrix,
     NRule,
@@ -69,6 +73,7 @@ from .layout import (
     _flat,
     _grid,
     _member,
+    _padded,
     choose_n,
     preprocess,
 )
@@ -119,7 +124,8 @@ class CodedMessage(
             raise HeaderMismatch(
                 f"dimension {_int_text(dim)} implies {implied} rows, payload has {len(ds)}"
             )
-        _check_id(alphabet_id)
+        if type(alphabet_id) is not str or alphabet_id not in _registry:  # each key passed it
+            _check_id(alphabet_id)
         return super().__new__(cls, scheme, n_rule, dim, alphabet_id, ds, k1s, k2s, k3s)
 
     @property
@@ -224,10 +230,9 @@ def _in_range(codes, size: int):
     return codes if 0 <= min(codes) and max(codes) < size else None
 
 
-def _solve(coded: CodedMessage):
-    """(k1s, k2s, xs, k3s), resp. (k1s, k2s, k3s, xs): the block columns of
-    the payload's grid, as `_in_range` gives them.  Raises what `decode` raises."""
-    size = get_alphabet(coded.alphabet_id).size
+def _solve(coded: CodedMessage, size: int):
+    """(k1s, k2s, xs, k3s), resp. (k1s, k2s, k3s, xs): the block columns of the payload's
+    grid over `size` symbols, as `_in_range` gives them.  Raises what `decode` raises."""
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     ds = coded.ds
     kept = [_in_range(column, size) for column in (coded.k1s, coded.k2s, coded.k3s)]
@@ -259,14 +264,15 @@ def decode(coded: CodedMessage) -> MessageMatrix:
     TamperDetected, naming the block, at the first row with a kept code out
     of range or no exact in-range solution.
     """
-    return MessageMatrix(coded.dim, _grid(*_solve(coded), coded.dim))
+    size = get_alphabet(coded.alphabet_id).size
+    return MessageMatrix(coded.dim, _grid(*_solve(coded, size), coded.dim))
 
 
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
     """Decode and also return the paper's per-block solving record."""
     from . import numtheory
 
-    b1s, b2s, b3s, b4s = columns = _solve(coded)
+    b1s, b2s, b3s, b4s = columns = _solve(coded, get_alphabet(coded.alphabet_id).size)
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
@@ -296,13 +302,19 @@ def _text_columns(text: str, n_rule: NRule, alphabet_id: str):
     """(block columns, dim) of the text's codes: `encode_text` up to the
     determinants, raising what it raises there, in the same order."""
     alphabet = get_alphabet(alphabet_id)
-    symbols = preprocess(text, alphabet)
-    dim = math.isqrt(len(symbols))
-    codes = CharTable(alphabet, choose_n((dim // 2) ** 2, n_rule))._codes_of(symbols)
-    return _columns(codes, dim), dim
+    padded = _padded(text, alphabet)
+    dim = math.isqrt(len(padded))
+    try:  # one translate through the shifted table both screens and codes the text
+        codes = _codes((alphabet, choose_n((dim // 2) ** 2, n_rule)), padded)
+    except (UnknownSymbol, TypeError) as error:  # a stray, or an n-rule that is no NRule
+        failure = error
+    else:
+        return _columns(codes, dim), dim
+    preprocess(text, alphabet)  # a stray, named with its position, comes first
+    raise failure
 
 
 def decode_text(coded: CodedMessage) -> str:
     """Full receiver pipeline: decode and render the symbol string."""
-    table = CharTable(get_alphabet(coded.alphabet_id), coded.n)
-    return table._symbols_of(_flat(*_solve(coded), coded.dim))
+    alphabet = get_alphabet(coded.alphabet_id)
+    return _symbols((alphabet, coded.n), _flat(*_solve(coded, alphabet.size), coded.dim))

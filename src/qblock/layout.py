@@ -9,7 +9,8 @@ pair: `_columns` cuts row-major codes (a bytearray or list) into the blocks'
 element columns and `_flat` lays bytes or other columns out row-major in a
 bytearray or list; `_grid` is the rows of `_flat`.  `to_matrix`/`to_symbols`
 map whole sequences through the table at once; `preprocess` screens for
-strays with the alphabet's own table of shift 0 from `_lookup`.
+strays with the alphabet's own table of shift 0 from `_lookup`, after
+`_padded`, which `encode_text` calls alone since its shifted table screens.
 """
 
 import math
@@ -70,14 +71,7 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     first resulting symbol outside the alphabet is an UnknownSymbol error
     that names it and its position, rather than a silent skip.
     """
-    if not text:
-        raise EmptyMessage("message text is empty")
-    letters = "".join(alphabet.symbols)
-    if letters.upper() == letters:
-        text = text.upper()
-    substituted = text.replace(" ", PAD_SYMBOL)
-    side = square_side(len(substituted))
-    padded = substituted + PAD_SYMBOL * (side * side - len(substituted))
+    padded = _padded(text, alphabet)
     try:
         padded.translate(_lookup(alphabet, 0, "ord"))  # stops at the first stray
         return padded
@@ -85,6 +79,18 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
         stray = chr(miss.args[0])
     raise UnknownSymbol(f"symbol {stray!r} at position {padded.index(stray)} "
                         f"is not in alphabet {alphabet.id!r}")
+
+
+def _padded(text: str, alphabet: Alphabet) -> str:
+    """`preprocess` up to its screen for strays."""
+    if not text:
+        raise EmptyMessage("message text is empty")
+    letters = "".join(alphabet.symbols)
+    if letters.upper() == letters:
+        text = text.upper()
+    substituted = text.replace(" ", PAD_SYMBOL)
+    side = square_side(len(substituted))
+    return substituted + PAD_SYMBOL * (side * side - len(substituted))
 
 
 def to_matrix(symbols: str, table: CharTable) -> MessageMatrix:

@@ -17,6 +17,10 @@ is read line by line to name its fault, each token through that same memo.
 
 serialize mirrors it: one lookup per int in `_COMMA` or `_LINE`, memos of the
 int's text then ',' or '\\n', four column-wide maps into one list, one join.
+
+Payloads of one shape repeat their header line, so parse reads its fields
+from `_HEADERS`, a bounded memo that never keeps a refused line; the record's
+own checks and the alphabet lookup run on every call.
 """
 
 import re
@@ -63,14 +67,18 @@ class _Text(dict):
         self.end = end
 
     def __missing__(self, value):
-        if (number := int(value)) != value:
-            raise TypeError(f"cannot serialize {value!r}: not an integer")
+        try:
+            if (number := int(value)) != value:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):  # 1.5, None, "x", nan, inf
+            raise TypeError(f"cannot serialize {value!r}: not an integer") from None
         if len(text := str(number)) <= 4:
             self[number] = text + self.end
         return text + self.end
 
 
 _COMMA, _LINE = _Text(","), _Text("\n")
+_HEADERS = {}  # header line -> its fields: the first 256 lines of up to 128 characters
 
 
 def serialize(coded: CodedMessage) -> str:
@@ -79,8 +87,8 @@ def serialize(coded: CodedMessage) -> str:
     texts[1::4] = map(_COMMA.__getitem__, coded.k1s)
     texts[2::4] = map(_COMMA.__getitem__, coded.k2s)
     texts[3::4] = map(_LINE.__getitem__, coded.k3s)
-    return (
-        f"{MAGIC};scheme={coded.scheme.value};nrule={coded.n_rule.value}"
+    return (  # `_value_` is the attribute that an Enum's `value` property reads
+        f"{MAGIC};scheme={coded.scheme._value_};nrule={coded.n_rule._value_}"
         f";dim={coded.dim};alpha={coded.alphabet_id}\n"
     ) + "".join(texts)
 
@@ -125,14 +133,13 @@ def parse(text: str) -> CodedMessage:
     # from here on every line ends in '\n', the last one too
     first, _, body = (text if text.endswith("\n") else text + "\n").partition("\n")
 
-    header = _HEADER_RE.match(first)
-    if header is None:
-        raise MalformedPayload(f"bad header line {first!r}")
-    scheme_tag, nrule_tag, dim_str, alphabet_id = header.groups()
-    dim = _parse_int(dim_str, 1)
-
-    # HeaderMismatch on a bad dimension or row count
-    coded = CodedMessage(Scheme(scheme_tag), NRule(nrule_tag), dim, alphabet_id,
-                         *_parse_columns(body))
-    get_alphabet(alphabet_id)  # UnknownAlphabet if not registered here
+    if (header := _HEADERS.get(first)) is None:
+        if (match := _HEADER_RE.match(first)) is None:
+            raise MalformedPayload(f"bad header line {first!r}")
+        scheme_tag, nrule_tag, dim_str, alphabet_id = match.groups()
+        header = Scheme(scheme_tag), NRule(nrule_tag), _parse_int(dim_str, 1), alphabet_id
+        if len(first) <= 128 and len(_HEADERS) < 256:
+            _HEADERS[first] = header
+    coded = CodedMessage(*header, *_parse_columns(body))  # HeaderMismatch on a bad dim or row count
+    get_alphabet(header[3])  # UnknownAlphabet if not registered here
     return coded

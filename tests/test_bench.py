@@ -1,6 +1,6 @@
 """tools/bench.py runs at tiny sizes and writes the documented schema, pipe
-timings included, compares two records, and the benchmark under perfbench/
-passes its own self-check."""
+timings included, compares two records, times two trees side by side, and
+the benchmark under perfbench/ passes its own self-check."""
 
 import json
 import subprocess
@@ -77,6 +77,27 @@ def test_compare_prints_new_over_old_per_stage_and_strategy(tmp_path):
         ["pipe", "control", "lucas", "8", "40000.0000", "30000.0000", "0.750"],
         ["pipe", "excess", "lucas", "8", "40000.0000", "30000.0000", "0.750"],
     ]
+
+
+def test_ab_times_the_tree_against_itself():
+    # the working tree as both sides: one row per stage, scheme and dim, then
+    # per harness strategy and scheme, in the order of a BENCH file
+    argv = [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--ab", str(ROOT / "src"),
+            "--sizes", "tiny"]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
+    rows = [line.split() for line in done.stdout.splitlines()]
+    order = ["preprocess", "to_matrix", "encode", "encode_text", "serialize", "parse", "decode",
+             "decode_text", "decode_with_trace"]
+    assert rows[0] == ["stage", "scheme", "dim", "new/old", "faster"]
+    assert [row[:-2] for row in rows[1:]] == [
+        [stage, scheme, dim] for dim in ("4", "8") for scheme in ("lucas", "mine")
+        for stage in order
+    ] + [
+        ["detection_rate", strategy, scheme, "8"]
+        for strategy in ("perturb-d", "perturb-kept", "swap-rows") for scheme in ("lucas", "mine")
+    ]
+    for row in rows[1:]:
+        assert float(row[-2]) > 0 and row[-1] in ("0/2", "1/2", "2/2")
 
 
 def test_benchmark_selfcheck_passes():

@@ -8,7 +8,7 @@ import pytest
 import golden
 from bruteforce import fib, key_det, luc, scan_lucas, scan_mine
 from payloads import from_rows, with_rows
-from qblock import alphabet, codec, layout, numtheory
+from qblock import alphabet, codec, layout, numtheory, wire
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
 from qblock.codec import (
     CodedMessage,
@@ -30,6 +30,7 @@ from qblock.errors import (
     HeaderMismatch,
     TamperDetected,
     UnknownAlphabet,
+    UnknownSymbol,
 )
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate
 from qblock.layout import (
@@ -136,6 +137,16 @@ def test_a_scheme_or_n_rule_that_is_not_a_member_is_a_type_error(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("n_rule", [NRule.HALF, "half"], ids=repr)
+def test_encode_text_names_a_stray_with_its_position_before_a_bad_n_rule(n_rule):
+    # the shifted table's miss falls back to preprocess, which names the
+    # position; a stray comes before choose_n's TypeError for a non-member
+    text = "symbol '#' at position 1 is not in alphabet 'default'"
+    with pytest.raises(UnknownSymbol, match=f"^{re.escape(text)}$") as info:
+        encode_text("a#", Scheme.LUCAS_BLOCKING, n_rule)
+    assert info.value.__context__ is None
+
+
 # ---- an error text never fails on an int too long to print ----
 
 BIG = 10**5000  # str(BIG) raises ValueError: past the interpreter's int-string limit
@@ -220,13 +231,20 @@ def test_no_encode_wire_decode_or_corrupt_step_builds_rows(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_a_text_round_trip_builds_no_matrix_and_a_repeat_builds_no_table(monkeypatch, scheme):
-    # the text paths go between flat codes and block columns; a table depends
-    # only on (alphabet, n mod size), so a second message with the same key
-    # finds its lookups, preprocess's stray screen among them, already built
+    # the text paths go between flat codes and block columns and read the
+    # lookups without a CharTable; a table depends only on (alphabet, n mod
+    # size), and a header's fields only on its line, so a second message of
+    # the same shape finds both already built
     def refuse(cls, *args):
-        raise AssertionError("a text round trip built a MessageMatrix")
+        raise AssertionError(f"a text round trip built a {cls.__name__}")
 
     built = []
+
+    class CountingRe:  # wire's header pattern, so that its matches are counted
+        @staticmethod
+        def match(line):
+            built.append("header")
+            return header_re.match(line)
 
     class Counting(alphabet._Refusing):
         def __init__(self, *args):
@@ -240,7 +258,11 @@ def test_a_text_round_trip_builds_no_matrix_and_a_repeat_builds_no_table(monkeyp
             return str.maketrans(*args)
 
     monkeypatch.setattr(MessageMatrix, "__new__", refuse)
+    monkeypatch.setattr(CharTable, "__new__", refuse)
     monkeypatch.setattr(alphabet, "_Refusing", Counting)
+    header_re = wire._HEADER_RE
+    monkeypatch.setattr(wire, "_HEADER_RE", CountingRe)
+    wire._HEADERS.clear()
     monkeypatch.setattr(layout, "str", CountingStr, raising=False)
 
     def round_trip():
@@ -461,7 +483,8 @@ def test_both_column_paths_round_trip_and_agree_with_the_scan(alphabet, scheme):
     register_alphabet(WIDE)
     text = message(alphabet, 8, NRule.HALF, random.Random(17))
     coded = encode_text(text, scheme, NRule.HALF, alphabet.id)
-    assert [type(c) is bytes for c in codec._solve(coded)] == [alphabet is DEFAULT_ALPHABET] * 4
+    columns = codec._solve(coded, alphabet.size)
+    assert [type(c) is bytes for c in columns] == [alphabet is DEFAULT_ALPHABET] * 4
     assert decode_text(parse(serialize(coded))) == text
     decoded = decode(parse(serialize(coded)))
     assert decoded == to_matrix(text, CharTable(alphabet, coded.n))

@@ -70,6 +70,32 @@ def test_replace_raises_what_the_constructor_raises(record, fields, error):
         type(record)._make({**record._asdict(), **fields}.values())
 
 
+class Posing(str):
+    """A text that compares and hashes as the registered id "default"."""
+
+    def __eq__(self, other):
+        return other == "default"
+
+    def __hash__(self):
+        return hash("default")
+
+
+@pytest.mark.parametrize(
+    "alphabet_id, error",
+    [("default", None), ("never-registered", None), ("a b", ValueError),
+     (type("Sub", (str,), {})("default"), None), (Posing("a b"), ValueError), (5, TypeError)],
+    ids=["registered", "unregistered", "space", "str-subclass", "posing", "int"],
+)
+def test_coded_message_checks_an_id_that_is_no_registered_str(alphabet_id, error):
+    # a registered id passed the check when registered; any other, a str
+    # subclass that finds a registered key among them, is checked here
+    if error:
+        with pytest.raises(error):
+            CODED._replace(alphabet_id=alphabet_id)
+    else:
+        assert CODED._replace(alphabet_id=alphabet_id).alphabet_id is alphabet_id
+
+
 def test_an_int_field_reads_a_bool_as_its_int():
     assert repr(CharTable(AB, True)) == repr(CharTable(AB, 1))
     assert type(CharTable(AB, True).shift) is int

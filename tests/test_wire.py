@@ -127,11 +127,52 @@ def test_carriage_returns_are_named(payload, line):
         "QBLK1;scheme=lucas;nrule=half;dim=4\n",
         "QBLK1;scheme=lucas;nrule=half;dim=4;alpha=default;extra=1\n",
         "qblk1;scheme=lucas;nrule=half;dim=4;alpha=default\n",
+        "QBLK1;scheme=lucas;nrule=half;dim=" + "4" * 5000 + ";alpha=default\n",
     ],
 )
 def test_malformed_headers(payload):
+    wire._HEADERS.clear()
     with pytest.raises(MalformedPayload):
         parse(payload)
+    assert payload.partition("\n")[0] not in wire._HEADERS  # a refused header is never kept
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        golden.EX1_PAYLOAD,
+        golden.EX1_PAYLOAD.replace("dim=4", "dim=6"),
+        golden.EX1_PAYLOAD.replace("dim=4", "dim=3"),
+        golden.EX1_PAYLOAD.replace("140,29,28,28", "140,29,28"),
+        golden.EX1_PAYLOAD.replace("alpha=default", "alpha=not-registered"),
+    ],
+    ids=["record", "row-count", "odd-dim", "bad-row", "unknown-alphabet"],
+)
+def test_a_kept_header_gives_what_a_fresh_one_gives(payload):
+    def outcome():
+        try:
+            return parse(payload)
+        except (MalformedPayload, HeaderMismatch, UnknownAlphabet) as exc:
+            return type(exc), str(exc)
+
+    wire._HEADERS.clear()
+    fresh = outcome()
+    assert payload.partition("\n")[0] in wire._HEADERS
+    assert outcome() == fresh
+
+
+def test_header_memo_stays_bounded():
+    # a header too long to keep, then 600 distinct headers that parse, each
+    # refused only by the alphabet lookup: 256 lines of up to 128 characters stay
+    wire._HEADERS.clear()
+    long = HEADER.replace("default", "x" * 200)
+    with pytest.raises(UnknownAlphabet):
+        parse(long + "\n1,2,3,4\n")
+    assert long not in wire._HEADERS
+    for i in range(600):
+        with pytest.raises(UnknownAlphabet):
+            parse(HEADER.replace("default", f"memo-{i}") + "\n1,2,3,4\n")
+    assert len(wire._HEADERS) == 256 and all(len(line) <= 128 for line in wire._HEADERS)
 
 
 @pytest.mark.parametrize(
@@ -321,8 +362,11 @@ def test_serialize_writes_an_element_as_the_int_it_equals(first, monkeypatch):
     assert serialize(coded) == HEADER + "\n1,2,0,1\n"
 
 
-@pytest.mark.parametrize("element", [1.5, "7", b"7", None, [1]])
+@pytest.mark.parametrize("element",
+                         [1.5, "7", b"7", None, [1], float("inf"), float("nan"), "x"])
 def test_serialize_refuses_an_element_that_equals_no_int(element):
     coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(1, 2, 3, element)])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as info:
         serialize(coded)
+    if not isinstance(element, list):  # which fails the memo's own lookup: unhashable
+        assert str(info.value) == f"cannot serialize {element!r}: not an integer"

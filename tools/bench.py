@@ -2,6 +2,7 @@
 
     python tools/bench.py --src PATH --out FILE [--sizes tiny]
     python tools/bench.py --compare OLD NEW
+    python tools/bench.py --src PATH --ab OLD_SRC [--sizes tiny]
 
 Imports qblock from PATH, the `src` directory of a checkout, as
 tools/diffhash.py does, and times each stage of the codec on its own:
@@ -46,6 +47,15 @@ pipe pairs, for a schema check.
 and for each harness strategy and scheme that both hold, the old and the new
 scaled time and their ratio new/old: below 1 is faster.  Where both hold a
 pipe, the medians of `qblock_ms`, `control_ms` and `excess_ms` follow, in µs.
+
+`--ab` times two trees in one process, so that both run on the same
+interpreter state and the same host speed: PATH's package as `qblock`, and
+OLD_SRC's, the `src` directory of another checkout, under a private name.
+For each stage, scheme and dim, and each harness strategy and scheme, it
+runs a loop of calls on one tree, then one on the other, as many pairs of
+loops as the pipe has pairs, the tree that goes first alternating.  It
+prints the new/old ratio of the median loop times and the number of pairs
+in which the new tree's loop was the faster.  These times are not scaled.
 
 The file holds, with `schema` 2 (1 had no `pipe`):
 
@@ -235,6 +245,60 @@ def bench(q, sizes):
     }
 
 
+def load(src, name):
+    """The qblock package of the `src` directory `src`, imported as `name`."""
+    package = Path(src).resolve() / "qblock"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"error: no qblock package under {src}")
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where its relative imports find their package
+    spec.loader.exec_module(module)
+    return module
+
+
+def ab(new, old, sizes):
+    """Lines of a table: per stage, scheme and dim, then per harness strategy
+    and scheme, new/old of the median loop times of two trees timed in
+    alternating loops, and the pairs of loops in which new was the faster."""
+    dims, harness_dim, _, seconds, pairs = SIZES[sizes]
+    cells = []  # (stage, scheme, dim, {tree: (function, arguments)})
+    for dim in dims:
+        text = message(new, dim, random.Random(f"bench-{dim}"))
+        for scheme in new.Scheme:
+            calls = {q: stage_calls(q, text, dim, q.Scheme(scheme.value)) for q in (new, old)}
+            cells += [(stage, scheme.value, dim, {q: calls[q][stage] for q in calls})
+                      for stage in STAGES]
+    text = message(new, harness_dim, random.Random(f"bench-{harness_dim}"))
+    for strategy in new.Strategy:
+        for scheme in new.Scheme:
+            cells.append((f"detection_rate {strategy.value}", scheme.value, harness_dim, {
+                q: (q.detection_rate, (text, q.Scheme(scheme.value),
+                                       q.CorruptionSpec(q.Strategy(strategy.value), MAGNITUDE, 0),
+                                       TRIALS_PER_CALL))
+                for q in (new, old)}))
+    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'new/old':>9}{'faster':>8}"]
+    for stage, scheme, dim, calls in cells:
+        for q in (old, new, new):  # a first call may import a module; the last sizes the loops
+            f, args = calls[q]
+            start = time.perf_counter()
+            f(*args)
+        number = max(1, int(seconds / max(time.perf_counter() - start, 1e-9)))
+        times = {new: [], old: []}
+        for i in range(pairs):
+            for q in (new, old) if i % 2 else (old, new):
+                f, args = calls[q]
+                start = time.perf_counter()
+                for _ in range(number):
+                    f(*args)
+                times[q].append(time.perf_counter() - start)
+        ratio = statistics.median(times[new]) / statistics.median(times[old])
+        faster = sum(a < b for a, b in zip(times[new], times[old]))
+        lines.append(f"{stage:<28}{scheme:<7}{dim:>4}{ratio:>9.3f}{f'{faster}/{pairs}':>8}")
+    return lines
+
+
 def compare(old, new):
     """Lines of a table: the scaled times of two records and new/old, per stage,
     scheme and dim, then per harness strategy and scheme, then the pipe medians."""
@@ -270,19 +334,24 @@ def main(argv=None):
     parser.add_argument("--sizes", choices=sorted(SIZES), default="full")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="print new/old of two BENCH files instead of timing")
+    parser.add_argument("--ab", metavar="OLD_SRC",
+                        help="time PATH against the package in OLD_SRC in one process")
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(Path(name).read_text(encoding="utf-8")) for name in args.compare)
         print("\n".join(compare(old, new)))
         return
-    if not (args.src and args.out):
-        parser.error("--src and --out are required unless --compare is given")
+    if not (args.src and (args.out or args.ab)):
+        parser.error("--src and --out (or --ab) are required unless --compare is given")
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import qblock
 
     if not Path(qblock.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"error: qblock imported from {qblock.__file__}, not from {src}")
+    if args.ab:
+        print("\n".join(ab(qblock, load(args.ab, "_qblock_ab_old"), args.sizes)))
+        return
     record = {"schema": SCHEMA, "python": platform.python_version(), "git_sha": git_sha(src),
               "sizes": args.sizes, **bench(qblock, args.sizes)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
