@@ -13,12 +13,12 @@ pivot, and swap-rows exchanges only rows that differ.  So `undetected_equal`
 (decode gives the original matrix back) stays zero; only the full-decode
 test oracle could count one.  Trial t draws as `_damage` with seed spec.seed + t.
 
-`detection_rate` builds no `CodedMessage`.  It takes the message's block
-columns from `codec._text_columns` and the pivot check from `codec._kept`,
-so it raises what `encode_text` raises, and draws over the kept columns
-and a `_Determinants` column, which computes d = b1*b4 - b2*b3 for a row
-when the draw reads it: a row's value is the one the record would hold,
-so the draws are those of `corrupt` on `encode_text`'s record.
+The draws read rows through a reader row(i) -> (d, k1, k2, k3); `_damage`'s
+reads the record.  `detection_rate` builds no `CodedMessage`: it takes the
+block columns from `codec._text_columns` and the pivot check from `codec._kept`,
+so it raises what `encode_text` raises, and its reader computes d = b1*b4 - b2*b3
+for the one row asked for, the value the record would hold.  So the draws are
+those of `corrupt` on `encode_text`'s record, and a trial pays only for its rows.
 
 A seed k >= 0 seeds `random.Random` as the int k; a negative k seeds it
 from the string f"neg{k}", since `Random.seed` takes an int's absolute
@@ -28,7 +28,7 @@ value and seed -k would otherwise draw exactly what seed k draws.
 import random
 from collections import namedtuple
 from enum import Enum
-from operator import index, mul, sub
+from operator import index
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
 from .codec import CodedMessage, Scheme, _kept, _text_columns, solve_missing
@@ -93,7 +93,9 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
 def _damage(coded: CodedMessage, spec: CorruptionSpec) -> dict[int, tuple[int, int, int, int]]:
     """`corrupt`'s damage as row edits, {0-based row: new (d, k1, k2, k3)}:
     one row for the perturb strategies, the drawn pair for SWAP_ROWS."""
-    return _drawer(coded[4:], coded.alphabet_id, spec)(random.Random(_seed(spec.seed)))
+    ds, k1s, k2s, k3s = coded[4:]
+    draw = _drawer(lambda i: (ds[i], k1s[i], k2s[i], k3s[i]), len(ds), coded.alphabet_id, spec)
+    return draw(random.Random(_seed(spec.seed)))
 
 
 def _seed(seed: int) -> int | str:
@@ -101,58 +103,38 @@ def _seed(seed: int) -> int | str:
     return seed if seed >= 0 else f"neg{seed}"
 
 
-def _drawer(columns, alphabet_id: str, spec: CorruptionSpec):
-    """`_damage`'s draw over the row columns (ds, k1s, k2s, k3s), as a function
-    of the generator, after the work that no draw changes."""
-    rows_n = len(columns[0])
+def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
+    """`_damage`'s draw over the rows row(0) .. row(rows_n - 1), each (d, k1, k2, k3),
+    as a function of the generator, after the work that no draw changes."""
     kept = spec.strategy is Strategy.PERTURB_KEPT
     size = get_alphabet(alphabet_id).size if kept else None
     swap = spec.strategy is Strategy.SWAP_ROWS
     if swap:  # exchange two rows that differ in value, drawn uniformly by rejection
         if rows_n < 2:
             raise NotEnoughRows("need at least 2 rows to swap")
-        rows = zip(*columns)
+        rows = map(row, range(rows_n))
         first = next(rows)
-        if all(row == first for row in rows):
+        if all(other == first for other in rows):
             raise NotEnoughRows("all rows are identical, swapping changes nothing")
 
     def draw(rng):
         while not swap:
             i = rng.randrange(rows_n)
             field = rng.choice((1, 2, 3)) if kept else 0  # k1, k2, k3 or d
-            row = [column[i] for column in columns]
-            new = row[field] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
+            edited = list(row(i))
+            new = edited[field] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
             if kept:
                 new %= size
-            if new != row[field]:  # only a kept code can wrap, when magnitude >= size
-                row[field] = new
-                return {i: tuple(row)}
+            if new != edited[field]:  # only a kept code can wrap, when magnitude >= size
+                edited[field] = new
+                return {i: tuple(edited)}
         while True:  # a rejection draw, so a swap-rows trial stays linear in the row count
             i, j = rng.sample(range(rows_n), 2)
-            row_i, row_j = (tuple(column[k] for column in columns) for k in (i, j))
+            row_i, row_j = row(i), row(j)
             if row_i != row_j:
                 return {i: row_j, j: row_i}
 
     return draw
-
-
-class _Determinants:
-    """The d column of the block columns b1s, b2s, b3s, b4s: each d is
-    computed when it is read, so a trial pays only for the rows it draws."""
-
-    __slots__ = ("b1s", "b2s", "b3s", "b4s")
-
-    def __init__(self, b1s, b2s, b3s, b4s):
-        self.b1s, self.b2s, self.b3s, self.b4s = b1s, b2s, b3s, b4s
-
-    def __len__(self) -> int:
-        return len(self.b1s)
-
-    def __getitem__(self, i: int) -> int:
-        return self.b1s[i] * self.b4s[i] - self.b2s[i] * self.b3s[i]
-
-    def __iter__(self):  # swap-rows' scan reads every row once per call
-        return map(sub, map(mul, self.b1s, self.b4s), map(mul, self.b2s, self.b3s))
 
 
 def trial_spec(spec: CorruptionSpec, trial: int) -> CorruptionSpec:
@@ -173,9 +155,11 @@ def detection_rate(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {_int_text(trials)}")
     columns, _ = _text_columns(message, n_rule, alphabet_id)
-    kept = _kept(columns, scheme)
+    b1s, b2s, b3s, b4s = columns
+    k1s, k2s, k3s = _kept(columns, scheme)
     size = get_alphabet(alphabet_id).size
-    draw = _drawer((_Determinants(*columns), *kept), alphabet_id, spec)
+    draw = _drawer(lambda i: (b1s[i] * b4s[i] - b2s[i] * b3s[i], k1s[i], k2s[i], k3s[i]),
+                   len(b1s), alphabet_id, spec)
     rng = random.Random(_seed(spec.seed))
     outcomes = []
     for trial in range(trials):

@@ -83,10 +83,15 @@ _HEADERS = {}  # header line -> its fields: the first 256 lines of up to 128 cha
 
 def serialize(coded: CodedMessage) -> str:
     texts = [None] * (4 * len(coded.ds))  # each column's texts, interleaved row by row
-    texts[0::4] = map(_COMMA.__getitem__, coded.ds)
-    texts[1::4] = map(_COMMA.__getitem__, coded.k1s)
-    texts[2::4] = map(_COMMA.__getitem__, coded.k2s)
-    texts[3::4] = map(_LINE.__getitem__, coded.k3s)
+    try:
+        texts[0::4] = map(_COMMA.__getitem__, coded.ds)
+        texts[1::4] = map(_COMMA.__getitem__, coded.k1s)
+        texts[2::4] = map(_COMMA.__getitem__, coded.k2s)
+        texts[3::4] = map(_LINE.__getitem__, coded.k3s)
+    except TypeError:  # an unhashable element fails the lookup before `__missing__` names it
+        for element in (*coded.ds, *coded.k1s, *coded.k2s, *coded.k3s):
+            _LINE.__missing__(element)
+        raise
     return (  # `_value_` is the attribute that an Enum's `value` property reads
         f"{MAGIC};scheme={coded.scheme._value_};nrule={coded.n_rule._value_}"
         f";dim={coded.dim};alpha={coded.alphabet_id}\n"

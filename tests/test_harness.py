@@ -245,6 +245,29 @@ def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strate
     assert count == per_trial * trials
 
 
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_detection_rate_solves_the_rows_damage_draws_on_the_encoded_record(monkeypatch, strategy,
+                                                                          scheme):
+    # its row reader works d out of the block columns: each row it hands to
+    # solve_missing is the one `_damage` draws on encode_text's record
+    solved = []
+
+    def recording(row, *args, **kwargs):
+        solved.append(row)
+        return solve_missing(row, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_missing", recording)
+    # seeds that cross zero, and perturb-kept redraws that wrap at magnitude 90
+    for message, magnitude, seed in ((DIM32_MESSAGE, 60, -7), (golden.EX1_MESSAGE, 90, -3)):
+        spec = CorruptionSpec(strategy, magnitude, seed)
+        coded = encode_text(message, scheme)
+        solved.clear()
+        assert detection_rate(message, scheme, spec, trials=15).trials == 15
+        assert solved == [row for t in range(15)
+                          for row in _damage(coded, trial_spec(spec, t)).values()]
+
+
 @pytest.mark.parametrize("trials", [1, 50])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, trials):

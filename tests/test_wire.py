@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -368,5 +369,18 @@ def test_serialize_refuses_an_element_that_equals_no_int(element):
     coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(1, 2, 3, element)])
     with pytest.raises(TypeError) as info:
         serialize(coded)
-    if not isinstance(element, list):  # which fails the memo's own lookup: unhashable
-        assert str(info.value) == f"cannot serialize {element!r}: not an integer"
+    assert str(info.value) == f"cannot serialize {element!r}: not an integer"
+
+
+@pytest.mark.parametrize("rows,first", [
+    ([([1], 2, 3, 4), (1.5, 2, 3, 4)], [1]),
+    ([(1.5, 2, 3, 4), ([1], 2, 3, 4)], 1.5),
+    ([(1, 2, [3], 4), (1, [2], 3, 4)], [2]),  # the k1 column is read before the k2 column
+    ([(1, 2, 3, None), (1, 2, {3}, 4)], {3}),
+])
+def test_serialize_names_the_first_bad_element_column_by_column(rows, first):
+    # an unhashable element fails the memo's own lookup, yet is named in the
+    # order serialize reads the columns: ds, k1s, k2s, k3s, each top to bottom
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", rows * 2)
+    with pytest.raises(TypeError, match=rf"^cannot serialize {re.escape(repr(first))}: not an"):
+        serialize(coded)

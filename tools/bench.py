@@ -208,34 +208,43 @@ def pipe(q, pairs):
             "excess_ms": quartiles(excess)}
 
 
+def cells(trees, sizes):
+    """The timed cells in the order of a BENCH file, as (stage, strategy,
+    scheme, dim, {tree: (function, arguments)}): each stage per dim and
+    scheme with strategy None, then "detection_rate" per strategy and scheme.
+    `trees` are qblock packages; the first one draws the messages."""
+    dims, harness_dim, *_ = SIZES[sizes]
+    first = trees[0]
+    for dim in dims:
+        text = message(first, dim, random.Random(f"bench-{dim}"))
+        for scheme in first.Scheme:
+            calls = {q: stage_calls(q, text, dim, q.Scheme(scheme.value)) for q in trees}
+            for stage in STAGES:
+                yield stage, None, scheme.value, dim, {q: calls[q][stage] for q in trees}
+    text = message(first, harness_dim, random.Random(f"bench-{harness_dim}"))
+    for strategy in first.Strategy:
+        for scheme in first.Scheme:
+            yield "detection_rate", strategy.value, scheme.value, harness_dim, {
+                q: (q.detection_rate, (text, q.Scheme(scheme.value),
+                                       q.CorruptionSpec(q.Strategy(strategy.value), MAGNITUDE, 0),
+                                       TRIALS_PER_CALL))
+                for q in trees}
+
+
 def bench(q, sizes):
-    dims, harness_dim, repeats, seconds, pairs = SIZES[sizes]
+    _, harness_dim, repeats, seconds, pairs = SIZES[sizes]
     kernel, samples = calibration(), []
     stages = {stage: {scheme.value: {} for scheme in q.Scheme} for stage in STAGES}
-    for dim in dims:
-        text = message(q, dim, random.Random(f"bench-{dim}"))
-        for scheme in q.Scheme:
-            for stage, (f, args) in stage_calls(q, text, dim, scheme).items():
-                scaled, raw, gen0 = per_call(f, args, repeats, seconds, kernel, samples)
-                blocks = (dim // 2) ** 2
-                stages[stage][scheme.value][str(dim)] = {
-                    "us_per_block": round(scaled * 1e6 / blocks, 4),
-                    "raw_us_per_block": round(raw * 1e6 / blocks, 4),
-                    "gen0_per_call": round(gen0, 4),
-                }
-    text = message(q, harness_dim, random.Random(f"bench-{harness_dim}"))
-    strategies = {}
-    for strategy in q.Strategy:
-        spec = q.CorruptionSpec(strategy, MAGNITUDE, 0)
-        strategies[strategy.value] = {}
-        for scheme in q.Scheme:
-            scaled, raw, gen0 = per_call(q.detection_rate, (text, scheme, spec, TRIALS_PER_CALL),
-                                         repeats, seconds, kernel, samples)
-            strategies[strategy.value][scheme.value] = {
-                "us_per_trial": round(scaled * 1e6 / TRIALS_PER_CALL, 4),
-                "raw_us_per_trial": round(raw * 1e6 / TRIALS_PER_CALL, 4),
-                "gen0_per_call": round(gen0, 4),
-            }
+    strategies = {strategy.value: {} for strategy in q.Strategy}
+    for stage, strategy, scheme, dim, calls in cells([q], sizes):
+        scaled, raw, gen0 = per_call(*calls[q], repeats, seconds, kernel, samples)
+        unit, per = ("trial", TRIALS_PER_CALL) if strategy else ("block", (dim // 2) ** 2)
+        cell = {f"us_per_{unit}": round(scaled * 1e6 / per, 4),
+                f"raw_us_per_{unit}": round(raw * 1e6 / per, 4), "gen0_per_call": round(gen0, 4)}
+        if strategy:
+            strategies[strategy][scheme] = cell
+        else:
+            stages[stage][scheme][str(dim)] = cell
     return {
         "stages": stages,
         "detection_rate": {"dim": harness_dim, "trials_per_call": TRIALS_PER_CALL,
@@ -262,24 +271,9 @@ def ab(new, old, sizes):
     """Lines of a table: per stage, scheme and dim, then per harness strategy
     and scheme, new/old of the median loop times of two trees timed in
     alternating loops, and the pairs of loops in which new was the faster."""
-    dims, harness_dim, _, seconds, pairs = SIZES[sizes]
-    cells = []  # (stage, scheme, dim, {tree: (function, arguments)})
-    for dim in dims:
-        text = message(new, dim, random.Random(f"bench-{dim}"))
-        for scheme in new.Scheme:
-            calls = {q: stage_calls(q, text, dim, q.Scheme(scheme.value)) for q in (new, old)}
-            cells += [(stage, scheme.value, dim, {q: calls[q][stage] for q in calls})
-                      for stage in STAGES]
-    text = message(new, harness_dim, random.Random(f"bench-{harness_dim}"))
-    for strategy in new.Strategy:
-        for scheme in new.Scheme:
-            cells.append((f"detection_rate {strategy.value}", scheme.value, harness_dim, {
-                q: (q.detection_rate, (text, q.Scheme(scheme.value),
-                                       q.CorruptionSpec(q.Strategy(strategy.value), MAGNITUDE, 0),
-                                       TRIALS_PER_CALL))
-                for q in (new, old)}))
+    *_, seconds, pairs = SIZES[sizes]
     lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'new/old':>9}{'faster':>8}"]
-    for stage, scheme, dim, calls in cells:
+    for stage, strategy, scheme, dim, calls in cells((new, old), sizes):
         for q in (old, new, new):  # a first call may import a module; the last sizes the loops
             f, args = calls[q]
             start = time.perf_counter()
@@ -295,7 +289,8 @@ def ab(new, old, sizes):
                 times[q].append(time.perf_counter() - start)
         ratio = statistics.median(times[new]) / statistics.median(times[old])
         faster = sum(a < b for a, b in zip(times[new], times[old]))
-        lines.append(f"{stage:<28}{scheme:<7}{dim:>4}{ratio:>9.3f}{f'{faster}/{pairs}':>8}")
+        label = f"{stage} {strategy}" if strategy else stage
+        lines.append(f"{label:<28}{scheme:<7}{dim:>4}{ratio:>9.3f}{f'{faster}/{pairs}':>8}")
     return lines
 
 
