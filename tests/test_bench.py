@@ -1,5 +1,5 @@
-"""tools/bench.py runs at tiny sizes and writes the documented schema, pipe
-timings included, compares two records, times two trees side by side, and
+"""tools/bench.py times two trees in one process at tiny sizes, writes the
+documented schema, pipe timings included, and prints one line per cell; and
 the benchmark under perfbench/ passes its own self-check."""
 
 import json
@@ -9,95 +9,61 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench.py"
-STAGES = ["decode", "decode_text", "decode_with_trace", "encode", "encode_text", "parse",
-          "preprocess", "serialize", "to_matrix"]
+STAGES = ["preprocess", "to_matrix", "encode", "encode_text", "serialize", "parse", "decode",
+          "decode_text", "decode_with_trace"]
+STRATEGIES = ["perturb-d", "perturb-kept", "swap-rows"]
 
 
-def test_tiny_run_writes_the_schema(tmp_path):
+def test_tiny_run_times_the_tree_against_itself(tmp_path):
+    # the working tree as both sides: one cell per stage, scheme and dim, then
+    # per harness strategy and scheme, printed in the order they were timed
     out = tmp_path / "BENCH_tiny.json"
-    argv = [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--out", str(out),
-            "--sizes", "tiny"]
-    subprocess.run(argv, capture_output=True, check=True, timeout=120)
+    argv = [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--ab", str(ROOT / "src"),
+            "--out", str(out), "--sizes", "tiny"]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert sorted(record) == ["calibration_us", "detection_rate", "git_sha", "pipe", "python",
-                              "schema", "sizes", "stages"]
-    assert (record["schema"], record["sizes"]) == (2, "tiny")
+    assert sorted(record) == ["detection_rate", "git_sha", "pairs", "pipe", "python", "schema",
+                              "sizes", "stages"]
+    assert (record["schema"], record["sizes"], record["pairs"]) == (3, "tiny", 2)
     assert record["python"] == ".".join(map(str, sys.version_info[:3]))
-    assert isinstance(record["git_sha"], str) and record["calibration_us"] > 0
-    assert sorted(record["stages"]) == STAGES
-    for schemes in record["stages"].values():
-        assert sorted(schemes) == ["lucas", "mine"]
-        for dims in schemes.values():
-            assert sorted(dims) == ["4", "8"]
-            for cell in dims.values():
-                assert sorted(cell) == ["gen0_per_call", "raw_us_per_block", "us_per_block"]
-                assert min(cell["us_per_block"], cell["raw_us_per_block"]) > 0
-                assert cell["gen0_per_call"] >= 0
+    assert sorted(record["git_sha"]) == ["new", "old"]
+    assert record["git_sha"]["new"] == record["git_sha"]["old"]
     harness = record["detection_rate"]
     assert (harness["dim"], harness["trials_per_call"]) == (8, 8)
-    assert sorted(harness["strategies"]) == ["perturb-d", "perturb-kept", "swap-rows"]
-    for schemes in harness["strategies"].values():
+    order = [(stage, scheme, dim, record["stages"][stage][scheme][dim])
+             for dim in ("4", "8") for scheme in ("lucas", "mine") for stage in STAGES]
+    order += [(f"detection_rate {strategy}", scheme, "8",
+               harness["strategies"][strategy][scheme])
+              for strategy in STRATEGIES for scheme in ("lucas", "mine")]
+    assert sorted(record["stages"]) == sorted(STAGES)
+    assert sorted(harness["strategies"]) == STRATEGIES
+    for schemes in [*record["stages"].values(), *harness["strategies"].values()]:
         assert sorted(schemes) == ["lucas", "mine"]
-        for cell in schemes.values():
-            assert sorted(cell) == ["gen0_per_call", "raw_us_per_trial", "us_per_trial"]
-            assert min(cell["us_per_trial"], cell["raw_us_per_trial"]) > 0
-            assert cell["gen0_per_call"] >= 0
-    pipe = record["pipe"]
-    assert sorted(pipe) == ["control_ms", "dim", "excess_ms", "pairs", "qblock_ms", "scheme"]
-    assert (pipe["dim"], pipe["scheme"], pipe["pairs"]) == (8, "lucas", 2)
-    for name in ("qblock_ms", "control_ms"):
-        q1, median, q3 = pipe[name]
-        assert 0 < q1 <= median <= q3
-    q1, median, q3 = pipe["excess_ms"]
-    assert q1 <= median <= q3
-
-
-def test_compare_prints_new_over_old_per_stage_and_strategy(tmp_path):
-    def record(us):
-        cell = {"us_per_block": us, "raw_us_per_block": us, "gen0_per_call": 0}
-        trial = {"us_per_trial": 10 * us, "raw_us_per_trial": 10 * us, "gen0_per_call": 0}
-        pipe = {"dim": 8, "scheme": "lucas", "pairs": 3, "qblock_ms": [0, 40 * us, 0],
-                "control_ms": [0, 20 * us, 0], "excess_ms": [0, 20 * us, 0]}
-        return {"stages": {"serialize": {"lucas": {"128": cell, "8": cell}}},
-                "detection_rate": {"dim": 32, "trials_per_call": 8,
-                                   "strategies": {"swap-rows": {"mine": trial}}},
-                "pipe": pipe}
-
-    old, new = tmp_path / "old.json", tmp_path / "new.json"
-    old.write_text(json.dumps(record(2.0)), encoding="utf-8")
-    new.write_text(json.dumps(record(1.5)), encoding="utf-8")
-    done = subprocess.run([sys.executable, str(TOOL), "--compare", str(old), str(new)],
-                          capture_output=True, text=True, check=True, timeout=60)
-    assert [line.split() for line in done.stdout.splitlines()] == [
-        ["stage", "scheme", "dim", "old", "us", "new", "us", "new/old"],
-        ["serialize", "lucas", "8", "2.0000", "1.5000", "0.750"],
-        ["serialize", "lucas", "128", "2.0000", "1.5000", "0.750"],
-        ["detection_rate", "swap-rows", "mine", "32", "20.0000", "15.0000", "0.750"],
-        ["pipe", "qblock", "lucas", "8", "80000.0000", "60000.0000", "0.750"],
-        ["pipe", "control", "lucas", "8", "40000.0000", "30000.0000", "0.750"],
-        ["pipe", "excess", "lucas", "8", "40000.0000", "30000.0000", "0.750"],
-    ]
-
-
-def test_ab_times_the_tree_against_itself():
-    # the working tree as both sides: one row per stage, scheme and dim, then
-    # per harness strategy and scheme, in the order of a BENCH file
-    argv = [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--ab", str(ROOT / "src"),
-            "--sizes", "tiny"]
-    done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
+    for dims in record["stages"].values():
+        assert all(sorted(by_dim) == ["4", "8"] for by_dim in dims.values())
     rows = [line.split() for line in done.stdout.splitlines()]
-    order = ["preprocess", "to_matrix", "encode", "encode_text", "serialize", "parse", "decode",
-             "decode_text", "decode_with_trace"]
     assert rows[0] == ["stage", "scheme", "dim", "new/old", "faster"]
-    assert [row[:-2] for row in rows[1:]] == [
-        [stage, scheme, dim] for dim in ("4", "8") for scheme in ("lucas", "mine")
-        for stage in order
-    ] + [
-        ["detection_rate", strategy, scheme, "8"]
-        for strategy in ("perturb-d", "perturb-kept", "swap-rows") for scheme in ("lucas", "mine")
-    ]
-    for row in rows[1:]:
-        assert float(row[-2]) > 0 and row[-1] in ("0/2", "1/2", "2/2")
+    assert [row[:-2] for row in rows[1:]] == [label.split() + [scheme, dim]
+                                             for label, scheme, dim, _ in order]
+    for row, (label, _, _, cell) in zip(rows[1:], order):
+        unit = "us_per_trial" if label.startswith("detection_rate") else "us_per_block"
+        assert sorted(cell) == ["new", "new_faster", "new_over_old", "old"]
+        for tree in ("new", "old"):
+            assert sorted(cell[tree]) == ["gen0_per_call", unit]
+            assert cell[tree][unit] > 0 and cell[tree]["gen0_per_call"] >= 0
+        assert cell["new_over_old"] > 0 and cell["new_faster"] in (0, 1, 2)
+        assert row[-2:] == [f"{cell['new_over_old']:.3f}", f"{cell['new_faster']}/2"]
+    pipe = record["pipe"]
+    assert sorted(pipe) == ["control_ms", "dim", "new", "old", "rounds", "scheme"]
+    assert (pipe["dim"], pipe["scheme"], pipe["rounds"]) == (8, "lucas", 2)
+    series = [pipe["control_ms"]]
+    for tree in ("new", "old"):
+        assert sorted(pipe[tree]) == ["excess_ms", "qblock_ms"]
+        series.append(pipe[tree]["qblock_ms"])
+        q1, median, q3 = pipe[tree]["excess_ms"]
+        assert q1 <= median <= q3
+    for q1, median, q3 in series:
+        assert 0 < q1 <= median <= q3
 
 
 def test_benchmark_selfcheck_passes():

@@ -496,6 +496,24 @@ def test_both_column_paths_round_trip_and_agree_with_the_scan(alphabet, scheme):
             assert scan_mine(d, b1, b2, b3, coded.n, i, size) == [b4]
 
 
+
+@pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "row, text",
+    [
+        ((299, 300, 1, 1), "block 1: kept code 300 outside [0, 300)"),
+        ((0, 2, 1, 150), "block 1: recovered code 300 outside [0, 300)"),
+    ],
+    ids=["kept", "recovered"],
+)
+def test_the_list_path_refuses_a_code_equal_to_the_size(decoder, row, text):
+    # 300 codes do not fit a byte, so the range checks run on the list path
+    register_alphabet(WIDE)
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, WIDE.id, [row])
+    with pytest.raises(TamperDetected, match=f"^{re.escape(text)}$") as info:
+        decoder(coded)
+    assert info.value.block_index == 1
+
 def test_decode_trace_is_a_named_tuple():
     _, traces = decode_with_trace(EX1_CODED)
     trace = traces[0]

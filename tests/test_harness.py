@@ -174,6 +174,7 @@ def test_spec_reads_a_bool_as_an_int():
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=True, seed=True)
     assert spec == (Strategy.PERTURB_D, 1, 1)
     assert type(spec.magnitude) is int and type(spec.seed) is int
+    assert CorruptionSpec(Strategy.PERTURB_D) == (Strategy.PERTURB_D, 1, 0)  # the defaults
 
 
 def test_detection_rate_accounting():

@@ -104,8 +104,9 @@ def test_oversized_integer_is_malformed(old, new, line):
         (golden.EX1_PAYLOAD.replace("\n", "\r\n"), 1),
         (golden.EX1_PAYLOAD.replace("\n", "\r"), 1),
         (golden.EX1_PAYLOAD.replace("140,29,28,28\n", "140,29,28,28\r\n"), 3),
+        ("\nQBLK1\r\n", 2),
     ],
-    ids=["crlf", "cr", "one-crlf-row"],
+    ids=["crlf", "cr", "one-crlf-row", "after-a-blank-line"],
 )
 def test_carriage_returns_are_named(payload, line):
     # parse stays strict; the CLI translates line ends read from stdin

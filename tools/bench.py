@@ -1,11 +1,11 @@
-"""Per-stage and pipe timings of qblock, written as one `BENCH_<n>.json` file.
+"""Per-stage and pipe timings of two qblock trees in one sitting, written as one
+`BENCH_<n>.json` file.
 
-    python tools/bench.py --src PATH --out FILE [--sizes tiny]
-    python tools/bench.py --compare OLD NEW
-    python tools/bench.py --src PATH --ab OLD_SRC [--sizes tiny]
+    python tools/bench.py --src PATH --ab OLD_SRC --out FILE [--sizes tiny]
 
-Imports qblock from PATH, the `src` directory of a checkout, as
-tools/diffhash.py does, and times each stage of the codec on its own:
+Imports the qblock packages of two `src` directories into one process, PATH's
+(the new tree) and OLD_SRC's (the old tree, for a change its parent), and
+times each stage of the codec on its own:
 
     preprocess, to_matrix, encode, encode_text, serialize, parse, decode,
     decode_text, decode_with_trace
@@ -17,53 +17,40 @@ alphabet without the symbol that its table gives code 0, so no pivot is
 zero and every stage succeeds.  The same `--sizes` gives the same messages
 on every tree.
 
-A stage is timed in 7 loops of calls, each long enough for the clock (about
-30 ms).  The speed of a shared host drifts, by up to a factor of two within
-a minute, so each loop is scaled as `perfbench` scales its times: by
-NOMINAL_NS over the mean time of `perfbench/calibrate.py`'s fixed kernel,
-which uses nothing from the package, run just before and just after the
-loop.  A time is the median of the scaled loops, which one kernel run that
-a spike slowed cannot pull down; `raw_us_per_block` and `raw_us_per_trial`
-are the fastest loop unscaled, and `calibration_us` is the kernel's median
-time over the run.
-`gen0_per_call` counts the garbage collector's youngest-generation
-collections over a loop started right after a full collection; unlike a
-time it repeats exactly for one tree and one Python.
+The speed of a shared host drifts, by up to a factor of two within a minute,
+and two processes can differ by about 10% on the same code, so both trees run
+in one process.  A cell (a stage, scheme and dim, or a harness strategy and
+scheme) runs 41 pairs of loops, each loop long enough for the clock (about
+30 ms), one loop per tree, the tree that goes first alternating.  It holds
+each tree's median loop time per block or trial, new/old of the two medians
+(below 1 is faster) and the number of pairs in which the new tree's loop was
+the faster.  `gen0_per_call` counts the garbage collector's youngest-
+generation collections over one more loop per tree, started right after a
+full collection; unlike a time it repeats exactly for one tree and one Python.
 
-`pipe` times whole processes: one `qblock encode --scheme lucas | qblock
-decode` pipe (`python -m qblock.cli`, importing PATH) on the dim-8 message,
-against a control pipe of two bare interpreters that copy stdin to stdout,
-which pays the same interpreter start, `site` imports and shutdown but
-nothing of qblock.  The two run in alternating order, pair after pair, and
-each pipe is timed from the first process's start to the last one's exit.
-`qblock_ms` and `control_ms` are the quartiles [q1, median, q3] of each,
-`excess_ms` those of qblock minus control within a pair: what qblock adds
-to a pipe.  These times are not scaled.
+`pipe` times whole processes: each tree's `qblock encode --scheme lucas |
+qblock decode` pipe (`python -m qblock.cli`) on the dim-8 message, and a
+control pipe of two bare interpreters that copy stdin to stdout, which pays
+the same interpreter start, `site` imports and shutdown but nothing of
+qblock.  The three run in rotating order, 41 rounds, each timed from the first
+process's start to the last one's exit.  `control_ms` and each tree's
+`qblock_ms` are the quartiles [q1, median, q3] of each, and a tree's
+`excess_ms` those of its pipe minus the control within a round: what qblock
+adds to a pipe.
 
 `--sizes tiny` runs dims 4 and 8, the harness at dim 8, short loops and two
-pipe pairs, for a schema check.
+pairs and rounds, for a schema check.
 
-`--compare` reads two such files and prints, for each stage, scheme and dim
-and for each harness strategy and scheme that both hold, the old and the new
-scaled time and their ratio new/old: below 1 is faster.  Where both hold a
-pipe, the medians of `qblock_ms`, `control_ms` and `excess_ms` follow, in µs.
+The file holds, with `schema` 3 (files of schema 1 and 2 time one tree, scaled
+by a calibration kernel), and stdout gets each cell's new/old and pairs won:
 
-`--ab` times two trees in one process, so that both run on the same
-interpreter state and the same host speed: PATH's package as `qblock`, and
-OLD_SRC's, the `src` directory of another checkout, under a private name.
-For each stage, scheme and dim, and each harness strategy and scheme, it
-runs a loop of calls on one tree, then one on the other, as many pairs of
-loops as the pipe has pairs, the tree that goes first alternating.  It
-prints the new/old ratio of the median loop times and the number of pairs
-in which the new tree's loop was the faster.  These times are not scaled.
+    python, sizes, pairs, git_sha: {"new", "old"},
+    stages: {stage: {scheme: {dim: cell}}},
+    detection_rate: {"dim", "trials_per_call", strategies: {strategy: {scheme: cell}}},
+    pipe: {"dim", "scheme", "rounds", "control_ms", tree: {"qblock_ms", "excess_ms"}}
 
-The file holds, with `schema` 2 (1 had no `pipe`):
-
-    python, git_sha, sizes, calibration_us,
-    stages: {stage: {scheme: {dim: {"us_per_block", "raw_us_per_block", "gen0_per_call"}}}},
-    detection_rate: {"dim", "trials_per_call", strategies: {strategy: {scheme:
-                     {"us_per_trial", "raw_us_per_trial", "gen0_per_call"}}}},
-    pipe: {"dim", "scheme", "pairs", "qblock_ms", "control_ms", "excess_ms"}
+where tree is "new" or "old", and a cell is {"new_over_old", "new_faster",
+tree: {"us_per_block" (harness: "us_per_trial"), "gen0_per_call"}}.
 """
 
 import argparse
@@ -79,27 +66,19 @@ import sys
 import time
 from pathlib import Path
 
-SCHEMA = 2
-ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = 3
 STAGES = ("preprocess", "to_matrix", "encode", "encode_text", "serialize", "parse", "decode",
           "decode_text", "decode_with_trace")
 SIZES = {
-    # dims, harness dim, repeats, seconds a timed loop lasts at least, pipe pairs
-    "full": ((8, 32, 128, 512), 32, 7, 0.03, 41),
-    "tiny": ((4, 8), 8, 2, 0.002, 2),
+    # dims, harness dim, seconds a timed loop lasts at least, pairs of loops and pipe rounds
+    "full": ((8, 32, 128, 512), 32, 0.03, 41),
+    "tiny": ((4, 8), 8, 0.002, 2),
 }
+TREES = ("new", "old")
 TRIALS_PER_CALL = 8
 MAGNITUDE = 60
 PIPE_DIM = 8
 COPY = "import sys; sys.stdout.write(sys.stdin.read())"
-
-
-def calibration():
-    """`perfbench/calibrate.py`, loaded read-only by path."""
-    spec = importlib.util.spec_from_file_location("calibrate", ROOT / "perfbench" / "calibrate.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def git_sha(src):
@@ -118,29 +97,6 @@ def message(q, dim, rng):
     n = q.choose_n((dim // 2) ** 2, q.NRule.HALF)
     zero = symbols[-n % len(symbols)]
     return "".join(rng.choice([s for s in symbols if s != zero]) for _ in range(dim * dim))
-
-
-def per_call(f, args, repeats, seconds, kernel, samples):
-    """(median scaled seconds per call, fastest raw seconds per call, gen0
-    collections per call) of f(*args); each kernel time is appended to `samples`."""
-    start = time.perf_counter()
-    f(*args)  # a warm-up, which also sizes the loop
-    number = max(1, int(seconds / max(time.perf_counter() - start, 1e-9)))
-    scaled, raw = [], []
-    for _ in range(repeats):
-        before = kernel.measure()
-        start = time.perf_counter()
-        for _ in range(number):
-            f(*args)
-        took = (time.perf_counter() - start) / number
-        samples += before, kernel.measure()
-        raw.append(took)
-        scaled.append(took * kernel.NOMINAL_NS * 2 / (samples[-2] + samples[-1]))
-    gc.collect()
-    before = gc.get_stats()[0]["collections"]
-    for _ in range(number):
-        f(*args)
-    return statistics.median(scaled), min(raw), (gc.get_stats()[0]["collections"] - before) / number
 
 
 def stage_calls(q, text, dim, scheme):
@@ -184,74 +140,124 @@ def quartiles(values):
     return [round(v, 3) for v in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def pipe(q, pairs):
-    """The `pipe` record: a qblock pipe against a control pipe, `pairs` times each."""
-    text = message(q, PIPE_DIM, random.Random(f"bench-{PIPE_DIM}"))
+def pipe(trees, rounds):
+    """The `pipe` record: each tree's qblock pipe and a control pipe, `rounds`
+    times each, the three in rotating order."""
+    text = message(trees["new"], PIPE_DIM, random.Random(f"bench-{PIPE_DIM}"))
     data = f"{text}\n".encode()
-    decoded = q.decode_text(q.encode_text(text, q.Scheme.LUCAS_BLOCKING))
-    env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).resolve().parent.parent)}
-    cli, copy = [sys.executable, "-m", "qblock.cli"], [sys.executable, "-c", COPY]
-    runs = {"qblock": ([*cli, "encode", "--scheme", "lucas"], [*cli, "decode"],
-                       f"{decoded}\n".encode()),
-            "control": (copy, copy, data)}
-    times = {name: [] for name in runs}
-    for i in range(pairs):
-        for name in sorted(runs, reverse=i % 2 == 1):  # control first in even pairs
-            first, second, expected = runs[name]
+    runs = {}
+    for name, q in trees.items():
+        decoded = q.decode_text(q.encode_text(text, q.Scheme.LUCAS_BLOCKING))
+        env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).resolve().parent.parent)}
+        cli = [sys.executable, "-m", "qblock.cli"]
+        runs[name] = ([*cli, "encode", "--scheme", "lucas"], [*cli, "decode"],
+                      f"{decoded}\n".encode(), env)
+    copy = [sys.executable, "-c", COPY]
+    runs["control"] = (copy, copy, data, runs["new"][3])
+    order = ("old", "new", "control")
+    times = {name: [] for name in order}
+    for i in range(rounds):
+        for name in order[i % 3:] + order[:i % 3]:
+            first, second, expected, env = runs[name]
             took, out = pipe_ms(first, second, data, env)
             if out != expected:
                 raise SystemExit(f"error: the {name} pipe wrote {out!r}, not {expected!r}")
             times[name].append(took)
-    excess = [a - b for a, b in zip(times["qblock"], times["control"])]
-    return {"dim": PIPE_DIM, "scheme": "lucas", "pairs": pairs,
-            "qblock_ms": quartiles(times["qblock"]), "control_ms": quartiles(times["control"]),
-            "excess_ms": quartiles(excess)}
+    return {"dim": PIPE_DIM, "scheme": "lucas", "rounds": rounds,
+            "control_ms": quartiles(times["control"]),
+            **{name: {"qblock_ms": quartiles(times[name]),
+                      "excess_ms": quartiles([a - b for a, b in zip(times[name],
+                                                                   times["control"])])}
+               for name in TREES}}
 
 
 def cells(trees, sizes):
     """The timed cells in the order of a BENCH file, as (stage, strategy,
     scheme, dim, {tree: (function, arguments)}): each stage per dim and
     scheme with strategy None, then "detection_rate" per strategy and scheme.
-    `trees` are qblock packages; the first one draws the messages."""
+    `trees` maps names to qblock packages; the new one draws the messages."""
     dims, harness_dim, *_ = SIZES[sizes]
-    first = trees[0]
+    first = trees["new"]
     for dim in dims:
         text = message(first, dim, random.Random(f"bench-{dim}"))
         for scheme in first.Scheme:
-            calls = {q: stage_calls(q, text, dim, q.Scheme(scheme.value)) for q in trees}
+            calls = {name: stage_calls(q, text, dim, q.Scheme(scheme.value))
+                     for name, q in trees.items()}
             for stage in STAGES:
-                yield stage, None, scheme.value, dim, {q: calls[q][stage] for q in trees}
+                yield stage, None, scheme.value, dim, {name: calls[name][stage] for name in trees}
     text = message(first, harness_dim, random.Random(f"bench-{harness_dim}"))
     for strategy in first.Strategy:
         for scheme in first.Scheme:
             yield "detection_rate", strategy.value, scheme.value, harness_dim, {
-                q: (q.detection_rate, (text, q.Scheme(scheme.value),
-                                       q.CorruptionSpec(q.Strategy(strategy.value), MAGNITUDE, 0),
-                                       TRIALS_PER_CALL))
-                for q in trees}
+                name: (q.detection_rate, (text, q.Scheme(scheme.value), q.CorruptionSpec(
+                    q.Strategy(strategy.value), MAGNITUDE, 0), TRIALS_PER_CALL))
+                for name, q in trees.items()}
 
 
-def bench(q, sizes):
-    _, harness_dim, repeats, seconds, pairs = SIZES[sizes]
-    kernel, samples = calibration(), []
-    stages = {stage: {scheme.value: {} for scheme in q.Scheme} for stage in STAGES}
-    strategies = {strategy.value: {} for strategy in q.Strategy}
-    for stage, strategy, scheme, dim, calls in cells([q], sizes):
-        scaled, raw, gen0 = per_call(*calls[q], repeats, seconds, kernel, samples)
-        unit, per = ("trial", TRIALS_PER_CALL) if strategy else ("block", (dim // 2) ** 2)
-        cell = {f"us_per_{unit}": round(scaled * 1e6 / per, 4),
-                f"raw_us_per_{unit}": round(raw * 1e6 / per, 4), "gen0_per_call": round(gen0, 4)}
+def timed(calls, seconds, pairs, unit, per):
+    """A cell of the record: `pairs` pairs of loops of calls, one loop on each
+    tree, the tree that goes first alternating, then one loop per tree for
+    its gen0 collections; times are per `per` units of a call."""
+    for name in ("old", "new", "new"):  # a first call may import a module; the last sizes the loops
+        f, args = calls[name]
+        start = time.perf_counter()
+        f(*args)
+    number = max(1, int(seconds / max(time.perf_counter() - start, 1e-9)))
+    times = {name: [] for name in TREES}
+    for i in range(pairs):
+        for name in TREES if i % 2 else TREES[::-1]:
+            f, args = calls[name]
+            start = time.perf_counter()
+            for _ in range(number):
+                f(*args)
+            times[name].append(time.perf_counter() - start)
+    median = {name: statistics.median(times[name]) for name in TREES}
+    cell = {"new_over_old": round(median["new"] / median["old"], 4),
+            "new_faster": sum(a < b for a, b in zip(times["new"], times["old"]))}
+    for name in TREES:
+        f, args = calls[name]
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        for _ in range(number):
+            f(*args)
+        cell[name] = {f"us_per_{unit}": round(median[name] * 1e6 / number / per, 4),
+                      "gen0_per_call": round((gc.get_stats()[0]["collections"] - before)
+                                             / number, 4)}
+    return cell
+
+
+def bench(trees, sizes):
+    _, harness_dim, seconds, pairs = SIZES[sizes]
+    schemes = [scheme.value for scheme in trees["new"].Scheme]
+    stages = {stage: {scheme: {} for scheme in schemes} for stage in STAGES}
+    strategies = {strategy.value: {} for strategy in trees["new"].Strategy}
+    for stage, strategy, scheme, dim, calls in cells(trees, sizes):
         if strategy:
-            strategies[strategy][scheme] = cell
+            strategies[strategy][scheme] = timed(calls, seconds, pairs, "trial", TRIALS_PER_CALL)
         else:
-            stages[stage][scheme][str(dim)] = cell
-    return {
-        "stages": stages,
-        "detection_rate": {"dim": harness_dim, "trials_per_call": TRIALS_PER_CALL,
-                           "strategies": strategies},
-        "calibration_us": round(statistics.median(samples) / 1e3, 2),
-        "pipe": pipe(q, pairs),
-    }
+            stages[stage][scheme][str(dim)] = timed(calls, seconds, pairs, "block", (dim // 2) ** 2)
+    return {"pairs": pairs, "stages": stages,
+            "detection_rate": {"dim": harness_dim, "trials_per_call": TRIALS_PER_CALL,
+                               "strategies": strategies},
+            "pipe": pipe(trees, pairs)}
+
+
+def table(record):
+    """Lines of a table: per stage, scheme and dim, then per harness strategy
+    and scheme, in the order `bench` timed them, new/old and the pairs of
+    loops in which the new tree's was the faster."""
+    stages, harness = record["stages"], record["detection_rate"]
+    schemes = stages[STAGES[0]]
+    rows = [(stage, scheme, dim, stages[stage][scheme][dim])
+            for dim in next(iter(schemes.values())) for scheme in schemes for stage in STAGES]
+    rows += [(f"detection_rate {strategy}", scheme, harness["dim"], cell)
+             for strategy, by_scheme in harness["strategies"].items()
+             for scheme, cell in by_scheme.items()]
+    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'new/old':>9}{'faster':>8}"]
+    for label, scheme, dim, cell in rows:
+        won = f"{cell['new_faster']}/{record['pairs']}"
+        lines.append(f"{label:<28}{scheme:<7}{dim:>4}{cell['new_over_old']:>9.3f}{won:>8}")
+    return lines
 
 
 def load(src, name):
@@ -267,90 +273,22 @@ def load(src, name):
     return module
 
 
-def ab(new, old, sizes):
-    """Lines of a table: per stage, scheme and dim, then per harness strategy
-    and scheme, new/old of the median loop times of two trees timed in
-    alternating loops, and the pairs of loops in which new was the faster."""
-    *_, seconds, pairs = SIZES[sizes]
-    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'new/old':>9}{'faster':>8}"]
-    for stage, strategy, scheme, dim, calls in cells((new, old), sizes):
-        for q in (old, new, new):  # a first call may import a module; the last sizes the loops
-            f, args = calls[q]
-            start = time.perf_counter()
-            f(*args)
-        number = max(1, int(seconds / max(time.perf_counter() - start, 1e-9)))
-        times = {new: [], old: []}
-        for i in range(pairs):
-            for q in (new, old) if i % 2 else (old, new):
-                f, args = calls[q]
-                start = time.perf_counter()
-                for _ in range(number):
-                    f(*args)
-                times[q].append(time.perf_counter() - start)
-        ratio = statistics.median(times[new]) / statistics.median(times[old])
-        faster = sum(a < b for a, b in zip(times[new], times[old]))
-        label = f"{stage} {strategy}" if strategy else stage
-        lines.append(f"{label:<28}{scheme:<7}{dim:>4}{ratio:>9.3f}{f'{faster}/{pairs}':>8}")
-    return lines
-
-
-def compare(old, new):
-    """Lines of a table: the scaled times of two records and new/old, per stage,
-    scheme and dim, then per harness strategy and scheme, then the pipe medians."""
-    cells = []
-    for stage, schemes in old["stages"].items():
-        for scheme, dims in schemes.items():
-            for dim, cell in sorted(dims.items(), key=lambda item: int(item[0])):
-                other = new["stages"].get(stage, {}).get(scheme, {}).get(dim)
-                if other:
-                    cells.append((stage, scheme, dim, cell["us_per_block"], other["us_per_block"]))
-    dim = str(old["detection_rate"]["dim"])
-    for strategy, schemes in old["detection_rate"]["strategies"].items():
-        for scheme, cell in schemes.items():
-            other = new["detection_rate"]["strategies"].get(strategy, {}).get(scheme)
-            if other and new["detection_rate"]["dim"] == old["detection_rate"]["dim"]:
-                cells.append((f"detection_rate {strategy}", scheme, dim, cell["us_per_trial"],
-                              other["us_per_trial"]))
-    if "pipe" in old and "pipe" in new and old["pipe"]["dim"] == new["pipe"]["dim"]:
-        for name in ("qblock", "control", "excess"):
-            cells.append((f"pipe {name}", old["pipe"]["scheme"], str(old["pipe"]["dim"]),
-                          old["pipe"][f"{name}_ms"][1] * 1e3, new["pipe"][f"{name}_ms"][1] * 1e3))
-    lines = [f"{'stage':<28}{'scheme':<7}{'dim':>4}{'old us':>12}{'new us':>12}{'new/old':>9}"]
-    for stage, scheme, dim, before, after in cells:
-        lines.append(f"{stage:<28}{scheme:<7}{dim:>4}{before:>12.4f}{after:>12.4f}"
-                     f"{after / before:>9.3f}")
-    return lines
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", help="directory that holds the qblock package")
-    parser.add_argument("--out", help="file the JSON record is written to")
+    parser.add_argument("--src", required=True,
+                        help="directory that holds the qblock package of the new tree")
+    parser.add_argument("--ab", required=True, metavar="OLD_SRC",
+                        help="directory that holds the qblock package of the old tree")
+    parser.add_argument("--out", required=True, help="file the JSON record is written to")
     parser.add_argument("--sizes", choices=sorted(SIZES), default="full")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="print new/old of two BENCH files instead of timing")
-    parser.add_argument("--ab", metavar="OLD_SRC",
-                        help="time PATH against the package in OLD_SRC in one process")
     args = parser.parse_args(argv)
-    if args.compare:
-        old, new = (json.loads(Path(name).read_text(encoding="utf-8")) for name in args.compare)
-        print("\n".join(compare(old, new)))
-        return
-    if not (args.src and (args.out or args.ab)):
-        parser.error("--src and --out (or --ab) are required unless --compare is given")
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import qblock
-
-    if not Path(qblock.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"error: qblock imported from {qblock.__file__}, not from {src}")
-    if args.ab:
-        print("\n".join(ab(qblock, load(args.ab, "_qblock_ab_old"), args.sizes)))
-        return
-    record = {"schema": SCHEMA, "python": platform.python_version(), "git_sha": git_sha(src),
-              "sizes": args.sizes, **bench(qblock, args.sizes)}
+    trees = {"new": load(args.src, "qblock"), "old": load(args.ab, "_qblock_ab_old")}
+    record = {"schema": SCHEMA, "python": platform.python_version(), "sizes": args.sizes,
+              "git_sha": {"new": git_sha(args.src), "old": git_sha(args.ab)},
+              **bench(trees, args.sizes)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
+    print("\n".join(table(record)))
 
 
 if __name__ == "__main__":
