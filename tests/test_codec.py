@@ -496,7 +496,6 @@ def test_both_column_paths_round_trip_and_agree_with_the_scan(alphabet, scheme):
             assert scan_mine(d, b1, b2, b3, coded.n, i, size) == [b4]
 
 
-
 @pytest.mark.parametrize("decoder", [decode, decode_with_trace], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
     "row, text",
@@ -513,6 +512,7 @@ def test_the_list_path_refuses_a_code_equal_to_the_size(decoder, row, text):
     with pytest.raises(TamperDetected, match=f"^{re.escape(text)}$") as info:
         decoder(coded)
     assert info.value.block_index == 1
+
 
 def test_decode_trace_is_a_named_tuple():
     _, traces = decode_with_trace(EX1_CODED)

@@ -145,15 +145,14 @@ def pipe(trees, rounds):
     times each, the three in rotating order."""
     text = message(trees["new"], PIPE_DIM, random.Random(f"bench-{PIPE_DIM}"))
     data = f"{text}\n".encode()
+    cli, copy = [sys.executable, "-m", "qblock.cli"], [sys.executable, "-c", COPY]
     runs = {}
     for name, q in trees.items():
         decoded = q.decode_text(q.encode_text(text, q.Scheme.LUCAS_BLOCKING))
         env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).resolve().parent.parent)}
-        cli = [sys.executable, "-m", "qblock.cli"]
         runs[name] = ([*cli, "encode", "--scheme", "lucas"], [*cli, "decode"],
                       f"{decoded}\n".encode(), env)
-    copy = [sys.executable, "-c", COPY]
-    runs["control"] = (copy, copy, data, runs["new"][3])
+    runs["control"] = (copy, copy, data, runs["new"][3])  # in the new tree's environment
     order = ("old", "new", "control")
     times = {name: [] for name in order}
     for i in range(rounds):
