@@ -1,11 +1,17 @@
 """tools/bench.py times two trees in one process at tiny sizes, writes the
-documented schema, pipe timings included, and prints one line per cell; and
-the benchmark under perfbench/ passes its own self-check."""
+documented schema and prints one line per cell; every stage it times
+allocates a flat peak per block; and the benchmark under perfbench/ passes
+its own self-check."""
 
+import importlib.util
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import qblock
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench.py"
@@ -22,9 +28,9 @@ def test_tiny_run_times_the_tree_against_itself(tmp_path):
             "--out", str(out), "--sizes", "tiny"]
     done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert sorted(record) == ["detection_rate", "git_sha", "pairs", "pipe", "python", "schema",
-                              "sizes", "stages"]
-    assert (record["schema"], record["sizes"], record["pairs"]) == (3, "tiny", 2)
+    assert sorted(record) == ["detection_rate", "git_sha", "pairs", "python", "schema", "sizes",
+                              "stages"]
+    assert (record["schema"], record["sizes"], record["pairs"]) == (4, "tiny", 2)
     assert record["python"] == ".".join(map(str, sys.version_info[:3]))
     assert sorted(record["git_sha"]) == ["new", "old"]
     assert record["git_sha"]["new"] == record["git_sha"]["old"]
@@ -53,17 +59,32 @@ def test_tiny_run_times_the_tree_against_itself(tmp_path):
             assert cell[tree][unit] > 0 and cell[tree]["gen0_per_call"] >= 0
         assert cell["new_over_old"] > 0 and cell["new_faster"] in (0, 1, 2)
         assert row[-2:] == [f"{cell['new_over_old']:.3f}", f"{cell['new_faster']}/2"]
-    pipe = record["pipe"]
-    assert sorted(pipe) == ["control_ms", "dim", "new", "old", "rounds", "scheme"]
-    assert (pipe["dim"], pipe["scheme"], pipe["rounds"]) == (8, "lucas", 2)
-    series = [pipe["control_ms"]]
-    for tree in ("new", "old"):
-        assert sorted(pipe[tree]) == ["excess_ms", "qblock_ms"]
-        series.append(pipe[tree]["qblock_ms"])
-        q1, median, q3 = pipe[tree]["excess_ms"]
-        assert q1 <= median <= q3
-    for q1, median, q3 in series:
-        assert 0 < q1 <= median <= q3
+
+
+def test_every_bench_stage_allocates_a_flat_peak_per_block():
+    # counts bytes instead of timing, so the bound needs no rerun study: dim 256
+    # against dim 32 read 0.81-1.25 (decode_with_trace under mine the highest),
+    # and 7.4 for a trace that held one (e1, e2) pair per block
+    spec = importlib.util.spec_from_file_location("bench", TOOL)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    peaks = {}
+    for dim in (32, 256):
+        text = bench.message(qblock, dim, random.Random(f"bench-{dim}"))
+        for scheme in qblock.Scheme:
+            calls = bench.stage_calls(qblock, text, dim, scheme)
+            for stage in bench.STAGES:
+                f, args = calls[stage]
+                f(*args)  # the tables and memos a first call builds, outside the measurement
+                tracemalloc.start()
+                try:
+                    f(*args)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks.setdefault((stage, scheme.value), []).append(peak / (dim // 2) ** 2)
+    growth = {cell: round(large / small, 2) for cell, (small, large) in peaks.items()}
+    assert len(growth) == 18 and max(growth.values()) <= 1.5, growth
 
 
 def test_benchmark_selfcheck_passes():

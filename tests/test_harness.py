@@ -89,13 +89,15 @@ def test_swap_rows_permutes_two_rows():
 
 def test_swap_rows_needs_two_rows():
     single = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 2, "default", [(1, 2, 3, 4)])
-    with pytest.raises(NotEnoughRows):
+    with pytest.raises(NotEnoughRows, match="^need at least 2 rows to swap$"):
         corrupt(single, CorruptionSpec(Strategy.SWAP_ROWS, seed=0))
+    with pytest.raises(NotEnoughRows, match="^need at least 2 rows to swap$"):
+        detection_rate("A", Scheme.LUCAS_BLOCKING, CorruptionSpec(Strategy.SWAP_ROWS), 1)
 
 
 def test_swap_rows_needs_two_distinct_rows():
     same = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", [(1, 2, 3, 4)] * 4)
-    with pytest.raises(NotEnoughRows):
+    with pytest.raises(NotEnoughRows, match="^all rows are identical, swapping changes nothing$"):
         corrupt(same, CorruptionSpec(Strategy.SWAP_ROWS, seed=0))
 
 

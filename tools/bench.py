@@ -1,4 +1,4 @@
-"""Per-stage and pipe timings of two qblock trees in one sitting, written as one
+"""Per-stage timings of two qblock trees in one sitting, written as one
 `BENCH_<n>.json` file.
 
     python tools/bench.py --src PATH --ab OLD_SRC --out FILE [--sizes tiny]
@@ -28,36 +28,30 @@ the faster.  `gen0_per_call` counts the garbage collector's youngest-
 generation collections over one more loop per tree, started right after a
 full collection; unlike a time it repeats exactly for one tree and one Python.
 
-`pipe` times whole processes: each tree's `qblock encode --scheme lucas |
-qblock decode` pipe (`python -m qblock.cli`) on the dim-8 message, and a
-control pipe of two bare interpreters that copy stdin to stdout, which pays
-the same interpreter start, `site` imports and shutdown but nothing of
-qblock.  The three run in rotating order, 41 rounds, each timed from the first
-process's start to the last one's exit.  `control_ms` and each tree's
-`qblock_ms` are the quartiles [q1, median, q3] of each, and a tree's
-`excess_ms` those of its pipe minus the control within a round: what qblock
-adds to a pipe.
+No process pipe is timed here.  The `qblock encode | qblock decode` pipe is
+the `cli_pipe` workload of the benchmark under perfbench/, whose probe also
+times a bare interpreter's start (`cli.python_start`), so a CLI start-up
+claim cites `cli_pipe` runs of the change and its parent, taken in pairs.
 
 `--sizes tiny` runs dims 4 and 8, the harness at dim 8, short loops and two
-pairs and rounds, for a schema check.
+pairs, for a schema check.
 
-The file holds, with `schema` 3 (files of schema 1 and 2 time one tree, scaled
-by a calibration kernel), and stdout gets each cell's new/old and pairs won:
+The file holds, with `schema` 4 (schema 3 files also time a process pipe,
+schema 1 and 2 files time one tree, scaled by a calibration kernel), and
+stdout gets each cell's new/old and pairs won:
 
     python, sizes, pairs, git_sha: {"new", "old"},
     stages: {stage: {scheme: {dim: cell}}},
-    detection_rate: {"dim", "trials_per_call", strategies: {strategy: {scheme: cell}}},
-    pipe: {"dim", "scheme", "rounds", "control_ms", tree: {"qblock_ms", "excess_ms"}}
+    detection_rate: {"dim", "trials_per_call", strategies: {strategy: {scheme: cell}}}
 
-where tree is "new" or "old", and a cell is {"new_over_old", "new_faster",
-tree: {"us_per_block" (harness: "us_per_trial"), "gen0_per_call"}}.
+where a cell is {"new_over_old", "new_faster", tree: {"us_per_block" (harness:
+"us_per_trial"), "gen0_per_call"}} and tree is "new" or "old".
 """
 
 import argparse
 import gc
 import importlib.util
 import json
-import os
 import platform
 import random
 import statistics
@@ -66,19 +60,17 @@ import sys
 import time
 from pathlib import Path
 
-SCHEMA = 3
+SCHEMA = 4
 STAGES = ("preprocess", "to_matrix", "encode", "encode_text", "serialize", "parse", "decode",
           "decode_text", "decode_with_trace")
 SIZES = {
-    # dims, harness dim, seconds a timed loop lasts at least, pairs of loops and pipe rounds
+    # dims, harness dim, seconds a timed loop lasts at least, pairs of loops
     "full": ((8, 32, 128, 512), 32, 0.03, 41),
     "tiny": ((4, 8), 8, 0.002, 2),
 }
 TREES = ("new", "old")
 TRIALS_PER_CALL = 8
 MAGNITUDE = 60
-PIPE_DIM = 8
-COPY = "import sys; sys.stdout.write(sys.stdin.read())"
 
 
 def git_sha(src):
@@ -118,56 +110,6 @@ def stage_calls(q, text, dim, scheme):
         "decode_text": (q.decode_text, (coded,)),
         "decode_with_trace": (q.decode_with_trace, (coded,)),
     }
-
-
-def pipe_ms(first, second, data, env):
-    """Milliseconds from the start of `first` to the exit of `second` in
-    `first | second`, and the second's stdout; a process that fails raises."""
-    start = time.perf_counter()
-    with subprocess.Popen(first, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env) as p1, \
-            subprocess.Popen(second, stdin=p1.stdout, stdout=subprocess.PIPE, env=env) as p2:
-        p1.stdout.close()  # the second process owns the read end now
-        p1.stdin.write(data)
-        p1.stdin.close()
-        out = p2.stdout.read()
-    took = (time.perf_counter() - start) * 1e3
-    if p1.returncode or p2.returncode:
-        raise SystemExit(f"error: pipe {first} | {second} exited {p1.returncode}|{p2.returncode}")
-    return took, out
-
-
-def quartiles(values):
-    return [round(v, 3) for v in statistics.quantiles(values, n=4, method="inclusive")]
-
-
-def pipe(trees, rounds):
-    """The `pipe` record: each tree's qblock pipe and a control pipe, `rounds`
-    times each, the three in rotating order."""
-    text = message(trees["new"], PIPE_DIM, random.Random(f"bench-{PIPE_DIM}"))
-    data = f"{text}\n".encode()
-    cli, copy = [sys.executable, "-m", "qblock.cli"], [sys.executable, "-c", COPY]
-    runs = {}
-    for name, q in trees.items():
-        decoded = q.decode_text(q.encode_text(text, q.Scheme.LUCAS_BLOCKING))
-        env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).resolve().parent.parent)}
-        runs[name] = ([*cli, "encode", "--scheme", "lucas"], [*cli, "decode"],
-                      f"{decoded}\n".encode(), env)
-    runs["control"] = (copy, copy, data, runs["new"][3])  # in the new tree's environment
-    order = ("old", "new", "control")
-    times = {name: [] for name in order}
-    for i in range(rounds):
-        for name in order[i % 3:] + order[:i % 3]:
-            first, second, expected, env = runs[name]
-            took, out = pipe_ms(first, second, data, env)
-            if out != expected:
-                raise SystemExit(f"error: the {name} pipe wrote {out!r}, not {expected!r}")
-            times[name].append(took)
-    return {"dim": PIPE_DIM, "scheme": "lucas", "rounds": rounds,
-            "control_ms": quartiles(times["control"]),
-            **{name: {"qblock_ms": quartiles(times[name]),
-                      "excess_ms": quartiles([a - b for a, b in zip(times[name],
-                                                                   times["control"])])}
-               for name in TREES}}
 
 
 def cells(trees, sizes):
@@ -237,8 +179,7 @@ def bench(trees, sizes):
             stages[stage][scheme][str(dim)] = timed(calls, seconds, pairs, "block", (dim // 2) ** 2)
     return {"pairs": pairs, "stages": stages,
             "detection_rate": {"dim": harness_dim, "trials_per_call": TRIALS_PER_CALL,
-                               "strategies": strategies},
-            "pipe": pipe(trees, pairs)}
+                               "strategies": strategies}}
 
 
 def table(record):
