@@ -1,9 +1,10 @@
 """Command-line front end: encode, decode, demo, harness.
 
 Exit codes: 0 success, 1 codec/tamper/module errors, files that cannot be
-opened, written or read as UTF-8, and a stdout whose reader has gone (message
-on stderr; `--help` too, which is printed inside the same boundary), 2 usage
-errors.  entrypoint(), which the console script and
+opened, written or read as UTF-8, a stdout whose reader has gone, and a
+stdin or stdout that the command needs but that was closed when Python
+started (message on stderr; `--help` too, which is printed inside the same
+boundary), 2 usage errors.  entrypoint(), which the console script and
 `python -m qblock.cli` run, calls gc.freeze() before sys.exit; of the
 shutdown's work, only its final cyclic collections skip the frozen objects.
 """
@@ -36,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
     `main`'s boundary; argparse's own print drops any OSError."""
 
     def print_help(self, file=None):
-        (sys.stdout if file is None else file).write(self.format_help())
+        (_std("stdout") if file is None else file).write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,11 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _std(name):
+    """sys.stdin or sys.stdout; OSError if it is None, as Python leaves it when
+    it starts with that file descriptor closed."""
+    if (stream := getattr(sys, name)) is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _read(path):
     if path is None:
         # strict UTF-8 and universal newlines, as open() reads a file; a StringIO has no buffer
-        stream = getattr(sys.stdin, "buffer", None)
-        text = sys.stdin.read() if stream is None else stream.read().decode("utf-8")
+        stdin = _std("stdin")
+        stream = getattr(stdin, "buffer", None)
+        text = stdin.read() if stream is None else stream.read().decode("utf-8")
         return text.replace("\r\n", "\n").replace("\r", "\n")
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -85,7 +95,7 @@ def _read(path):
 
 def _write(path, data):
     if path is None:
-        sys.stdout.write(data)
+        _std("stdout").write(data)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(data)
@@ -116,7 +126,7 @@ def _run_demo(args) -> int:
     from .demo import run_demo  # only this command needs it; keeps start-up small
 
     report, ok = run_demo(args.example)
-    sys.stdout.write(report)
+    _write(None, report)
     return 0 if ok else 1
 
 
@@ -138,10 +148,8 @@ def _run_harness(args) -> int:
             writer.writerow(["trial", "strategy", "outcome"])
             for trial, outcome in enumerate(report.outcomes):
                 writer.writerow([trial, args.strategy, outcome])
-    print(
-        f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
-        f"magnitude={args.magnitude} {report.summary()}"
-    )
+    _write(None, f"scheme={args.scheme} strategy={args.strategy} seed={args.seed} "
+                 f"magnitude={args.magnitude} {report.summary()}\n")
     return 0
 
 
@@ -162,10 +170,11 @@ def main(argv=None) -> int:
             code = exc.code if isinstance(exc.code, int) else 2
         else:
             code = _DISPATCH[args.command](args)
-        sys.stdout.flush()  # a reader that has gone fails here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a reader that has gone fails here, not at exit
         return code
     except (QblockError, OSError, UnicodeDecodeError) as exc:
-        if isinstance(exc, BrokenPipeError):
+        if isinstance(exc, BrokenPipeError) and sys.stdout is not None:
             # else the flush at exit fails again (the SIGPIPE note in the signal docs)
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -41,15 +41,16 @@ carries the factor det(K), so the key cancels and the equation reduces to
 the identities above.  `decode_with_trace` reports the paper's per-block
 record: the key (r_matrix(n) for every LUCAS_BLOCKING block; for
 MINESWEEPER q_power(n) on odd-indexed blocks, r_matrix(n) on even ones),
-e1, e2 (computed once per key and (b1, b2)) and the recovered x.  It is the
-only user of `numtheory` and imports it when called, so encode and decode
-never load the key matrices.
+the block's codes b1 and b2 and the recovered x; a `DecodeTrace` works out
+e1 and e2 from its key and codes when they are read.  It is the only user
+of `numtheory` and imports it when called, so encode and decode never load
+the key matrices.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import count
+from itertools import count, cycle
 from operator import add, floordiv, index, mod, mul, sub
 
 from .alphabet import (
@@ -138,11 +139,22 @@ class CodedMessage(
         return choose_n(len(self.ds), self.n_rule)
 
 
-class DecodeTrace(namedtuple("DecodeTrace", "index e1 e2 x key")):
-    """Per-block decoding record: helper products, recovered code, and the
-    `numtheory.KeyMatrix` used."""
+class DecodeTrace(namedtuple("DecodeTrace", "index b1 b2 x key")):
+    """Per-block decoding record: the block's first two codes, the recovered
+    code and the `numtheory.KeyMatrix` used.  The paper's helper products
+    e1 and e2 are worked out from the key and the codes on each read."""
 
     __slots__ = ()
+
+    @property
+    def e1(self) -> int:
+        """K11*b1 + K21*b2."""
+        return self.key.m11 * self.b1 + self.key.m21 * self.b2
+
+    @property
+    def e2(self) -> int:
+        """K12*b1 + K22*b2."""
+        return self.key.m12 * self.b1 + self.key.m22 * self.b2
 
 
 def encode(
@@ -271,26 +283,17 @@ def decode(coded: CodedMessage) -> MessageMatrix:
 def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
     """Decode and also return the paper's per-block solving record.
 
-    e1 and e2 are ints of about 0.69·n bits, computed once per key and
-    (b1, b2) within a call, so the trace of b blocks over an alphabet of
-    `size` symbols holds Θ(min(b, 2·size²)·n) bits.  That is flat per block
-    on the default alphabet, not on a wide one: with 4096 symbols a call took
-    4.9 µs per block at dim 64 and 15.3 at dim 512, and peak RSS reached
-    438 MiB at dim 512 (Python 3.11, a 2-vCPU host)."""
+    A trace holds each block's small codes and one of two shared keys, so it
+    is flat per block on every alphabet; e1 and e2, ints of about 0.69·n
+    bits, are computed on each read and kept nowhere."""
     from . import numtheory
 
     b1s, b2s, b3s, b4s = columns = _solve(coded, get_alphabet(coded.alphabet_id).size)
     lucas = coded.scheme is Scheme.LUCAS_BLOCKING
     rmat = numtheory.r_matrix(coded.n)
     # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
-    odd_key = rmat if lucas else numtheory.q_power(coded.n)
-    traces, products = [], {}  # (e1, e2) by (key is rmat, b1, b2): at most 2 * size**2 of them
-    for index, b1, b2, x in zip(count(1), b1s, b2s, b3s if lucas else b4s):
-        key = odd_key if index % 2 else rmat
-        block = key is rmat, b1, b2
-        if (pair := products.get(block)) is None:
-            pair = products[block] = (key.m11 * b1 + key.m21 * b2, key.m12 * b1 + key.m22 * b2)
-        traces.append(DecodeTrace(index, *pair, x, key))
+    keys = cycle((rmat if lucas else numtheory.q_power(coded.n), rmat))
+    traces = map(DecodeTrace, count(1), b1s, b2s, b3s if lucas else b4s, keys)
     return MessageMatrix(coded.dim, _grid(*columns, coded.dim)), tuple(traces)
 
 

@@ -127,6 +127,40 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
             assert run_cli([*harness, flag, value], capsys, monkeypatch)[0] == 2
 
 
+HARNESS_3 = ["harness", "--scheme", "lucas", "--strategy", "perturb-d", "--trials", "3"]
+CLOSED = {
+    "encode-stdin": (["encode", "--scheme", "lucas"], "stdin"),
+    "decode-stdin": (["decode"], "stdin"),
+    "encode-stdout": (["encode", "--scheme", "lucas"], "stdout"),
+    "decode-stdout": (["decode"], "stdout"),
+    "demo-stdout": (["demo", "--example", "1"], "stdout"),
+    "harness-stdout": (HARNESS_3, "stdout"),
+    "help-stdout": (["--help"], "stdout"),
+    "encode-help-stdout": (["encode", "--help"], "stdout"),
+}
+
+
+@pytest.mark.parametrize("argv, name", CLOSED.values(), ids=CLOSED.keys())
+def test_a_closed_stream_that_the_command_needs_exits_1(argv, name, capsys, monkeypatch):
+    # Python sets sys.stdin or sys.stdout to None when it starts with that descriptor closed
+    stdin = golden.EX1_PAYLOAD if argv[0] == "decode" else golden.EX1_MESSAGE
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr(f"sys.{name}", None)
+    assert (main(argv), capsys.readouterr().err) == (1, f"error: OSError: {name} is closed\n")
+
+
+def test_a_run_on_files_alone_needs_neither_stream(tmp_path, capsys, monkeypatch):
+    src, payload, recovered = tmp_path / "msg.txt", tmp_path / "p.qblk", tmp_path / "out.txt"
+    src.write_text(golden.EX1_MESSAGE + "\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", None)
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(["encode", "--scheme", "lucas", "-i", str(src), "-o", str(payload)]) == 0
+    assert main(["decode", "-i", str(payload), "-o", str(recovered)]) == 0
+    assert main([*HARNESS_3[:-2], "--bogus"]) == 2  # a usage error is written to stderr
+    assert recovered.read_text(encoding="utf-8") == golden.EX1_SYMBOLS + "\n"
+    assert capsys.readouterr().err.startswith("usage: qblock")
+
+
 @pytest.fixture
 def unfreeze():
     # entrypoint() freezes the heap; later tests see the collector as before

@@ -2,8 +2,9 @@
 
 Each row feeds bytes to the first stage and each process's stdout to the next
 stage; a stage is either an argv for the CLI or an edit of the payload in
-flight.  A row pins the exit code of every process, the last one's stdout,
-and how its stderr starts.  No process may print a traceback, whatever its
+flight, and an argv that ends in `0<&-` or `1>&-` runs through `sh` with
+that descriptor closed.  A row pins the exit code of every process, the
+last one's stdout, and how its stderr starts.  No process may print a traceback, whatever its
 input: the CLI exits 0, 1 or 2.
 """
 
@@ -89,7 +90,20 @@ ROWS = {
     "unknown-flag": Row(b"", [[*DECODE, "-x"]], (2,), "",
                         "usage: qblock [-h] {encode,decode,demo,harness} ...\n"
                         "qblock: error: unrecognized arguments: -x\n"),
+    # Python starts with sys.stdin or sys.stdout None when that descriptor is closed
+    "closed-stdin": Row(HI, [[*DECODE, "0<&-"]], (1,), "", "error: OSError: stdin is closed\n"),
+    "closed-stdout": Row(HI, [[*LUCAS, "1>&-"]], (1,), "", "error: OSError: stdout is closed\n"),
+    "closed-stdout-files": Row(HI, [[*LUCAS, "-o", "p", "1>&-"], [*DECODE, "-i", "p", "0<&-"]],
+                               (0, 0), "HI0THERE00000000\n", ""),
 }
+# a stage that ends in one of these runs through sh, which closes that descriptor
+CLOSE = ("0<&-", "1>&-")
+
+
+def command(stage):
+    if stage[-1] in CLOSE:
+        return ["sh", "-c", f'"$0" -m qblock.cli "$@" {stage[-1]}', sys.executable, *stage[:-1]]
+    return [sys.executable, "-m", "qblock.cli", *stage]
 
 
 def run(stdin: bytes, stages, cwd) -> list[subprocess.CompletedProcess]:
@@ -99,8 +113,8 @@ def run(stdin: bytes, stages, cwd) -> list[subprocess.CompletedProcess]:
         if callable(stage):
             data = stage(data)
             continue
-        procs.append(subprocess.run([sys.executable, "-m", "qblock.cli", *stage], input=data,
-                                    capture_output=True, env=ENV, cwd=cwd, timeout=120))
+        procs.append(subprocess.run(command(stage), input=data, capture_output=True, env=ENV,
+                                    cwd=cwd, timeout=120))
         data = procs[-1].stdout
     return procs
 

@@ -242,9 +242,10 @@ REPRS = {
         "dim=2, alphabet_id='default', ds=(-27,), k1s=(8,), k2s=(9,), k3s=(27,))",
     ),
     "FRow": (FRow(54, 9, 10, 16), "FRow(d=54, k1=9, k2=10, k3=16)"),
+    # fields b1 and b2 in place of e1 and e2, which it works out when they are read
     "DecodeTrace": (
         decode_with_trace(CODED)[1][0],
-        "DecodeTrace(index=1, e1=17, e2=8, x=27, key=KeyMatrix(family=<Family.QPOW: 'qpow'>, "
+        "DecodeTrace(index=1, b1=8, b2=9, x=27, key=KeyMatrix(family=<Family.QPOW: 'qpow'>, "
         "n=1, m11=1, m12=1, m21=1, m22=0))",
     ),
     "KeyMatrix": (

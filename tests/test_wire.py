@@ -164,13 +164,16 @@ def test_a_kept_header_gives_what_a_fresh_one_gives(payload):
 
 
 def test_header_memo_stays_bounded():
-    # a header too long to keep, then 600 distinct headers that parse, each
-    # refused only by the alphabet lookup: 256 lines of up to 128 characters stay
+    # headers that parse, each refused only by the alphabet lookup: of lines of
+    # 128, 129 and 200 characters only the first is kept, and after 600 more
+    # distinct ones 256 lines of up to 128 characters stay
     wire._HEADERS.clear()
-    long = HEADER.replace("default", "x" * 200)
-    with pytest.raises(UnknownAlphabet):
-        parse(long + "\n1,2,3,4\n")
-    assert long not in wire._HEADERS
+    prefix = HEADER.replace("default", "")
+    lines = {size: prefix + "x" * (size - len(prefix)) for size in (128, 129, 200)}
+    for line in lines.values():
+        with pytest.raises(UnknownAlphabet):
+            parse(line + "\n1,2,3,4\n")
+    assert [size for size, line in lines.items() if line in wire._HEADERS] == [128]
     for i in range(600):
         with pytest.raises(UnknownAlphabet):
             parse(HEADER.replace("default", f"memo-{i}") + "\n1,2,3,4\n")
@@ -252,12 +255,22 @@ def test_parse_refuses_a_token_past_the_int_string_limit():
     assert str(info.value) == "line 3: 4301-digit integer is too long"
 
 
+def unkept_ints(rng):
+    """16,384 distinct ints, in random order, whose texts have 5 or more
+    characters: 2048 each of 10000..99999 and -1000..-9999, one past a memo's
+    4-character bound, and the rest of 6 or more, some negative."""
+    ints = [*rng.sample(range(10_000, 100_000), 2048),
+            *(-v for v in rng.sample(range(1000, 10_000), 2048))]
+    ints += [v * rng.choice((1, -1)) for v in rng.sample(range(100_000, 10**9), 4 * 64 * 64 - 4096)]
+    rng.shuffle(ints)
+    return ints
+
+
 def test_token_memo_stays_bounded():
-    # 16,384 distinct canonical tokens of 6 or more characters, some negative:
-    # each is converted, and none is kept, since the memo keeps only tokens of
-    # at most 4 characters, of which there are 10,999
-    rng = random.Random(3)
-    ints = [v * rng.choice((1, -1)) for v in rng.sample(range(100_000, 10**9), 4 * 64 * 64)]
+    # 16,384 distinct canonical tokens of 5 or more characters: each is
+    # converted, and none is kept, since the memo keeps only tokens of at most
+    # 4 characters, of which there are 10,999
+    ints = unkept_ints(random.Random(3))
     rows = [",".join(map(str, ints[i:i + 4])) for i in range(0, len(ints), 4)]
     coded = parse("\n".join([HEADER.replace("dim=2", "dim=128"), *rows]) + "\n")
     assert [list(column) for column in coded[4:]] == [ints[i::4] for i in range(4)]
@@ -338,10 +351,9 @@ def test_serialize_formats_ints_as_percent_d_does(rows):
 
 
 def test_text_memos_stay_bounded():
-    # 16,384 distinct ints of 6 or more characters, some negative, and the
-    # small ones every payload has: only texts of at most 4 characters stay
-    rng = random.Random(5)
-    ints = [v * rng.choice((1, -1)) for v in rng.sample(range(100_000, 10**9), 4 * 64 * 64)]
+    # 16,384 distinct ints of 5 or more characters and the small ones every
+    # payload has: only texts of at most 4 characters stay
+    ints = unkept_ints(random.Random(5))
     rows = [ints[i:i + 4] for i in range(0, len(ints), 4)]
     for coded in (from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 128, "default", rows),
                   ex1_coded(), ex2_coded()):

@@ -36,7 +36,7 @@ and swapped rows; payloads too short or too uniform to swap two rows.
 
 A result is hashed only through what every version of the package shows
 the same way: `serialize` bytes, rows as plain tuples, matrix cells, trace
-fields, and an error's type, text, `block_index` and `indices`.  Damaged
+attributes, and an error's type, text, `block_index` and `indices`.  Damaged
 payloads are written as text and parsed, never built from the record, so
 the tool runs unchanged on trees whose `CodedMessage` differs in layout.
 It uses no `hash()` and no set order, only the standard library.
