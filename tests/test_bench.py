@@ -63,7 +63,7 @@ def test_tiny_run_times_the_tree_against_itself(tmp_path):
 
 def test_every_bench_stage_allocates_a_flat_peak_per_block():
     # counts bytes instead of timing, so the bound needs no rerun study: dim 256
-    # against dim 32 read 0.81-1.25 (decode_with_trace under mine the highest),
+    # against dim 32 read 0.81-1.13 (decode_with_trace the highest),
     # and 7.4 for a trace that held one (e1, e2) pair per block
     spec = importlib.util.spec_from_file_location("bench", TOOL)
     bench = importlib.util.module_from_spec(spec)

@@ -127,14 +127,14 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
             assert run_cli([*harness, flag, value], capsys, monkeypatch)[0] == 2
 
 
-HARNESS_3 = ["harness", "--scheme", "lucas", "--strategy", "perturb-d", "--trials", "3"]
 CLOSED = {
     "encode-stdin": (["encode", "--scheme", "lucas"], "stdin"),
     "decode-stdin": (["decode"], "stdin"),
     "encode-stdout": (["encode", "--scheme", "lucas"], "stdout"),
     "decode-stdout": (["decode"], "stdout"),
     "demo-stdout": (["demo", "--example", "1"], "stdout"),
-    "harness-stdout": (HARNESS_3, "stdout"),
+    "harness-stdout": (["harness", "--scheme", "lucas", "--strategy", "perturb-d",
+                        "--trials", "3"], "stdout"),
     "help-stdout": (["--help"], "stdout"),
     "encode-help-stdout": (["encode", "--help"], "stdout"),
 }
@@ -156,7 +156,7 @@ def test_a_run_on_files_alone_needs_neither_stream(tmp_path, capsys, monkeypatch
     monkeypatch.setattr("sys.stdout", None)
     assert main(["encode", "--scheme", "lucas", "-i", str(src), "-o", str(payload)]) == 0
     assert main(["decode", "-i", str(payload), "-o", str(recovered)]) == 0
-    assert main([*HARNESS_3[:-2], "--bogus"]) == 2  # a usage error is written to stderr
+    assert main(["demo"]) == 2  # a usage error is written to stderr
     assert recovered.read_text(encoding="utf-8") == golden.EX1_SYMBOLS + "\n"
     assert capsys.readouterr().err.startswith("usage: qblock")
 

@@ -4,8 +4,8 @@ Each row feeds bytes to the first stage and each process's stdout to the next
 stage; a stage is either an argv for the CLI or an edit of the payload in
 flight, and an argv that ends in `0<&-` or `1>&-` runs through `sh` with
 that descriptor closed.  A row pins the exit code of every process, the
-last one's stdout, and how its stderr starts.  No process may print a traceback, whatever its
-input: the CLI exits 0, 1 or 2.
+last one's stdout, and how its stderr starts.  No process may print a
+traceback, whatever its input: the CLI exits 0, 1 or 2.
 """
 
 import argparse
