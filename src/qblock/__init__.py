@@ -8,7 +8,7 @@ in-range solution.
 
 Importing the package loads none of its modules: a public name imports its
 home module on first use (PEP 562), so a program that only encodes and
-decodes never loads the harness or the key matrices.
+decodes text never loads the matrix view, the harness or the key matrices.
 """
 
 from importlib import import_module
@@ -21,14 +21,14 @@ _HOME = {
     for module, names in {
         "alphabet": "DEFAULT_ALPHABET DEFAULT_ALPHABET_ID Alphabet CharTable get_alphabet "
                     "register_alphabet",
-        "codec": "CodedMessage DecodeTrace FRow Scheme decode decode_text decode_with_trace "
-                 "encode encode_text solve_missing",
+        "codec": "CodedMessage FRow Scheme decode_text encode_text solve_missing",
         "errors": "BadLength CodeOutOfRange DegenerateBlock EmptyMessage HeaderMismatch "
                   "MalformedPayload NotEnoughRows QblockError TamperDetected UnknownAlphabet "
                   "UnknownSymbol",
         "harness": "CorruptionSpec DetectionReport Strategy corrupt detection_rate",
-        "layout": "Block MessageMatrix NRule choose_n preprocess reassemble to_blocks "
-                  "to_matrix to_symbols",
+        "layout": "NRule choose_n preprocess",
+        "matrix": "Block DecodeTrace MessageMatrix decode decode_with_trace encode reassemble "
+                  "to_blocks to_matrix to_symbols",
         "numtheory": "q_power r_matrix",
         "wire": "parse serialize",
     }.items()

@@ -24,33 +24,20 @@ after one test over the columns, no pair per row: kept codes in range, no
 zero pivot, every x (`floordiv` of the numerators) exact (`mod`) and in
 range.  For an alphabet of at most 256 symbols it tests and returns each
 column as `bytes`.  Otherwise `solve_missing`, the one per-row verdict,
-names the first row it rejects.  `decode` hands the columns to `_grid`; the
-text paths build no `MessageMatrix` or `CharTable`: `encode_text` codes the
-padded text in one translate through the shifted table, which screens it too
-(a miss calls `preprocess` to name the stray's position), and cuts the codes
-with `_columns`; `decode_text` maps `_flat` of the columns through the table.
+names the first row it rejects.  The text paths build no `MessageMatrix`
+or `CharTable`: `encode_text` codes the padded text in one translate
+through the shifted table, which screens it too (a miss calls `preprocess`
+to name the stray's position), and cuts the codes with `_columns`;
+`decode_text` maps `_flat` of the columns through the table.
 
-The paper states decode through a Fibonacci/Lucas key K: with helper
-products
-
-    e1 = K11*b1 + K21*b2        e2 = K12*b1 + K22*b2
-
-it solves det(K) * d = e1*(K12*u + K22*v) - e2*(K11*u + K21*v), where (u, v)
-is (x, b4) for LUCAS_BLOCKING and (b3, x) for MINESWEEPER.  Every term
-carries the factor det(K), so the key cancels and the equation reduces to
-the identities above.  `decode_with_trace` reports the paper's per-block
-record: the key (r_matrix(n) for every LUCAS_BLOCKING block; for
-MINESWEEPER q_power(n) on odd-indexed blocks, r_matrix(n) on even ones),
-the block's codes b1 and b2 and the recovered x; a `DecodeTrace` works out
-e1 and e2 from its key and codes when they are read.  It is the only user
-of `numtheory` and imports it when called, so encode and decode never load
-the key matrices.
+The codecs on a `MessageMatrix`, `encode`, `decode` and the paper's
+`decode_with_trace` with its Fibonacci/Lucas keys, live in `matrix`, which
+runs `_encode` and `_solve` and which the text paths never import.
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import count, cycle
 from operator import add, floordiv, index, mod, mul, sub
 
 from .alphabet import (
@@ -64,20 +51,8 @@ from .alphabet import (
     _symbols,
     get_alphabet,
 )
-from .errors import (CodeOutOfRange, DegenerateBlock, HeaderMismatch, TamperDetected,
-                     UnknownSymbol, _int_text)
-from .layout import (
-    MessageMatrix,
-    NRule,
-    _cells,
-    _columns,
-    _flat,
-    _grid,
-    _member,
-    _padded,
-    choose_n,
-    preprocess,
-)
+from .errors import DegenerateBlock, HeaderMismatch, TamperDetected, UnknownSymbol, _int_text
+from .layout import NRule, _columns, _flat, _member, _padded, choose_n, preprocess
 
 
 class Scheme(Enum):
@@ -137,48 +112,6 @@ class CodedMessage(
     @property
     def n(self) -> int:
         return choose_n(len(self.ds), self.n_rule)
-
-
-class DecodeTrace(namedtuple("DecodeTrace", "index b1 b2 x key")):
-    """Per-block decoding record: the block's first two codes, the recovered
-    code and the `numtheory.KeyMatrix` used.  The paper's helper products
-    e1 and e2 are worked out from the key and the codes on each read."""
-
-    __slots__ = ()
-
-    @property
-    def e1(self) -> int:
-        """K11*b1 + K21*b2."""
-        return self.key.m11 * self.b1 + self.key.m21 * self.b2
-
-    @property
-    def e2(self) -> int:
-        """K12*b1 + K22*b2."""
-        return self.key.m12 * self.b1 + self.key.m22 * self.b2
-
-
-def encode(
-    matrix: MessageMatrix,
-    scheme: Scheme,
-    n_rule: NRule = NRule.HALF,
-    alphabet_id: str = DEFAULT_ALPHABET_ID,
-) -> CodedMessage:
-    """Turn a code matrix into the transmitted columns, one row per block in
-    `to_blocks` order.
-
-    Raises CodeOutOfRange at the first code, row-major, outside [0, size) of
-    the alphabet, which `decode` would refuse; then DegenerateBlock listing
-    every block whose pivot is zero: for those the determinant carries no
-    information about the dropped element, so the message cannot be encoded
-    under this scheme.
-    """
-    _member(scheme, Scheme)
-    size = get_alphabet(alphabet_id).size
-    codes = _cells(matrix)
-    if min(values := set(codes)) < 0 or max(values) >= size:  # of the distinct codes only
-        code = next(c for c in codes if not 0 <= c < size)
-        raise CodeOutOfRange(f"code {_int_text(code)} outside [0, {size})")
-    return _encode(_columns(codes, matrix.dim), scheme, n_rule, matrix.dim, alphabet_id)
 
 
 def _encode(columns, scheme: Scheme, n_rule: NRule, dim: int, alphabet_id: str) -> CodedMessage:
@@ -267,34 +200,6 @@ def _solve(coded: CodedMessage, size: int):
             solve_missing(row, coded.scheme, size=size)
         except TamperDetected as exc:
             raise TamperDetected(f"block {index}: {exc}", block_index=index) from None
-
-
-def decode(coded: CodedMessage) -> MessageMatrix:
-    """Recover the full code matrix from a payload.
-
-    The alphabet comes from the header's registered id.  Raises
-    TamperDetected, naming the block, at the first row with a kept code out
-    of range or no exact in-range solution.
-    """
-    size = get_alphabet(coded.alphabet_id).size
-    return MessageMatrix(coded.dim, _grid(*_solve(coded, size), coded.dim))
-
-
-def decode_with_trace(coded: CodedMessage) -> tuple[MessageMatrix, tuple[DecodeTrace, ...]]:
-    """Decode and also return the paper's per-block solving record.
-
-    A trace holds each block's small codes and one of two shared keys, so it
-    is flat per block on every alphabet; e1 and e2, ints of about 0.69·n
-    bits, are computed on each read and kept nowhere."""
-    from . import numtheory
-
-    b1s, b2s, b3s, b4s = columns = _solve(coded, get_alphabet(coded.alphabet_id).size)
-    lucas = coded.scheme is Scheme.LUCAS_BLOCKING
-    rmat = numtheory.r_matrix(coded.n)
-    # odd-indexed blocks use q_power(n) under MINESWEEPER, r_matrix(n) under LUCAS_BLOCKING
-    keys = cycle((rmat if lucas else numtheory.q_power(coded.n), rmat))
-    traces = map(DecodeTrace, count(1), b1s, b2s, b3s if lucas else b4s, keys)
-    return MessageMatrix(coded.dim, _grid(*columns, coded.dim)), tuple(traces)
 
 
 def encode_text(

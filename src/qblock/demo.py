@@ -9,8 +9,9 @@ self-test of the installed package.
 from collections import namedtuple
 
 from .alphabet import DEFAULT_ALPHABET, CharTable
-from .codec import Scheme, decode_with_trace, encode_text
-from .layout import NRule, preprocess, to_blocks, to_symbols
+from .codec import Scheme, encode_text
+from .layout import NRule, preprocess
+from .matrix import decode_with_trace, to_blocks, to_symbols
 from .wire import serialize
 
 

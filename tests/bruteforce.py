@@ -14,7 +14,7 @@ oracle for `parse`'s shape check and token memo.
 
 import re
 
-from qblock.codec import decode, encode_text
+from qblock.codec import encode_text
 from qblock.errors import TamperDetected
 from qblock.harness import (
     OUTCOME_DETECTED,
@@ -24,6 +24,7 @@ from qblock.harness import (
     corrupt,
     trial_spec,
 )
+from qblock.matrix import decode
 
 # the start of the first body line that is not exactly one canonical row
 # (no '+', no leading zeros, no '-0'); a lookahead keeps no backtracking

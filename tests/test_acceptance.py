@@ -14,18 +14,11 @@ import pytest
 import golden
 from bruteforce import key_det, luc, scan_lucas, scan_mine
 from payloads import from_rows
-from qblock.codec import (
-    FRow,
-    Scheme,
-    decode,
-    decode_with_trace,
-    encode,
-    encode_text,
-    solve_missing,
-)
+from qblock.codec import FRow, Scheme, encode_text, solve_missing
 from qblock.errors import DegenerateBlock, TamperDetected
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate, trial_spec
-from qblock.layout import MessageMatrix, NRule, to_blocks
+from qblock.layout import NRule
+from qblock.matrix import MessageMatrix, decode, decode_with_trace, encode, to_blocks
 from qblock.numtheory import q_power, r_matrix
 from qblock.wire import parse
 

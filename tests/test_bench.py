@@ -1,7 +1,7 @@
 """tools/bench.py times two trees in one process at tiny sizes, writes the
-documented schema and prints one line per cell; every stage it times
-allocates a flat peak per block; and the benchmark under perfbench/ passes
-its own self-check."""
+documented schema and prints one line per cell, whose new/old is the median
+of the pairs' ratios; every stage it times allocates a flat peak per block;
+and the benchmark under perfbench/ passes its own self-check."""
 
 import importlib.util
 import json
@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import qblock
 
@@ -59,6 +60,30 @@ def test_tiny_run_times_the_tree_against_itself(tmp_path):
             assert cell[tree][unit] > 0 and cell[tree]["gen0_per_call"] >= 0
         assert cell["new_over_old"] > 0 and cell["new_faster"] in (0, 1, 2)
         assert row[-2:] == [f"{cell['new_over_old']:.3f}", f"{cell['new_faster']}/2"]
+
+
+def test_new_over_old_is_the_median_of_the_pairs_ratios(monkeypatch):
+    # each tree's loops sit at two levels, so the two trees' medians are equal
+    # (1.0 and 1.0) while the new tree lost two of the three pairs, by 2x and 4x
+    spec = importlib.util.spec_from_file_location("bench", TOOL)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    clock = [0.0]
+
+    def tree(*seconds):  # each call of the returned function takes the next of `seconds`
+        durations = iter(seconds)
+
+        def call():
+            clock[0] += next(durations)
+
+        return call, ()
+
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    # new: two first calls, three pairs, one gen0 loop; old: one first call, three pairs, one
+    calls = {"new": tree(1, 1, 1, 1, 4, 1), "old": tree(1, 2, 0.5, 1, 1)}
+    cell = bench.timed(calls, 0, 3, "block", 1)
+    assert (cell["new_over_old"], cell["new_faster"]) == (2.0, 1)
+    assert cell["new"]["us_per_block"] == cell["old"]["us_per_block"] == 1e6
 
 
 def test_every_bench_stage_allocates_a_flat_peak_per_block():

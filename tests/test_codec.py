@@ -10,18 +10,7 @@ from bruteforce import fib, key_det, luc, scan_lucas, scan_mine
 from payloads import from_rows, with_rows
 from qblock import alphabet, codec, layout, numtheory, wire
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, register_alphabet
-from qblock.codec import (
-    CodedMessage,
-    DecodeTrace,
-    FRow,
-    Scheme,
-    decode,
-    decode_text,
-    decode_with_trace,
-    encode,
-    encode_text,
-    solve_missing,
-)
+from qblock.codec import CodedMessage, FRow, Scheme, decode_text, encode_text, solve_missing
 from qblock.demo import run_demo
 from qblock.errors import (
     BadLength,
@@ -33,10 +22,13 @@ from qblock.errors import (
     UnknownSymbol,
 )
 from qblock.harness import CorruptionSpec, Strategy, corrupt, detection_rate
-from qblock.layout import (
+from qblock.layout import NRule, choose_n
+from qblock.matrix import (
+    DecodeTrace,
     MessageMatrix,
-    NRule,
-    choose_n,
+    decode,
+    decode_with_trace,
+    encode,
     reassemble,
     to_blocks,
     to_matrix,
@@ -192,6 +184,23 @@ OVERSIZED = {
 def test_an_error_text_shows_an_oversized_int_by_its_size(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+# ---- reassemble takes its dimension through operator.index ----
+
+# as MessageMatrix and CodedMessage do (tests/test_records.py)
+INDEXED = {
+    "bool": (True, BadLength, "matrix dimension must be even and >= 2, got 1"),
+    "str": ("4", TypeError, "'str' object cannot be interpreted as an integer"),
+    "float": (4.0, TypeError, "'float' object cannot be interpreted as an integer"),
+}
+
+
+@pytest.mark.parametrize("dim, error, text", INDEXED.values(), ids=INDEXED.keys())
+def test_reassemble_refuses_a_dimension_as_operator_index_does(dim, error, text):
+    # True reads as 1, which is odd; a str is index's TypeError, not a failed comparison
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        reassemble([], dim)
 
 
 # ---- the row type ----

@@ -24,16 +24,7 @@ import golden
 from bruteforce import NON_ROW_RE, outcomes_by_decode
 from payloads import from_rows
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
-from qblock.codec import (
-    CodedMessage,
-    FRow,
-    Scheme,
-    decode,
-    decode_text,
-    encode,
-    encode_text,
-    solve_missing,
-)
+from qblock.codec import CodedMessage, FRow, Scheme, decode_text, encode_text, solve_missing
 from qblock.cli import main
 from qblock.errors import (
     CodeOutOfRange,
@@ -52,15 +43,13 @@ from qblock.harness import (
     corrupt,
     detection_rate,
 )
-from qblock.layout import (
-    PAD_SYMBOL,
+from qblock.layout import PAD_SYMBOL, NRule, choose_n, preprocess, square_side
+from qblock.matrix import (
     Block,
     MessageMatrix,
-    NRule,
-    choose_n,
-    preprocess,
+    decode,
+    encode,
     reassemble,
-    square_side,
     to_blocks,
     to_matrix,
     to_symbols,

@@ -10,19 +10,16 @@ import golden
 from payloads import from_rows
 from qblock import alphabet, layout
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, _lookup, register_alphabet
-from qblock.codec import FRow, Scheme, decode, encode
+from qblock.codec import FRow, Scheme
 from qblock.errors import BadLength, EmptyMessage, UnknownSymbol
-from qblock.layout import (
+from qblock.layout import NRule, _columns, _flat, choose_n, preprocess, square_side
+from qblock.matrix import (
     Block,
     MessageMatrix,
-    NRule,
-    _columns,
-    _flat,
     _grid,
-    choose_n,
-    preprocess,
+    decode,
+    encode,
     reassemble,
-    square_side,
     to_blocks,
     to_matrix,
     to_symbols,

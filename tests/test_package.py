@@ -1,4 +1,5 @@
-"""The package root loads its modules lazily, and the CLI loads only what it runs."""
+"""The package root loads its modules lazily, and the CLI and the text round
+trip load only what they run."""
 
 import importlib
 import os
@@ -70,6 +71,17 @@ START_UP = {
 
 
 @pytest.mark.parametrize("statement", START_UP.values(), ids=START_UP.keys())
+def test_start_up_loads_no_matrix_view(statement):
+    # the text paths never run the paper's matrix view, so they do not compile it
+    assert "qblock.matrix" not in loaded_after(statement)
+
+
+@pytest.mark.parametrize("name", ["decode", "MessageMatrix"])
+def test_reading_a_matrix_name_loads_the_matrix_view(name):
+    assert "qblock.matrix" in loaded_after(f"import qblock\nqblock.{name}")
+
+
+@pytest.mark.parametrize("statement", START_UP.values(), ids=START_UP.keys())
 def test_start_up_loads_neither_dataclasses_nor_inspect(statement):
     assert not loaded_after(statement) & {"dataclasses", "inspect"}
 
@@ -110,7 +122,7 @@ for bad, error in ((tampered, TamperDetected), (payload.replace(",", ",,", 1), M
 def test_start_up_and_round_trips_without_site_load_no_forbidden_module():
     # the CLI parser, a round trip, a tampered and a malformed payload, all in one interpreter
     forbidden = {"array", "csv", "dataclasses", "inspect", "json", "_json", "random", "typing",
-                 "qblock.harness", "qblock.numtheory", "qblock.demo"}
+                 "qblock.harness", "qblock.matrix", "qblock.numtheory", "qblock.demo"}
     assert not loaded_after(NO_SITE_ROUND_TRIPS, "-S") & forbidden
 
 

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, _registry, register_alphabet
-from qblock.codec import CodedMessage, FRow, Scheme, decode_with_trace, encode_text
+from qblock.codec import CodedMessage, FRow, Scheme, encode_text
 from qblock.demo import EXAMPLE_1
 from qblock.errors import BadLength, HeaderMismatch
 from qblock.harness import CorruptionSpec, DetectionReport, Strategy
-from qblock.layout import Block, MessageMatrix, NRule
+from qblock.layout import NRule
+from qblock.matrix import Block, MessageMatrix, decode_with_trace
 from qblock.numtheory import q_power, r_matrix
 from qblock.wire import parse, serialize
 

@@ -22,11 +22,12 @@ and two processes can differ by about 10% on the same code, so both trees run
 in one process.  A cell (a stage, scheme and dim, or a harness strategy and
 scheme) runs 41 pairs of loops, each loop long enough for the clock (about
 30 ms), one loop per tree, the tree that goes first alternating.  It holds
-each tree's median loop time per block or trial, new/old of the two medians
-(below 1 is faster) and the number of pairs in which the new tree's loop was
-the faster.  `gen0_per_call` counts the garbage collector's youngest-
-generation collections over one more loop per tree, started right after a
-full collection; unlike a time it repeats exactly for one tree and one Python.
+each tree's median loop time per block or trial, new/old as the median over
+the pairs of the new loop's time over the old loop's (below 1 is faster), and
+the number of pairs in which the new tree's loop was the faster.
+`gen0_per_call` counts the garbage collector's youngest-generation
+collections over one more loop per tree, started right after a full
+collection; unlike a time it repeats exactly for one tree and one Python.
 
 No process pipe is timed here.  The `qblock encode | qblock decode` pipe is
 the `cli_pipe` workload of the benchmark under perfbench/, whose probe also
@@ -153,8 +154,9 @@ def timed(calls, seconds, pairs, unit, per):
                 f(*args)
             times[name].append(time.perf_counter() - start)
     median = {name: statistics.median(times[name]) for name in TREES}
-    cell = {"new_over_old": round(median["new"] / median["old"], 4),
-            "new_faster": sum(a < b for a, b in zip(times["new"], times["old"]))}
+    pairs = list(zip(times["new"], times["old"]))
+    cell = {"new_over_old": round(statistics.median(new / old for new, old in pairs), 4),
+            "new_faster": sum(new < old for new, old in pairs)}
     for name in TREES:
         f, args = calls[name]
         gc.collect()
