@@ -154,9 +154,9 @@ def timed(calls, seconds, pairs, unit, per):
                 f(*args)
             times[name].append(time.perf_counter() - start)
     median = {name: statistics.median(times[name]) for name in TREES}
-    pairs = list(zip(times["new"], times["old"]))
-    cell = {"new_over_old": round(statistics.median(new / old for new, old in pairs), 4),
-            "new_faster": sum(new < old for new, old in pairs)}
+    paired = list(zip(times["new"], times["old"]))
+    cell = {"new_over_old": round(statistics.median(new / old for new, old in paired), 4),
+            "new_faster": sum(new < old for new, old in paired)}
     for name in TREES:
         f, args = calls[name]
         gc.collect()
