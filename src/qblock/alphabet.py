@@ -7,8 +7,9 @@ key index and changes from message to message.  A `CharTable` is the record
 the table of shift mod size once, and keeps the last 128 built.
 `_codes_of`/`_symbols_of` map a sequence through it with `str.translate`,
 which stops at the first symbol or code that the table lacks; the error names
-it as `code_of`/`symbol_of` do, and the codes of a `str` come back as a bytearray.  A
-non-`str` input, a code past Latin-1 or an alphabet of over 256 symbols reads item by item.
+it as `code_of`/`symbol_of` do, a stray in a `str` with its position, so `_codes_of` is
+the one screen for strays.  The codes of a `str` come back as a bytearray.  A non-`str`
+input, a code past Latin-1 or an alphabet of over 256 symbols reads item by item.
 The text paths call them as `_codes`/`_symbols` on an (alphabet, shift) pair.
 
 Alternative alphabets can be registered under an id; both endpoints must
@@ -113,8 +114,7 @@ class _Refusing(dict):
 @lru_cache(maxsize=128)  # both directions of all 30 default shifts, and room for more
 def _lookup(alphabet: Alphabet, start: int, direction: str) -> _Refusing:
     """The table of shift `start` < size, shared and so never written to: symbol
-    ordinal -> code ("ord"), symbol -> code ("symbol") or code -> symbol ("code").
-    `layout.preprocess` screens its text for strays with the "ord" table of shift 0."""
+    ordinal -> code ("ord"), symbol -> code ("symbol") or code -> symbol ("code")."""
     letters = alphabet.symbols
     codes = [*range(start, len(letters)), *range(start)]  # (start + k) mod size, k = 0, 1, ...
     if direction == "code":
@@ -154,7 +154,8 @@ class CharTable(_Record, namedtuple("CharTable", "alphabet shift")):
             return list(map(_lookup(alphabet, start, "symbol").__getitem__, symbols))
         except _Miss as miss:  # translate looks a character up by its ordinal
             symbol = chr(miss.args[0]) if by_ordinal else miss.args[0]
-        raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {alphabet.id!r}")
+        at = f" at position {symbols.index(symbol)}" if isinstance(symbols, str) else ""
+        raise UnknownSymbol(f"symbol {symbol!r}{at} is not in alphabet {alphabet.id!r}")
 
     def _symbols_of(self, codes) -> str:
         alphabet, shift = self

@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help, or a usage error
-            code = exc.code if isinstance(exc.code, int) else 2
+            code = exc.code
         else:
             code = _DISPATCH[args.command](args)
         if sys.stdout is not None:

@@ -26,9 +26,9 @@ range.  For an alphabet of at most 256 symbols it tests and returns each
 column as `bytes`.  Otherwise `solve_missing`, the one per-row verdict,
 names the first row it rejects.  The text paths build no `MessageMatrix`
 or `CharTable`: `encode_text` codes the padded text in one translate
-through the shifted table, which screens it too (a miss calls `preprocess`
-to name the stray's position), and cuts the codes with `_columns`;
-`decode_text` maps `_flat` of the columns through the table.
+through the shifted table, which refuses its first stray by position, and
+cuts the codes with `_columns`; `decode_text` maps `_flat` of the columns
+through the table.
 
 The codecs on a `MessageMatrix`, `encode`, `decode` and the paper's
 `decode_with_trace` with its Fibonacci/Lucas keys, live in `matrix`, which
@@ -51,8 +51,8 @@ from .alphabet import (
     _symbols,
     get_alphabet,
 )
-from .errors import DegenerateBlock, HeaderMismatch, TamperDetected, UnknownSymbol, _int_text
-from .layout import NRule, _columns, _flat, _member, _padded, choose_n, preprocess
+from .errors import DegenerateBlock, HeaderMismatch, TamperDetected, _int_text
+from .layout import NRule, _columns, _flat, _member, _padded, choose_n
 
 
 class Scheme(Enum):
@@ -219,14 +219,9 @@ def _text_columns(text: str, n_rule: NRule, alphabet_id: str):
     alphabet = get_alphabet(alphabet_id)
     padded = _padded(text, alphabet)
     dim = math.isqrt(len(padded))
-    try:  # one translate through the shifted table both screens and codes the text
-        codes = _codes((alphabet, choose_n((dim // 2) ** 2, n_rule)), padded)
-    except (UnknownSymbol, TypeError) as error:  # a stray, or an n-rule that is no NRule
-        failure = error
-    else:
-        return _columns(codes, dim), dim
-    preprocess(text, alphabet)  # a stray, named with its position, comes first
-    raise failure
+    # one translate through the shifted table both screens and codes the text
+    codes = _codes((alphabet, choose_n((dim // 2) ** 2, n_rule)), padded)
+    return _columns(codes, dim), dim
 
 
 def decode_text(coded: CodedMessage) -> str:

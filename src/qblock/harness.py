@@ -152,6 +152,7 @@ def detection_rate(
 ) -> DetectionReport:
     """Corrupt `trials` times and tally decode's verdicts, each taken by
     solving only the rows `_damage` edits (see the module docstring)."""
+    trials = index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {_int_text(trials)}")
     columns, _ = _text_columns(message, n_rule, alphabet_id)

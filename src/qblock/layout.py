@@ -7,19 +7,19 @@ string fills an even-sided square grid row-major, and the grid splits into
 fixes the key index n.  That order is written only here, in one inverse
 pair: `_columns` cuts row-major codes (a bytearray or list) into the blocks'
 element columns and `_flat` lays bytes or other columns out row-major in a
-bytearray or list.  `preprocess` screens for strays with the alphabet's own
-table of shift 0 from `_lookup`, after `_padded`, which `encode_text` calls
-alone since its shifted table screens.  The grid as a record of row tuples,
-`MessageMatrix`, and its `Block`s are the paper's matrix view in `matrix`,
-which the text paths never import.
+bytearray or list.  `preprocess` is `_padded` screened by the alphabet's
+table of shift 0, and `encode_text` codes `_padded` by its shifted table,
+which screens the same.  The grid as a record of row tuples, `MessageMatrix`,
+and its `Block`s are the paper's matrix view in `matrix`, which the text
+paths never import.
 """
 
 import math
 from enum import Enum
 from operator import index
 
-from .alphabet import Alphabet, _Miss, _lookup
-from .errors import EmptyMessage, UnknownSymbol, _int_text
+from .alphabet import Alphabet, _codes
+from .errors import EmptyMessage, _int_text
 
 PAD_SYMBOL = "0"
 
@@ -50,13 +50,8 @@ def preprocess(text: str, alphabet: Alphabet) -> str:
     that names it and its position, rather than a silent skip.
     """
     padded = _padded(text, alphabet)
-    try:
-        padded.translate(_lookup(alphabet, 0, "ord"))  # stops at the first stray
-        return padded
-    except _Miss as miss:
-        stray = chr(miss.args[0])
-    raise UnknownSymbol(f"symbol {stray!r} at position {padded.index(stray)} "
-                        f"is not in alphabet {alphabet.id!r}")
+    _codes((alphabet, 0), padded)  # refuses the first stray
+    return padded
 
 
 def _padded(text: str, alphabet: Alphabet) -> str:

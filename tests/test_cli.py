@@ -302,6 +302,17 @@ def test_harness_deterministic(capsys, monkeypatch):
     assert out1 == out2
 
 
+def test_harness_defaults_are_pinned(capsys, monkeypatch):
+    # --seed, --magnitude, --trials and --message as the parser defaults them
+    argv = ["harness", "--scheme", "mine", "--strategy", "perturb-kept"]
+    assert run_cli(argv, capsys, monkeypatch) == (
+        0,
+        "scheme=mine strategy=perturb-kept seed=0 magnitude=1 trials=100 "
+        "detected=67 miscorrected=33 undetected_equal=0\n",
+        "",
+    )
+
+
 @pytest.mark.parametrize(
     "scheme,strategy,counts",
     [

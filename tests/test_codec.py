@@ -129,12 +129,18 @@ def test_a_scheme_or_n_rule_that_is_not_a_member_is_a_type_error(call, value):
         call(value)
 
 
-@pytest.mark.parametrize("n_rule", [NRule.HALF, "half"], ids=repr)
-def test_encode_text_names_a_stray_with_its_position_before_a_bad_n_rule(n_rule):
-    # the shifted table's miss falls back to preprocess, which names the
-    # position; a stray comes before choose_n's TypeError for a non-member
-    text = "symbol '#' at position 1 is not in alphabet 'default'"
-    with pytest.raises(UnknownSymbol, match=f"^{re.escape(text)}$") as info:
+@pytest.mark.parametrize(
+    "n_rule, error, text",
+    [
+        (NRule.HALF, UnknownSymbol, "symbol '#' at position 1 is not in alphabet 'default'"),
+        # choose_n's TypeError for a non-member comes before the shifted table's screen
+        ("half", TypeError, "expected a NRule member, got 'half'"),
+    ],
+    ids=[repr(NRule.HALF), repr("half")],
+)
+def test_encode_text_names_a_stray_with_its_position_before_a_bad_n_rule(n_rule, error, text):
+    # the shifted table's miss names the stray's position itself
+    with pytest.raises(error, match=f"^{re.escape(text)}$") as info:
         encode_text("a#", Scheme.LUCAS_BLOCKING, n_rule)
     assert info.value.__context__ is None
 
@@ -188,19 +194,21 @@ def test_an_error_text_shows_an_oversized_int_by_its_size(call, error, text):
 
 # ---- reassemble takes its dimension through operator.index ----
 
-# as MessageMatrix and CodedMessage do (tests/test_records.py)
+# as MessageMatrix and CodedMessage do (tests/test_records.py); then it counts the blocks
 INDEXED = {
-    "bool": (True, BadLength, "matrix dimension must be even and >= 2, got 1"),
-    "str": ("4", TypeError, "'str' object cannot be interpreted as an integer"),
-    "float": (4.0, TypeError, "'float' object cannot be interpreted as an integer"),
+    "bool": ([], True, BadLength, "matrix dimension must be even and >= 2, got 1"),
+    "str": ([], "4", TypeError, "'str' object cannot be interpreted as an integer"),
+    "float": ([], 4.0, TypeError, "'float' object cannot be interpreted as an integer"),
+    "too-few-blocks": (to_blocks(MessageMatrix(4, ((1, 2, 3, 4),) * 4))[:3], 4, BadLength,
+                       "expected 4 blocks for dimension 4, got 3"),
 }
 
 
-@pytest.mark.parametrize("dim, error, text", INDEXED.values(), ids=INDEXED.keys())
-def test_reassemble_refuses_a_dimension_as_operator_index_does(dim, error, text):
+@pytest.mark.parametrize("blocks, dim, error, text", INDEXED.values(), ids=INDEXED.keys())
+def test_reassemble_refuses_a_dimension_as_operator_index_does(blocks, dim, error, text):
     # True reads as 1, which is odd; a str is index's TypeError, not a failed comparison
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
-        reassemble([], dim)
+        reassemble(blocks, dim)
 
 
 # ---- the row type ----

@@ -43,7 +43,7 @@ from qblock.harness import (
     corrupt,
     detection_rate,
 )
-from qblock.layout import PAD_SYMBOL, NRule, choose_n, preprocess, square_side
+from qblock.layout import PAD_SYMBOL, NRule, _padded, choose_n, preprocess, square_side
 from qblock.matrix import (
     Block,
     MessageMatrix,
@@ -177,6 +177,14 @@ def outcome(f, *args):
         return type(exc), str(exc), getattr(exc, "block_index", None)
 
 
+def screen(symbols, alphabet):
+    """Refuse the first symbol outside the alphabet, naming it and its position."""
+    for pos, symbol in enumerate(symbols):
+        if symbol not in alphabet.symbols:
+            raise UnknownSymbol(f"symbol {symbol!r} at position {pos} is not in alphabet "
+                                f"{alphabet.id!r}")
+
+
 @st.composite
 def matrices(draw, codes=st.integers(0, SIZE - 1), dims=(2, 4, 6, 8)):
     dim = draw(st.sampled_from(dims))
@@ -209,11 +217,7 @@ def test_preprocess_matches_per_symbol_model(text):
         substituted = text.upper().replace(" ", PAD_SYMBOL)
         side = square_side(len(substituted))
         padded = substituted.ljust(side * side, PAD_SYMBOL)
-        for pos, symbol in enumerate(padded):
-            if symbol not in DEFAULT_ALPHABET.symbols:
-                raise UnknownSymbol(
-                    f"symbol {symbol!r} at position {pos} is not in alphabet 'default'"
-                )
+        screen(padded, DEFAULT_ALPHABET)
         return padded
 
     assert outcome(preprocess, text, DEFAULT_ALPHABET) == outcome(model)
@@ -231,6 +235,7 @@ def test_to_matrix_matches_per_symbol_model(text, shift):
     table = CharTable(DEFAULT_ALPHABET, shift)
 
     def model():
+        screen(text, DEFAULT_ALPHABET)
         side = square_side(len(text))
         rows = [text[r * side : (r + 1) * side] for r in range(side)]
         return MessageMatrix(side, tuple(tuple(table.code_of(s) for s in row) for row in rows))
@@ -280,9 +285,7 @@ def test_registered_alphabet_tables_match_the_shift_formula(alphabet, shift, dat
                        for code in chain.from_iterable(matrix.cells))
 
     def matrix_model():
-        for symbol in text:
-            if symbol not in alphabet.symbols:
-                raise UnknownSymbol(f"symbol {symbol!r} is not in alphabet {alphabet.id!r}")
+        screen(text, alphabet)
         codes = [(shift + alphabet.symbols.index(symbol)) % size for symbol in text]
         return MessageMatrix(side, tuple(tuple(codes[r * side : (r + 1) * side])
                                          for r in range(side)))
@@ -433,9 +436,10 @@ def raised(f, *args):
 
 def encode_text_model(text, scheme, n_rule, alphabet_id):
     alphabet = get_alphabet(alphabet_id)
+    # the n-rule of the padded text's block count is checked before its strays
+    n = choose_n(len(_padded(text, alphabet)) // 4, n_rule)
     symbols = preprocess(text, alphabet)
-    table = CharTable(alphabet, choose_n(len(symbols) // 4, n_rule))
-    return encode(to_matrix(symbols, table), scheme, n_rule, alphabet_id)
+    return encode(to_matrix(symbols, CharTable(alphabet, n)), scheme, n_rule, alphabet_id)
 
 
 def decode_text_model(coded):

@@ -203,6 +203,17 @@ def test_detection_rate_rejects_bad_trials():
         detection_rate(golden.EX1_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=0)
 
 
+def test_detection_rate_takes_trials_through_index(monkeypatch):
+    spec = CorruptionSpec(Strategy.PERTURB_D, seed=0)
+    report = detection_rate(golden.EX1_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=True)
+    assert report.summary().startswith("trials=1 ")  # True reads as 1, not "trials=True"
+    # a trials value that is no int is refused before the text is encoded
+    monkeypatch.setattr(harness, "_text_columns", None)
+    for trials in ("3", 2.0):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            detection_rate(golden.EX1_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=trials)
+
+
 def test_detection_rate_propagates_encode_errors():
     spec = CorruptionSpec(Strategy.PERTURB_D, seed=0)
     # '.' codes to 0 under shift 1, giving the single block a zero b2 pivot
