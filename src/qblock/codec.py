@@ -23,12 +23,14 @@ text's block columns come from `_text_columns` and the pivot check from
 after one test over the columns, no pair per row: kept codes in range, no
 zero pivot, every x (`floordiv` of the numerators) exact (`mod`) and in
 range.  For an alphabet of at most 256 symbols it tests and returns each
-column as `bytes`.  Otherwise `solve_missing`, the one per-row verdict,
-names the first row it rejects.  The text paths build no `MessageMatrix`
-or `CharTable`: `encode_text` codes the padded text in one translate
-through the shifted table, which refuses its first stray by position, and
-cuts the codes with `_columns`; `decode_text` maps `_flat` of the columns
-through the table.
+column as `bytes`.  Otherwise `solve_missing` names the first row it
+rejects.  Its checks are `_verdict`, the one per-row verdict, which returns
+the failing check where `solve_missing` raises it, so that
+`harness.detection_rate` counts a detected trial without an exception.
+The text paths build no `MessageMatrix` or `CharTable`: `encode_text`
+codes the padded text in one translate through the shifted table, which
+refuses its first stray by position, and cuts the codes with `_columns`;
+`decode_text` maps `_flat` of the columns through the table.
 
 The codecs on a `MessageMatrix`, `encode`, `decode` and the paper's
 `decode_with_trace` with its Fibonacci/Lucas keys, live in `matrix`, which
@@ -144,24 +146,41 @@ def solve_missing(row: FRow, scheme: Scheme, *, size: int = DEFAULT_ALPHABET.siz
     check: kept codes k1, k2, k3 in [0, size), a nonzero pivot, exact
     division, then the recovered code in [0, size).
     """
-    lucas = _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING
+    check, x = _verdict(row, _member(scheme, Scheme) is Scheme.LUCAS_BLOCKING, size)
+    if check is not None:
+        raise TamperDetected(check.format(_int_text(x), size))
+    return x
+
+
+# `_verdict`'s checks in the order it runs them, each the text that names its
+# failure, filled with the value it names and the alphabet size
+_KEPT_OUT = "kept code {} outside [0, {})"
+_ZERO_PIVOT = "zero pivot, dropped element unrecoverable (d={})"
+_INEXACT = "no exact solution for dropped element (d={})"
+_RECOVERED_OUT = "recovered code {} outside [0, {})"
+
+
+def _verdict(row, lucas: bool, size: int):
+    """`solve_missing` without the exception: (None, x) for the dropped
+    element x, else (check, value), the first check the row fails and the
+    value its text names."""
     d, k1, k2, k3 = row
     for code in (k1, k2, k3):
         if not 0 <= code < size:
-            raise TamperDetected(f"kept code {_int_text(code)} outside [0, {size})")
+            return _KEPT_OUT, code
     if lucas:
         pivot, numerator = k2, k1 * k3 - d
     else:
         pivot, numerator = k1, d + k2 * k3
     if pivot == 0:
         # the determinant does not involve the dropped element
-        raise TamperDetected(f"zero pivot, dropped element unrecoverable (d={_int_text(d)})")
+        return _ZERO_PIVOT, d
     x, remainder = divmod(numerator, pivot)
     if remainder != 0:
-        raise TamperDetected(f"no exact solution for dropped element (d={_int_text(d)})")
+        return _INEXACT, d
     if not 0 <= x < size:
-        raise TamperDetected(f"recovered code {_int_text(x)} outside [0, {size})")
-    return x
+        return _RECOVERED_OUT, x
+    return None, x
 
 
 def _in_range(codes, size: int):

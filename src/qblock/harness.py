@@ -19,6 +19,15 @@ block columns from `codec._text_columns` and the pivot check from `codec._kept`,
 so it raises what `encode_text` raises, and its reader computes d = b1*b4 - b2*b3
 for the one row asked for, the value the record would hold.  So the draws are
 those of `corrupt` on `encode_text`'s record, and a trial pays only for its rows.
+Its verdict is `codec._verdict`, the checks of `solve_missing` returned as a
+value rather than raised, so a detected trial builds no exception.
+
+Swap-rows needs no draw at all: every row of an encoded record solves, and a
+swap exchanges two of them, so each trial is miscorrected whichever pair it
+draws.  `detection_rate` runs the checks `_drawer` makes (at least two rows,
+not all identical) and returns that report in closed form: no generator, no
+draw and no verdict, O(rows) for any number of trials.  `corrupt` still draws
+the pair.
 
 A seed k >= 0 seeds `random.Random` as the int k; a negative k seeds it
 from the string f"neg{k}", since `Random.seed` takes an int's absolute
@@ -31,8 +40,8 @@ from enum import Enum
 from operator import index
 
 from .alphabet import DEFAULT_ALPHABET_ID, _Record, get_alphabet
-from .codec import CodedMessage, Scheme, _kept, _text_columns, solve_missing
-from .errors import NotEnoughRows, TamperDetected, _int_text
+from .codec import CodedMessage, Scheme, _kept, _text_columns, _verdict
+from .errors import NotEnoughRows, _int_text
 from .layout import NRule, _member
 
 OUTCOME_DETECTED = "detected"
@@ -82,6 +91,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     value is drawn again, so the result always differs from the input in
     exactly one field.  SWAP_ROWS is never detected: `solve_missing` reads
     only the row, so a moved row decodes to the same block at its new index.
+    Raises TypeError unless `spec` is a CorruptionSpec.
     """
     columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
     for i, row in _damage(coded, spec).items():
@@ -105,7 +115,10 @@ def _seed(seed: int) -> int | str:
 
 def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
     """`_damage`'s draw over the rows row(0) .. row(rows_n - 1), each (d, k1, k2, k3),
-    as a function of the generator, after the work that no draw changes."""
+    as a function of the generator, after the work that no draw changes.
+    Raises TypeError unless `spec` is a CorruptionSpec."""
+    if not isinstance(spec, CorruptionSpec):
+        raise TypeError(f"expected a CorruptionSpec, got {type(spec).__name__}")
     kept = spec.strategy is Strategy.PERTURB_KEPT
     size = get_alphabet(alphabet_id).size if kept else None
     swap = spec.strategy is Strategy.SWAP_ROWS
@@ -151,7 +164,8 @@ def detection_rate(
     alphabet_id: str = DEFAULT_ALPHABET_ID,
 ) -> DetectionReport:
     """Corrupt `trials` times and tally decode's verdicts, each taken by
-    solving only the rows `_damage` edits (see the module docstring)."""
+    solving only the row `_damage` edits, or for SWAP_ROWS in closed form
+    (see the module docstring)."""
     trials = index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {_int_text(trials)}")
@@ -161,18 +175,17 @@ def detection_rate(
     size = get_alphabet(alphabet_id).size
     draw = _drawer(lambda i: (b1s[i] * b4s[i] - b2s[i] * b3s[i], k1s[i], k2s[i], k3s[i]),
                    len(b1s), alphabet_id, spec)
+    if spec.strategy is Strategy.SWAP_ROWS:  # two encoded rows that differ, each of which solves
+        return DetectionReport(0, trials, trials, (OUTCOME_MISCORRECTED,) * trials)
+    lucas = scheme is Scheme.LUCAS_BLOCKING
     rng = random.Random(_seed(spec.seed))
     outcomes = []
     for trial in range(trials):
         if trial:  # reseeded as `_damage` seeds trial_spec(spec, trial)'s generator
             rng.seed(_seed(spec.seed + trial))
-        try:
-            for row in draw(rng).values():
-                solve_missing(row, scheme, size=size)
-        except TamperDetected:
-            outcomes.append(OUTCOME_DETECTED)
-        else:
-            outcomes.append(OUTCOME_MISCORRECTED)
+        (row,) = draw(rng).values()
+        check, _ = _verdict(row, lucas, size)
+        outcomes.append(OUTCOME_MISCORRECTED if check is None else OUTCOME_DETECTED)
     return DetectionReport(
         outcomes.count(OUTCOME_DETECTED),
         outcomes.count(OUTCOME_MISCORRECTED),

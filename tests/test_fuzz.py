@@ -3,7 +3,9 @@
 The second part checks the flat kernels (the symbol tables, `preprocess`,
 `to_matrix`, `to_symbols`, `encode`, `decode`) against per-element and
 per-block models built from the public pieces they replace, `solve_missing`
-against `decode` of its one row, swap-rows corruption against the matrix
+against `decode` of its one row, the verdict `codec._verdict` against the
+result or error of `solve_missing` on rows of any ints, bools and floats,
+swap-rows corruption against the matrix
 with two blocks exchanged, the row edits `_damage` returns against the rows
 `corrupt` changed, and `detection_rate` against a full decode of every
 damaged payload, which never gives the original matrix back, and against
@@ -24,6 +26,7 @@ import golden
 from bruteforce import NON_ROW_RE, outcomes_by_decode
 from payloads import from_rows
 from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
+from qblock import codec
 from qblock.codec import CodedMessage, FRow, Scheme, decode_text, encode_text, solve_missing
 from qblock.cli import main
 from qblock.errors import (
@@ -34,6 +37,7 @@ from qblock.errors import (
     QblockError,
     TamperDetected,
     UnknownSymbol,
+    _int_text,
 )
 from qblock.harness import (
     CorruptionSpec,
@@ -543,6 +547,70 @@ def test_solve_missing_agrees_with_decode_of_its_row(row, scheme, n_rule):
         kind, text, index = decoded
         assert kind is TamperDetected and index == 1 and text.startswith("block 1: ")
         assert solved == (TamperDetected, text.removeprefix("block 1: "), None)
+
+
+# values a row may hold that no payload carries: ints past the interpreter's
+# 4300-digit int-string limit, which a text names by size, bools and floats
+LONG_INTS = st.integers(14_400, 15_000).map(lambda bits: 1 << bits)
+row_values = st.one_of(st.integers(), LONG_INTS, LONG_INTS.map(lambda v: -v), st.booleans(),
+                       st.floats())
+
+
+@st.composite
+def sized_rows(draw):
+    """A scheme, an alphabet size and a row: kept codes mostly in [0, size),
+    d often the determinant of the block whose dropped code is some x."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    size = draw(st.sampled_from([1, 2, 30, 256, 300]))
+    # one_of flattens row_values' branches into its own, so a value is drawn
+    # from them one time in four, else near the range it is checked against
+    def value(near):
+        return draw(row_values if draw(st.integers(0, 3)) == 0 else near)
+
+    codes = st.one_of(st.integers(0, size - 1), st.integers(-2, size + 1), st.floats(0, size - 1))
+    k1, k2, k3 = value(codes), value(codes), value(codes)
+    x = value(st.integers(-1, size))
+    try:  # b1*b4 - b2*b3, the dropped code being b3, resp. b4
+        solved = k1 * k3 - k2 * x if scheme is Scheme.LUCAS_BLOCKING else k1 * x - k2 * k3
+    except OverflowError:
+        solved = 0
+    d = value(st.one_of(st.just(solved), st.just(solved + 1),
+                        st.integers(-size * size, size * size)))
+    return scheme, size, (d, k1, k2, k3)
+
+
+@FUZZ
+@given(sized_rows())
+@hypothesis.example((Scheme.LUCAS_BLOCKING, 30, (-5, 31, 1, 0)))
+@hypothesis.example((Scheme.LUCAS_BLOCKING, 30, (0, 1, 0, 7)))
+@hypothesis.example((Scheme.MINESWEEPER, 30, (1, 9.5, 10, 16)))
+@hypothesis.example((Scheme.MINESWEEPER, 30, (10**5000, 1, 2, 3)))
+@hypothesis.example((Scheme.LUCAS_BLOCKING, 30, (10**5000, 1.5, 2, 3)))
+def test_verdict_returns_what_solve_missing_returns_or_names_what_it_raises(sized_row):
+    scheme, size, row = sized_row
+    try:
+        check, value = codec._verdict(row, scheme is Scheme.LUCAS_BLOCKING, size)
+    except OverflowError:  # a float meets an int too long to convert: both raise it
+        with pytest.raises(OverflowError):
+            solve_missing(row, scheme, size=size)
+        return
+    if check is None:
+        x = solve_missing(row, scheme, size=size)
+        assert type(x) is type(value) and x == value  # a float row solves to a float
+        return
+    with pytest.raises(TamperDetected) as info:
+        solve_missing(row, scheme, size=size)
+    assert (str(info.value), info.value.block_index) == (
+        check.format(_int_text(value), size), None)
+    # the check named is the first that fails, and the value is the one it reads
+    out_of_range = [code for code in row[1:] if not 0 <= code < size]
+    assert (check is codec._KEPT_OUT) == bool(out_of_range)
+    if out_of_range:
+        assert value is out_of_range[0]
+    elif check in (codec._ZERO_PIVOT, codec._INEXACT):
+        assert value is row[0]
+    else:
+        assert check is codec._RECOVERED_OUT and not 0 <= value < size
 
 
 def with_nonzero_pivots(matrix, scheme):

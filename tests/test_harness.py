@@ -8,7 +8,7 @@ from bruteforce import outcomes_by_decode
 from payloads import from_rows
 from qblock import codec, harness
 from qblock.alphabet import get_alphabet
-from qblock.codec import CodedMessage, Scheme, encode_text, solve_missing
+from qblock.codec import CodedMessage, Scheme, _verdict, encode_text
 from qblock.errors import DegenerateBlock, NotEnoughRows, UnknownAlphabet
 from qblock.harness import (
     CorruptionSpec,
@@ -237,22 +237,23 @@ DIM32_MESSAGE = "HELLO THERE! " * 78
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 @pytest.mark.parametrize(
     "strategy,per_trial",
-    [(Strategy.PERTURB_D, 1), (Strategy.PERTURB_KEPT, 1), (Strategy.SWAP_ROWS, 2)],
+    [(Strategy.PERTURB_D, 1), (Strategy.PERTURB_KEPT, 1), (Strategy.SWAP_ROWS, 0)],
     ids=lambda v: getattr(v, "value", v),
 )
 def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strategy, per_trial):
     # counts row verdicts instead of timing: each edited row is solved once,
-    # and no row as encoded, where a decode reads all 256 rows
+    # and no row as encoded, where a decode reads all 256 rows; swap-rows
+    # solves none, its outcome being known without a draw
     assert len(encode_text(DIM32_MESSAGE, scheme).ds) == 256
     trials = 50
     count = 0
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         nonlocal count
         count += 1
-        return solve_missing(*args, **kwargs)
+        return _verdict(*args)
 
-    monkeypatch.setattr(harness, "solve_missing", counting)
+    monkeypatch.setattr(harness, "_verdict", counting)
     spec = CorruptionSpec(strategy, magnitude=60, seed=0)
     report = detection_rate(DIM32_MESSAGE, scheme, spec, trials=trials)
     assert report.trials == trials
@@ -264,22 +265,23 @@ def test_detection_rate_solves_only_the_changed_rows(monkeypatch, scheme, strate
 def test_detection_rate_solves_the_rows_damage_draws_on_the_encoded_record(monkeypatch, strategy,
                                                                           scheme):
     # its row reader works d out of the block columns: each row it hands to
-    # solve_missing is the one `_damage` draws on encode_text's record
+    # the verdict is the one `_damage` draws on encode_text's record, and
+    # swap-rows hands it none
     solved = []
 
-    def recording(row, *args, **kwargs):
+    def recording(row, *args):
         solved.append(row)
-        return solve_missing(row, *args, **kwargs)
+        return _verdict(row, *args)
 
-    monkeypatch.setattr(harness, "solve_missing", recording)
+    monkeypatch.setattr(harness, "_verdict", recording)
     # seeds that cross zero, and perturb-kept redraws that wrap at magnitude 90
     for message, magnitude, seed in ((DIM32_MESSAGE, 60, -7), (golden.EX1_MESSAGE, 90, -3)):
         spec = CorruptionSpec(strategy, magnitude, seed)
         coded = encode_text(message, scheme)
         solved.clear()
         assert detection_rate(message, scheme, spec, trials=15).trials == 15
-        assert solved == [row for t in range(15)
-                          for row in _damage(coded, trial_spec(spec, t)).values()]
+        expected = [row for t in range(15) for row in _damage(coded, trial_spec(spec, t)).values()]
+        assert solved == ([] if strategy is Strategy.SWAP_ROWS else expected)
 
 
 @pytest.mark.parametrize("trials", [1, 50])
@@ -304,7 +306,8 @@ def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, tr
 @pytest.mark.parametrize("trials", [1, 50])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_detection_rate_builds_one_generator_per_call(monkeypatch, strategy, trials):
-    # each trial reseeds the one generator instead of building its own
+    # each trial reseeds the one generator instead of building its own;
+    # swap-rows draws nothing, so it builds none
     built = []
 
     class Counting(random.Random):
@@ -316,7 +319,7 @@ def test_detection_rate_builds_one_generator_per_call(monkeypatch, strategy, tri
     spec = CorruptionSpec(strategy, magnitude=60, seed=3)
     report = detection_rate(DIM32_MESSAGE, Scheme.MINESWEEPER, spec, trials=trials)
     assert report.trials == trials
-    assert built == [(3,)]
+    assert built == ([] if strategy is Strategy.SWAP_ROWS else [(3,)])
 
 
 @pytest.mark.parametrize("trials", [1, 50])
@@ -369,6 +372,62 @@ def test_perturb_d_damages_a_payload_whose_alphabet_is_not_registered():
     assert len(diff_fields(coded, damaged)) == 1
     with pytest.raises(UnknownAlphabet):
         corrupt(coded, CorruptionSpec(Strategy.PERTURB_KEPT, magnitude=5, seed=1))
+
+
+ONE_ODD_ROW = "B" * 1023 + "C"  # 256 rows, every one equal but the last
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+@pytest.mark.parametrize("message", [ONE_ODD_ROW, DIM32_MESSAGE], ids=["one-odd-row", "dim32"])
+def test_swap_rows_equals_the_full_decode_oracle_in_linear_row_comparisons(monkeypatch, message,
+                                                                          seed):
+    # counts row comparisons instead of timing, as test_swap_rows_compares_rows_linearly
+    # does for corrupt: the all-rows-identical scan is O(rows), and no trial draws a
+    # pair, where a rejection draw on one odd row costs about rows/2 of them a trial
+    rows_n = 256
+    budget = 2 * rows_n
+    spec = CorruptionSpec(Strategy.SWAP_ROWS, magnitude=60, seed=seed)
+    expected = {scheme: outcomes_by_decode(message, scheme, spec, 20, NRule.HALF)
+                for scheme in Scheme}
+    count = 0
+
+    class CountingRow(tuple):
+        def __eq__(self, other):
+            nonlocal count
+            count += 1
+            return super().__eq__(other)
+
+        def __ne__(self, other):
+            nonlocal count
+            count += 1
+            return super().__ne__(other)
+
+        __hash__ = tuple.__hash__
+
+    drawer = harness._drawer
+    monkeypatch.setattr(harness, "_drawer",
+                        lambda row, *args: drawer(lambda i: CountingRow(row(i)), *args))
+    for scheme in Scheme:
+        assert len(encode_text(message, scheme).ds) == rows_n
+        for trials in (1, 20, 10_000):
+            count = 0
+            report = detection_rate(message, scheme, spec, trials=trials)
+            assert 0 < count <= budget  # the comparisons reach the counter
+            # trial by trial as far as the oracle ran, and no other outcome past it
+            assert report.outcomes[:20] == expected[scheme].outcomes[:trials]
+            assert set(report.outcomes) == set(expected[scheme].outcomes)
+            if trials == 20:
+                assert report == expected[scheme]
+
+
+@pytest.mark.parametrize("spec", [Strategy.SWAP_ROWS, "swap-rows", None],
+                         ids=["strategy", "str", "none"])
+def test_a_spec_that_is_no_corruption_spec_is_refused_by_its_type(spec):
+    expected = f"^expected a CorruptionSpec, got {type(spec).__name__}$"
+    with pytest.raises(TypeError, match=expected):
+        corrupt(EX1_CODED, spec)
+    with pytest.raises(TypeError, match=expected):
+        detection_rate(golden.EX1_MESSAGE, Scheme.LUCAS_BLOCKING, spec, trials=5)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 2**31 - 1, 2**64, 10**30])
