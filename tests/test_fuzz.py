@@ -25,8 +25,8 @@ import pytest
 import golden
 from bruteforce import NON_ROW_RE, outcomes_by_decode
 from payloads import from_rows
-from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
 from qblock import codec
+from qblock.alphabet import DEFAULT_ALPHABET, Alphabet, CharTable, get_alphabet, register_alphabet
 from qblock.codec import CodedMessage, FRow, Scheme, decode_text, encode_text, solve_missing
 from qblock.cli import main
 from qblock.errors import (
