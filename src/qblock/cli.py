@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     har.add_argument("--strategy", required=True, choices=STRATEGIES)
     har.add_argument("--trials", type=positive_int, default=100)
     har.add_argument("--seed", type=int, default=0,
-                     help="trial t draws from seed S+t: an int >= 0 as itself, "
-                          "a negative k from the string 'neg<k>'")
+                     help="trial t draws from the stream of seed S+t; seeds in "
+                          "[-2**63, 2**63) each start their own stream")
     har.add_argument("--magnitude", type=positive_int, default=1)
     har.add_argument("--message", default=DEFAULT_HARNESS_MESSAGE)
     har.add_argument("--n-rule", default="half", choices=[r.value for r in NRule])

@@ -168,14 +168,14 @@ def _verdict(row, lucas: bool, size: int):
     for code in (k1, k2, k3):
         if not 0 <= code < size:
             return _KEPT_OUT, code
-    if lucas:
-        pivot, numerator = k2, k1 * k3 - d
-    else:
-        pivot, numerator = k1, d + k2 * k3
+    pivot = k2 if lucas else k1
     if pivot == 0:
         # the determinant does not involve the dropped element
         return _ZERO_PIVOT, d
-    x, remainder = divmod(numerator, pivot)
+    try:
+        x, remainder = divmod(k1 * k3 - d if lucas else d + k2 * k3, pivot)
+    except OverflowError:  # a float code meets an int past float range
+        return _INEXACT, d
     if remainder != 0:
         return _INEXACT, d
     if not 0 <= x < size:
@@ -203,15 +203,19 @@ def _solve(coded: CodedMessage, size: int):
     start = 0
     if None not in kept and 0 not in kept[1 if lucas else 0]:
         k1s, k2s, k3s = kept
-        if lucas:
-            pivots, numerators = k2s, [*map(sub, map(mul, k1s, k3s), ds)]
+        try:
+            if lucas:
+                pivots, numerators = k2s, [*map(sub, map(mul, k1s, k3s), ds)]
+            else:
+                pivots, numerators = k1s, [*map(add, ds, map(mul, k2s, k3s))]
+            xs = [*map(floordiv, numerators, pivots)]
+            remainders = [*map(mod, numerators, pivots)]
+        except OverflowError:  # a float code meets an int past float range: the walk names it
+            pass
         else:
-            pivots, numerators = k1s, [*map(add, ds, map(mul, k2s, k3s))]
-        xs = [*map(floordiv, numerators, pivots)]
-        remainders = [*map(mod, numerators, pivots)]
-        if not any(remainders) and (column := _in_range(xs, size)) is not None:
-            return (k1s, k2s, column, k3s) if lucas else (k1s, k2s, k3s, column)
-        start = next(i for i in range(len(xs)) if remainders[i] or not 0 <= xs[i] < size)
+            if not any(remainders) and (column := _in_range(xs, size)) is not None:
+                return (k1s, k2s, column, k3s) if lucas else (k1s, k2s, k3s, column)
+            start = next(i for i in range(len(xs)) if remainders[i] or not 0 <= xs[i] < size)
     # from start, a lower bound on the first bad row, the per-row verdict names it
     rows = zip(ds[start:], coded.k1s[start:], coded.k2s[start:], coded.k3s[start:])
     for index, row in enumerate(rows, start + 1):

@@ -25,16 +25,22 @@ value rather than raised, so a detected trial builds no exception.
 Swap-rows needs no draw at all: every row of an encoded record solves, and a
 swap exchanges two of them, so each trial is miscorrected whichever pair it
 draws.  `detection_rate` runs the checks `_drawer` makes (at least two rows,
-not all identical) and returns that report in closed form: no generator, no
+not all identical) and returns that report in closed form: no stream, no
 draw and no verdict, O(rows) for any number of trials.  `corrupt` still draws
 the pair.
 
-A seed k >= 0 seeds `random.Random` as the int k; a negative k seeds it
-from the string f"neg{k}", since `Random.seed` takes an int's absolute
-value and seed -k would otherwise draw exactly what seed k draws.
+Draws come from `_Stream`, a SplitMix64 counter stream (Steele, Lea and
+Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014):
+seed k starts from state 2k for k >= 0 and -2k - 1 for k < 0, taken mod
+2**64, so every seed in [-2**63, 2**63) has a start state of its own and
+seed -k never starts where seed k does.  Beyond that range two seeds of the
+same sign that differ by a multiple of 2**63 draw alike (seed 2**63 draws
+what seed 0 draws).  A stream costs a few int operations to build, so each
+perturb trial of `detection_rate` builds its own for seed + t, as `_damage`
+does for `trial_spec(spec, t)`.  The draws are pure int arithmetic, the
+same on every Python version.
 """
 
-import random
 from collections import namedtuple
 from enum import Enum
 from operator import index
@@ -105,17 +111,50 @@ def _damage(coded: CodedMessage, spec: CorruptionSpec) -> dict[int, tuple[int, i
     one row for the perturb strategies, the drawn pair for SWAP_ROWS."""
     ds, k1s, k2s, k3s = coded[4:]
     draw = _drawer(lambda i: (ds[i], k1s[i], k2s[i], k3s[i]), len(ds), coded.alphabet_id, spec)
-    return draw(random.Random(_seed(spec.seed)))
+    return draw(_Stream(spec.seed))
 
 
-def _seed(seed: int) -> int | str:
-    """What a generator for `seed` is seeded with (see the module docstring)."""
-    return seed if seed >= 0 else f"neg{seed}"
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
+
+
+class _Stream:
+    """The SplitMix64 stream of a seed (see the module docstring): word i is
+    the mix of start + i * 0x9E3779B97F4A7C15 mod 2**64, i = 1, 2, ..."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = (seed << 1 if seed >= 0 else ~seed << 1 | 1) & _MASK
+
+    def _word(self) -> int:
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+        return z ^ z >> 31
+
+    def below(self, n: int) -> int:
+        """An int uniform in range(n), n >= 1, by rejection: a try joins the
+        fewest 64-bit words whose span covers n, and is drawn again if it falls
+        below span mod n, so the values left are a whole multiple of n."""
+        while True:
+            x, span = self._word(), _SPAN
+            while span < n:
+                x, span = x << 64 | self._word(), span << 64
+            if x >= span % n:
+                return x % n
 
 
 def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
     """`_damage`'s draw over the rows row(0) .. row(rows_n - 1), each (d, k1, k2, k3),
-    as a function of the generator, after the work that no draw changes.
+    as a function of the `_Stream`, after the work that no draw changes.
+
+    A perturb draw reads, in this order, the row below(rows_n), for
+    PERTURB_KEPT the field 1 + below(3) (k1, k2, k3), the size 1 +
+    below(magnitude) and the sign below(2) (0 adds, 1 subtracts), and is
+    drawn again from the row on when a kept code wraps back to its value.
+    A swap draw reads i = below(rows_n) and j = below(rows_n - 1), j
+    stepping over i, and is drawn again while rows i and j are equal.
     Raises TypeError unless `spec` is a CorruptionSpec."""
     if not isinstance(spec, CorruptionSpec):
         raise TypeError(f"expected a CorruptionSpec, got {type(spec).__name__}")
@@ -130,19 +169,22 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
         if all(other == first for other in rows):
             raise NotEnoughRows("all rows are identical, swapping changes nothing")
 
-    def draw(rng):
+    def draw(stream):
+        below = stream.below
         while not swap:
-            i = rng.randrange(rows_n)
-            field = rng.choice((1, 2, 3)) if kept else 0  # k1, k2, k3 or d
+            i = below(rows_n)
+            field = 1 + below(3) if kept else 0  # k1, k2, k3 or d
             edited = list(row(i))
-            new = edited[field] + rng.randint(1, spec.magnitude) * rng.choice((1, -1))
+            delta = 1 + below(spec.magnitude)
+            new = edited[field] - delta if below(2) else edited[field] + delta
             if kept:
                 new %= size
             if new != edited[field]:  # only a kept code can wrap, when magnitude >= size
                 edited[field] = new
                 return {i: tuple(edited)}
         while True:  # a rejection draw, so a swap-rows trial stays linear in the row count
-            i, j = rng.sample(range(rows_n), 2)
+            i, j = below(rows_n), below(rows_n - 1)
+            j += j >= i
             row_i, row_j = row(i), row(j)
             if row_i != row_j:
                 return {i: row_j, j: row_i}
@@ -178,12 +220,9 @@ def detection_rate(
     if spec.strategy is Strategy.SWAP_ROWS:  # two encoded rows that differ, each of which solves
         return DetectionReport(0, trials, trials, (OUTCOME_MISCORRECTED,) * trials)
     lucas = scheme is Scheme.LUCAS_BLOCKING
-    rng = random.Random(_seed(spec.seed))
     outcomes = []
-    for trial in range(trials):
-        if trial:  # reseeded as `_damage` seeds trial_spec(spec, trial)'s generator
-            rng.seed(_seed(spec.seed + trial))
-        (row,) = draw(rng).values()
+    for trial in range(trials):  # trial_spec(spec, trial)'s stream, as `_damage` builds it
+        (row,) = draw(_Stream(spec.seed + trial)).values()
         check, _ = _verdict(row, lucas, size)
         outcomes.append(OUTCOME_MISCORRECTED if check is None else OUTCOME_DETECTED)
     return DetectionReport(

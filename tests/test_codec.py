@@ -721,3 +721,23 @@ def test_decode_names_the_row_of_an_out_of_range_code_after_a_fractional_one():
     with pytest.raises(TamperDetected) as info:
         decode(with_rows(EX1_CODED, rows))
     assert (str(info.value), info.value.block_index) == ("block 2: kept code 99 outside [0, 30)", 2)
+
+
+@pytest.mark.parametrize("decoder", [decode, decode_with_trace, decode_text],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("coded", [EX1_CODED, EX2_CODED], ids=["lucas", "mine"])
+@pytest.mark.parametrize("d,shown", [(10**400, str(10**400)),
+                                     (-(10**5000), "a negative 16610-bit integer")],
+                         ids=["past-float-range", "past-int-string-limit"])
+def test_a_float_code_beside_an_int_past_float_range_has_no_exact_solution(decoder, coded, d,
+                                                                           shown):
+    # the arithmetic would convert d to a float, which overflows
+    rows = list(coded.rows)
+    rows[1] = FRow(d, 1.5, 2, 3)
+    text = f"no exact solution for dropped element (d={shown})"
+    with pytest.raises(TamperDetected) as info:
+        solve_missing(rows[1], coded.scheme)
+    assert (str(info.value), info.value.block_index) == (text, None)
+    with pytest.raises(TamperDetected) as info:
+        decoder(with_rows(coded, rows))
+    assert (str(info.value), info.value.block_index) == (f"block 2: {text}", 2)

@@ -1,5 +1,5 @@
 
-import random
+import math
 
 import pytest
 
@@ -14,6 +14,7 @@ from qblock.harness import (
     CorruptionSpec,
     Strategy,
     _damage,
+    _Stream,
     corrupt,
     detection_rate,
     trial_spec,
@@ -137,22 +138,22 @@ def test_swap_rows_compares_rows_linearly():
 EX2_CODED = encode_text(golden.EX2_MESSAGE, Scheme.MINESWEEPER)
 
 # (payload, strategy, magnitude, seed) -> the one damaged (row, field, new value).
-# The draws are randrange(rows), then choice(k1/k2/k3) for perturb-kept only,
-# then randint(1, magnitude), then choice((1, -1)): reordering any of them
+# The draws are below(rows), then 1 + below(3) for perturb-kept only, then
+# 1 + below(magnitude), then below(2) for the sign: reordering any of them
 # changes these, and so the golden detection counts.
 CORRUPT_GOLDEN = [
-    (EX1_CODED, Strategy.PERTURB_D, 5, 0, (3, "d", -612)),
-    (EX1_CODED, Strategy.PERTURB_D, 30, 1, (1, "d", 159)),
-    (EX1_CODED, Strategy.PERTURB_D, 61, 7, (2, "d", -401)),
-    (EX1_CODED, Strategy.PERTURB_KEPT, 5, 2, (0, "k1", 8)),
-    # the first draw (row 3, k3, -60) wraps to the old code and is drawn again
-    (EX1_CODED, Strategy.PERTURB_KEPT, 90, 11, (1, "k1", 23)),
-    (EX2_CODED, Strategy.PERTURB_D, 1, 0, (6, "d", 447)),
-    (EX2_CODED, Strategy.PERTURB_D, 90, 1, (2, "d", 178)),
-    (EX2_CODED, Strategy.PERTURB_KEPT, 30, 0, (6, "k2", 16)),
-    (EX2_CODED, Strategy.PERTURB_KEPT, 61, 7, (5, "k1", 5)),
-    # the first draw (row 1, k3, +90) wraps to the old code and is drawn again
-    (EX2_CODED, Strategy.PERTURB_KEPT, 90, 14, (4, "k3", 3)),
+    (EX1_CODED, Strategy.PERTURB_D, 5, 0, (3, "d", -617)),
+    (EX1_CODED, Strategy.PERTURB_D, 30, 1, (2, "d", -489)),
+    (EX1_CODED, Strategy.PERTURB_D, 61, 7, (2, "d", -448)),
+    (EX1_CODED, Strategy.PERTURB_KEPT, 5, 2, (2, "k2", 22)),
+    # the first draw (row 1, k3, -90) wraps to the old code and is drawn again
+    (EX1_CODED, Strategy.PERTURB_KEPT, 90, 16, (3, "k1", 27)),
+    (EX2_CODED, Strategy.PERTURB_D, 1, 0, (7, "d", -1)),
+    (EX2_CODED, Strategy.PERTURB_D, 90, 1, (4, "d", 123)),
+    (EX2_CODED, Strategy.PERTURB_KEPT, 30, 0, (7, "k1", 0)),
+    (EX2_CODED, Strategy.PERTURB_KEPT, 61, 7, (5, "k1", 19)),
+    # the first draw (row 0, k3, +60) wraps to the old code and is drawn again
+    (EX2_CODED, Strategy.PERTURB_KEPT, 90, 40, (0, "k1", 1)),
 ]
 
 
@@ -305,21 +306,24 @@ def test_detection_rate_builds_only_the_encoded_record(monkeypatch, strategy, tr
 
 @pytest.mark.parametrize("trials", [1, 50])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-def test_detection_rate_builds_one_generator_per_call(monkeypatch, strategy, trials):
-    # each trial reseeds the one generator instead of building its own;
-    # swap-rows draws nothing, so it builds none
+def test_detection_rate_builds_one_stream_per_perturb_trial(monkeypatch, strategy, trials):
+    # a stream costs a few int operations, so each perturb trial builds its own
+    # for seed + t, as `_damage` does; swap-rows draws nothing, so it builds none
+    assert not {"random", "hashlib", "secrets"} & set(vars(harness))
     built = []
 
-    class Counting(random.Random):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    class Counting(harness._Stream):
+        __slots__ = ()
 
-    monkeypatch.setattr(random, "Random", Counting)
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(harness, "_Stream", Counting)
     spec = CorruptionSpec(strategy, magnitude=60, seed=3)
     report = detection_rate(DIM32_MESSAGE, Scheme.MINESWEEPER, spec, trials=trials)
     assert report.trials == trials
-    assert built == ([] if strategy is Strategy.SWAP_ROWS else [(3,)])
+    assert built == ([] if strategy is Strategy.SWAP_ROWS else [3 + t for t in range(trials)])
 
 
 @pytest.mark.parametrize("trials", [1, 50])
@@ -440,10 +444,10 @@ def test_detection_rate_equals_the_full_decode_oracle_at_negative_and_large_seed
 
 
 def test_a_negative_seed_does_not_draw_what_its_absolute_value_draws():
-    # Random.seed takes an int's absolute value; a negative seed is seeded from a string
+    # seed k starts its stream at 2k, seed -k at 2k - 1
     coded = encode_text(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING)
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=60, seed=2)
-    assert _damage(coded, spec) == {28: (175, 12, 5, 22)}
+    assert _damage(coded, spec) == {202: (-77, 12, 25, 19)}
     assert _damage(coded, spec._replace(seed=-2)) != _damage(coded, spec)
     for seed in range(1, 20):
         drawn = {strategy: _damage(coded, CorruptionSpec(strategy, 60, seed))
@@ -457,3 +461,80 @@ def test_trial_spec_offsets_seed():
     assert trial_spec(spec, 0).seed == 10
     assert trial_spec(spec, 7).seed == 17
     assert trial_spec(spec, 7).magnitude == 2
+
+
+def chi_square(values, bins):
+    """Pearson's statistic of `values` against equal counts in range(bins), and
+    its bound: the mean plus 5 standard deviations of a chi-square with bins - 1
+    degrees of freedom, which chance exceeds less than once in 200 tries."""
+    counts = [0] * bins
+    for value in values:
+        counts[value] += 1
+    expected = len(values) / bins
+    df = bins - 1
+    return sum((c - expected) ** 2 for c in counts) / expected, df + 5 * math.sqrt(2 * df)
+
+
+def test_the_stream_is_splitmix64():
+    # the reference's first five words from state 1234567, seed -617284's start
+    stream = _Stream(-617284)
+    assert [stream._word() for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 256, 257, 2**20 + 1, 2**64, 3 * 2**70 + 1])
+def test_below_is_uniform(n):
+    draws = [stream.below(n) for stream in map(_Stream, range(200)) for _ in range(50)]
+    assert all(0 <= x < n for x in draws)
+    if n == 1:
+        assert set(draws) == {0}
+        return
+    bins = min(n, 256)  # a large n is read in 256 equal bins
+    statistic, bound = chi_square([x * bins // n for x in draws], bins)
+    assert statistic < bound
+
+
+@pytest.mark.parametrize("n", [2, 3, 256])
+def test_the_first_draws_of_adjacent_seeds_are_uniform(n):
+    # trial t's stream starts from seed + t, so a run reads one stream per seed
+    draws = [_Stream(seed).below(n) for seed in range(-5000, 5000)]
+    statistic, bound = chi_square(draws, n)
+    assert statistic < bound
+
+
+@pytest.mark.parametrize("n,words,drawn", [(3, [0, 1], 1), (2**64 + 1, [0, 0, 0, 5], 5),
+                                           (2**64, [0], 0), (1, [7], 0)])
+def test_below_draws_again_under_span_mod_n(n, words, drawn):
+    # a try of one word covers 2**64 values, 2**64 + 1 takes two; the lowest
+    # span % n of them are drawn again, leaving a whole multiple of n
+    class Scripted(_Stream):
+        def _word(self):
+            return words.pop(0)
+
+    assert Scripted(0).below(n) == drawn
+    assert words == []
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", [Strategy.PERTURB_D, Strategy.PERTURB_KEPT],
+                         ids=lambda s: s.value)
+def test_dim_32_perturb_counts_lie_within_4_sigma_of_the_exact_rate(scheme, strategy):
+    # the exact rate counts every (row, field, signed delta up to 60) the draw can
+    # make, each as likely as the next; a kept code's wrap-backs are drawn again
+    coded = encode_text(DIM32_MESSAGE, scheme)
+    size = get_alphabet(coded.alphabet_id).size
+    fields = (1, 2, 3) if strategy is Strategy.PERTURB_KEPT else (0,)
+    lucas = scheme is Scheme.LUCAS_BLOCKING
+    detected = edits = 0
+    for row in map(tuple, coded.rows):
+        for field in fields:
+            for delta in (*range(-60, 0), *range(1, 61)):
+                edited = list(row)
+                edited[field] = (row[field] + delta) % size if field else row[field] + delta
+                if edited[field] != row[field]:
+                    edits += 1
+                    detected += _verdict(edited, lucas, size)[0] is not None
+    rate, trials = detected / edits, 2000
+    report = detection_rate(DIM32_MESSAGE, scheme, CorruptionSpec(strategy, 60, 0), trials)
+    assert abs(report.detected - trials * rate) <= 4 * math.sqrt(trials * rate * (1 - rate))

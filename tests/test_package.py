@@ -127,6 +127,23 @@ def test_start_up_and_round_trips_without_site_load_no_forbidden_module():
     assert not loaded_after(NO_SITE_ROUND_TRIPS, "-S") & forbidden
 
 
+TAMPER_RUNS = """\
+import qblock
+from qblock import CorruptionSpec, Scheme, Strategy
+coded = qblock.encode_text("HI THERE", Scheme.LUCAS_BLOCKING)
+for strategy in Strategy:
+    qblock.corrupt(coded, CorruptionSpec(strategy, 60, -3))
+    qblock.detection_rate("HI THERE", Scheme.LUCAS_BLOCKING, CorruptionSpec(strategy, 60, -3), 5)
+"""
+
+
+def test_tamper_runs_without_site_load_neither_random_nor_hashlib():
+    # the draws are int arithmetic: no Mersenne Twister, and no hash that loads OpenSSL
+    loaded = loaded_after(TAMPER_RUNS, "-S")
+    assert "qblock.harness" in loaded
+    assert not loaded & {"random", "hashlib", "_hashlib", "secrets"}
+
+
 def test_strategy_choices_are_the_strategy_values(capsys):
     from qblock.cli import STRATEGIES
 
