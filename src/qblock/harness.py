@@ -27,7 +27,7 @@ swap exchanges two of them, so each trial is miscorrected whichever pair it
 draws.  `detection_rate` runs the checks `_drawer` makes (at least two rows,
 not all identical) and returns that report in closed form: no stream, no
 draw and no verdict, O(rows) for any number of trials.  `corrupt` still draws
-the pair.
+the pair, in O(rows) however few rows differ.
 
 Draws come from `_Stream`, a SplitMix64 counter stream (Steele, Lea and
 Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014):
@@ -37,11 +37,13 @@ seed -k never starts where seed k does.  Beyond that range two seeds of the
 same sign that differ by a multiple of 2**63 draw alike (seed 2**63 draws
 what seed 0 draws).  A stream costs a few int operations to build, so each
 perturb trial of `detection_rate` builds its own for seed + t, as `_damage`
-does for `trial_spec(spec, t)`.  The draws are pure int arithmetic, the
-same on every Python version.
+does for `trial_spec(spec, t)`.  A draw is one exactly uniform value,
+split mixed-radix into its parts (see `_drawer`), so a perturb trial that
+does not wrap back reads one 64-bit word.  The draws are pure int
+arithmetic, the same on every Python version.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 from operator import index
 
@@ -91,12 +93,14 @@ class DetectionReport(
 def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     """Deterministically damage the payload: a copy with `_damage`'s edits.
 
-    PERTURB_D and PERTURB_KEPT draw, in this order, the row, the field (`d`,
-    or one of k1/k2/k3) and a signed delta of 1..magnitude.  A kept code is
-    reduced mod the alphabet size, and a draw that wraps back to the old
-    value is drawn again, so the result always differs from the input in
-    exactly one field.  SWAP_ROWS is never detected: `solve_missing` reads
-    only the row, so a moved row decodes to the same block at its new index.
+    PERTURB_D and PERTURB_KEPT draw the row, the field (`d`, or one of
+    k1/k2/k3) and a signed delta of 1..magnitude, uniform and independent,
+    as one value (see `_drawer`).  A kept code is reduced mod the alphabet
+    size, and a draw that wraps back to the old value is drawn again, so the
+    result always differs from the input in exactly one field.  SWAP_ROWS
+    exchanges two rows that differ, each such pair equally likely, and is
+    never detected: `solve_missing` reads only the row, so a moved row
+    decodes to the same block at its new index.
     Raises TypeError unless `spec` is a CorruptionSpec.
     """
     columns = [list(column) for column in coded[4:]]  # ds, k1s, k2s, k3s
@@ -149,19 +153,24 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
     """`_damage`'s draw over the rows row(0) .. row(rows_n - 1), each (d, k1, k2, k3),
     as a function of the `_Stream`, after the work that no draw changes.
 
-    A perturb draw reads, in this order, the row below(rows_n), for
-    PERTURB_KEPT the field 1 + below(3) (k1, k2, k3), the size 1 +
-    below(magnitude) and the sign below(2) (0 adds, 1 subtracts), and is
-    drawn again from the row on when a kept code wraps back to its value.
-    A swap draw reads i = below(rows_n) and j = below(rows_n - 1), j
-    stepping over i, and is drawn again while rows i and j are equal.
+    A perturb draw is one value below(rows_n * F * magnitude * 2), F = 3 for
+    PERTURB_KEPT and 1 for PERTURB_D, split mixed-radix, lowest digit first,
+    into the sign (0 adds, 1 subtracts), delta - 1 (delta in 1..magnitude),
+    the field (k1, k2 or k3, or d) and the row: a bijection, so the four are
+    uniform and independent.  A kept code that wraps back to its value draws
+    the whole value again.  A swap draw is one value below the number of
+    ordered pairs (i, j) of rows that differ: it walks to row i, then to the
+    j it names among the rows that differ from row i, through a numbering of
+    the rows by value that it builds once, so it costs O(rows).
     Raises TypeError unless `spec` is a CorruptionSpec."""
     if not isinstance(spec, CorruptionSpec):
         raise TypeError(f"expected a CorruptionSpec, got {type(spec).__name__}")
     kept = spec.strategy is Strategy.PERTURB_KEPT
     size = get_alphabet(alphabet_id).size if kept else None
+    magnitude, fields = spec.magnitude, 3 if kept else 1
+    values = rows_n * fields * magnitude * 2  # a perturb draw's row, field, delta and sign
     swap = spec.strategy is Strategy.SWAP_ROWS
-    if swap:  # exchange two rows that differ in value, drawn uniformly by rejection
+    if swap:  # exchange two rows that differ in value, drawn uniformly among such pairs
         if rows_n < 2:
             raise NotEnoughRows("need at least 2 rows to swap")
         rows = map(row, range(rows_n))
@@ -170,24 +179,30 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
             raise NotEnoughRows("all rows are identical, swapping changes nothing")
 
     def draw(stream):
-        below = stream.below
         while not swap:
-            i = below(rows_n)
-            field = 1 + below(3) if kept else 0  # k1, k2, k3 or d
+            value, sign = divmod(stream.below(values), 2)
+            i, delta = divmod(value, magnitude)
+            i, field = divmod(i, fields)
+            field += kept  # k1, k2, k3 after d
             edited = list(row(i))
-            delta = 1 + below(spec.magnitude)
-            new = edited[field] - delta if below(2) else edited[field] + delta
+            new = edited[field] - delta - 1 if sign else edited[field] + delta + 1
             if kept:
                 new %= size
             if new != edited[field]:  # only a kept code can wrap, when magnitude >= size
                 edited[field] = new
                 return {i: tuple(edited)}
-        while True:  # a rejection draw, so a swap-rows trial stays linear in the row count
-            i, j = below(rows_n), below(rows_n - 1)
-            j += j >= i
-            row_i, row_j = row(i), row(j)
-            if row_i != row_j:
-                return {i: row_j, j: row_i}
+        # number the distinct rows: row i differs from rows_n - counts[of_row[i]] rows
+        numbers = {}
+        of_row = [numbers.setdefault(r, len(numbers)) for r in map(row, range(rows_n))]
+        counts = Counter(of_row)
+        k = stream.below(rows_n * rows_n - sum(c * c for c in counts.values()))
+        for i, number in enumerate(of_row):
+            if k < rows_n - counts[number]:
+                break
+            k -= rows_n - counts[number]
+        # the k-th of the rows that differ from row i, whose number is `number`
+        j = [j for j, other in enumerate(of_row) if other != number][k]
+        return {i: row(j), j: row(i)}
 
     return draw
 

@@ -308,7 +308,7 @@ def test_harness_defaults_are_pinned(capsys, monkeypatch):
     assert run_cli(argv, capsys, monkeypatch) == (
         0,
         "scheme=mine strategy=perturb-kept seed=0 magnitude=1 trials=100 "
-        "detected=61 miscorrected=39 undetected_equal=0\n",
+        "detected=64 miscorrected=36 undetected_equal=0\n",
         "",
     )
 
@@ -316,11 +316,11 @@ def test_harness_defaults_are_pinned(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "scheme,strategy,counts",
     [
-        ("lucas", "perturb-d", "detected=1831 miscorrected=169"),
-        ("lucas", "perturb-kept", "detected=1763 miscorrected=237"),
+        ("lucas", "perturb-d", "detected=1847 miscorrected=153"),
+        ("lucas", "perturb-kept", "detected=1756 miscorrected=244"),
         ("lucas", "swap-rows", "detected=0 miscorrected=2000"),
-        ("mine", "perturb-d", "detected=1836 miscorrected=164"),
-        ("mine", "perturb-kept", "detected=1713 miscorrected=287"),
+        ("mine", "perturb-d", "detected=1840 miscorrected=160"),
+        ("mine", "perturb-kept", "detected=1747 miscorrected=253"),
         ("mine", "swap-rows", "detected=0 miscorrected=2000"),
     ],
 )

@@ -135,25 +135,89 @@ def test_swap_rows_compares_rows_linearly():
         assert damaged.rows[i] == coded.rows[j] and damaged.rows[j] == coded.rows[i]
 
 
+
+class CountingRow(tuple):
+    """A row that counts its comparisons in `counter[0]`."""
+
+    counter = [0]
+
+    def __eq__(self, other):
+        self.counter[0] += 1
+        return super().__eq__(other)
+
+    def __ne__(self, other):
+        self.counter[0] += 1
+        return super().__ne__(other)
+
+    __hash__ = tuple.__hash__
+
+
+def count_row_comparisons(monkeypatch):
+    """Hand `_drawer` rows that count their comparisons; returns the counter."""
+    drawer = harness._drawer
+    monkeypatch.setattr(harness, "_drawer",
+                        lambda row, *args: drawer(lambda i: CountingRow(row(i)), *args))
+    return CountingRow.counter
+
+
+@pytest.mark.parametrize("dim", [32, 128])
+def test_swap_rows_on_one_odd_row_reads_one_word_in_linear_row_comparisons(monkeypatch, dim):
+    # the pair is one value below the number of ordered pairs of rows that differ,
+    # 2 * (rows - 1) here: no rejection loop, which cost about rows / 2 pairs a call
+    coded = encode_text("B" * (dim * dim - 1) + "C", Scheme.LUCAS_BLOCKING)
+    rows_n = dim * dim // 4
+    assert len(coded.ds) == rows_n
+    counter = count_row_comparisons(monkeypatch)
+    words = 0
+    word = _Stream._word
+
+    def counting(self):
+        nonlocal words
+        words += 1
+        return word(self)
+
+    monkeypatch.setattr(_Stream, "_word", counting)
+    for seed in range(-4, 4):
+        words = counter[0] = 0
+        damaged = corrupt(coded, CorruptionSpec(Strategy.SWAP_ROWS, seed=seed))
+        assert words == 1
+        assert 0 < counter[0] <= 2 * rows_n
+        changed = [i for i in range(rows_n) if damaged.k3s[i] != coded.k3s[i]]
+        assert len(changed) == 2 and changed[1] == rows_n - 1  # the odd row is the last
+
+
+def test_a_swap_draw_is_uniform_over_the_pairs_of_rows_that_differ():
+    # rows A, A, B, C: 10 ordered pairs differ, two for each of the 5 unordered
+    # ones, so each comes up a fifth of the time; the equal pair (0, 1) never does
+    rows = [(1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", rows)
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    drawn = [pairs.index(tuple(sorted(_damage(coded, CorruptionSpec(Strategy.SWAP_ROWS, seed=seed)))))
+             for seed in range(-5000, 5000)]
+    statistic, bound = chi_square(drawn, len(pairs))
+    assert statistic < bound
+
+
 EX2_CODED = encode_text(golden.EX2_MESSAGE, Scheme.MINESWEEPER)
 
 # (payload, strategy, magnitude, seed) -> the one damaged (row, field, new value).
-# The draws are below(rows), then 1 + below(3) for perturb-kept only, then
-# 1 + below(magnitude), then below(2) for the sign: reordering any of them
-# changes these, and so the golden detection counts.
+# A draw is one value below(rows * F * magnitude * 2), F = 3 for perturb-kept
+# and 1 for perturb-d, split lowest digit first into the sign, the size - 1,
+# the field and the row: reordering the digits changes these, and so the
+# golden detection counts.
 CORRUPT_GOLDEN = [
-    (EX1_CODED, Strategy.PERTURB_D, 5, 0, (3, "d", -617)),
-    (EX1_CODED, Strategy.PERTURB_D, 30, 1, (2, "d", -489)),
-    (EX1_CODED, Strategy.PERTURB_D, 61, 7, (2, "d", -448)),
-    (EX1_CODED, Strategy.PERTURB_KEPT, 5, 2, (2, "k2", 22)),
-    # the first draw (row 1, k3, -90) wraps to the old code and is drawn again
-    (EX1_CODED, Strategy.PERTURB_KEPT, 90, 16, (3, "k1", 27)),
-    (EX2_CODED, Strategy.PERTURB_D, 1, 0, (7, "d", -1)),
-    (EX2_CODED, Strategy.PERTURB_D, 90, 1, (4, "d", 123)),
-    (EX2_CODED, Strategy.PERTURB_KEPT, 30, 0, (7, "k1", 0)),
-    (EX2_CODED, Strategy.PERTURB_KEPT, 61, 7, (5, "k1", 19)),
-    # the first draw (row 0, k3, +60) wraps to the old code and is drawn again
-    (EX2_CODED, Strategy.PERTURB_KEPT, 90, 40, (0, "k1", 1)),
+    (EX1_CODED, Strategy.PERTURB_D, 5, 0, (1, "d", 137)),
+    (EX1_CODED, Strategy.PERTURB_D, 30, 1, (3, "d", -610)),
+    (EX1_CODED, Strategy.PERTURB_D, 61, 7, (0, "d", 58)),
+    (EX1_CODED, Strategy.PERTURB_KEPT, 5, 2, (1, "k3", 3)),
+    # the first draw (row 2, k3, +90) wraps to the old code and is drawn again
+    (EX1_CODED, Strategy.PERTURB_KEPT, 90, 20, (3, "k2", 22)),
+    (EX2_CODED, Strategy.PERTURB_D, 1, 0, (3, "d", -358)),
+    (EX2_CODED, Strategy.PERTURB_D, 90, 1, (2, "d", 171)),
+    (EX2_CODED, Strategy.PERTURB_KEPT, 30, 0, (3, "k2", 19)),
+    (EX2_CODED, Strategy.PERTURB_KEPT, 61, 7, (8, "k2", 23)),
+    # the first draw (row 2, k3, -60) wraps to the old code and is drawn again
+    (EX2_CODED, Strategy.PERTURB_KEPT, 90, 74, (5, "k2", 26)),
 ]
 
 
@@ -386,37 +450,19 @@ ONE_ODD_ROW = "B" * 1023 + "C"  # 256 rows, every one equal but the last
 def test_swap_rows_equals_the_full_decode_oracle_in_linear_row_comparisons(monkeypatch, message,
                                                                           seed):
     # counts row comparisons instead of timing, as test_swap_rows_compares_rows_linearly
-    # does for corrupt: the all-rows-identical scan is O(rows), and no trial draws a
-    # pair, where a rejection draw on one odd row costs about rows/2 of them a trial
+    # does for corrupt: the all-rows-identical scan is O(rows), and no trial draws a pair
     rows_n = 256
     budget = 2 * rows_n
     spec = CorruptionSpec(Strategy.SWAP_ROWS, magnitude=60, seed=seed)
     expected = {scheme: outcomes_by_decode(message, scheme, spec, 20, NRule.HALF)
                 for scheme in Scheme}
-    count = 0
-
-    class CountingRow(tuple):
-        def __eq__(self, other):
-            nonlocal count
-            count += 1
-            return super().__eq__(other)
-
-        def __ne__(self, other):
-            nonlocal count
-            count += 1
-            return super().__ne__(other)
-
-        __hash__ = tuple.__hash__
-
-    drawer = harness._drawer
-    monkeypatch.setattr(harness, "_drawer",
-                        lambda row, *args: drawer(lambda i: CountingRow(row(i)), *args))
+    counter = count_row_comparisons(monkeypatch)
     for scheme in Scheme:
         assert len(encode_text(message, scheme).ds) == rows_n
         for trials in (1, 20, 10_000):
-            count = 0
+            counter[0] = 0
             report = detection_rate(message, scheme, spec, trials=trials)
-            assert 0 < count <= budget  # the comparisons reach the counter
+            assert 0 < counter[0] <= budget  # the comparisons reach the counter
             # trial by trial as far as the oracle ran, and no other outcome past it
             assert report.outcomes[:20] == expected[scheme].outcomes[:trials]
             assert set(report.outcomes) == set(expected[scheme].outcomes)
@@ -447,7 +493,7 @@ def test_a_negative_seed_does_not_draw_what_its_absolute_value_draws():
     # seed k starts its stream at 2k, seed -k at 2k - 1
     coded = encode_text(DIM32_MESSAGE, Scheme.LUCAS_BLOCKING)
     spec = CorruptionSpec(Strategy.PERTURB_D, magnitude=60, seed=2)
-    assert _damage(coded, spec) == {202: (-77, 12, 25, 19)}
+    assert _damage(coded, spec) == {142: (30, 15, 12, 12)}
     assert _damage(coded, spec._replace(seed=-2)) != _damage(coded, spec)
     for seed in range(1, 20):
         drawn = {strategy: _damage(coded, CorruptionSpec(strategy, 60, seed))
@@ -514,6 +560,53 @@ def test_below_draws_again_under_span_mod_n(n, words, drawn):
 
     assert Scripted(0).below(n) == drawn
     assert words == []
+
+
+@pytest.mark.parametrize("strategy,magnitude", [(Strategy.PERTURB_D, 60),
+                                                (Strategy.PERTURB_KEPT, 29)],
+                         ids=["perturb-d", "perturb-kept"])
+def test_a_perturb_trial_reads_one_word(monkeypatch, strategy, magnitude):
+    # a draw is one value below rows * F * magnitude * 2, far under 2**64, and a
+    # kept code moved by less than the alphabet size cannot wrap back
+    words = 0
+    word = _Stream._word
+
+    def counting(self):
+        nonlocal words
+        words += 1
+        return word(self)
+
+    monkeypatch.setattr(_Stream, "_word", counting)
+    spec = CorruptionSpec(strategy, magnitude, seed=-3)
+    for scheme in Scheme:
+        coded = encode_text(DIM32_MESSAGE, scheme)
+        for trial in range(20):
+            words = 0
+            corrupt(coded, trial_spec(spec, trial))
+            assert words == 1
+        words = 0
+        assert detection_rate(DIM32_MESSAGE, scheme, spec, trials=50).trials == 50
+        assert words == 50
+
+
+def test_a_perturb_draw_splits_into_uniform_pairwise_independent_parts():
+    # kept codes mid-alphabet and sizes up to 7, so no edit wraps and each reads
+    # back as its row, field, size and sign; a pair of parts is uniform over its
+    # joint values only if each is uniform and the two are independent
+    rows_n, fields, magnitude = 9, 3, 7
+    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 6, "default", [(0, 15, 15, 15)] * rows_n)
+    parts = []
+    for seed in range(-5000, 5000):
+        ((i, row),) = _damage(coded, CorruptionSpec(Strategy.PERTURB_KEPT, magnitude, seed)).items()
+        (field,) = [f for f in range(fields) if row[1 + f] != 15]
+        delta = row[1 + field] - 15
+        parts.append((i, field, abs(delta) - 1, int(delta < 0)))
+    radices = (rows_n, fields, magnitude, 2)
+    for a, b in [(a, b) for a in range(4) for b in range(a, 4)]:  # b == a: a part alone
+        bins = radices[a] * radices[b] if b > a else radices[a]
+        pair = [p[a] * radices[b] + p[b] if b > a else p[a] for p in parts]
+        statistic, bound = chi_square(pair, bins)
+        assert statistic < bound, (a, b)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
