@@ -191,9 +191,9 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
             if new != edited[field]:  # only a kept code can wrap, when magnitude >= size
                 edited[field] = new
                 return {i: tuple(edited)}
-        # number the distinct rows: row i differs from rows_n - counts[of_row[i]] rows
-        numbers = {}
-        of_row = [numbers.setdefault(r, len(numbers)) for r in map(row, range(rows_n))]
+        # number each row by the first row equal to it: row i differs from
+        # rows_n - counts[of_row[i]] rows
+        of_row = [*map({}.setdefault, map(row, range(rows_n)), range(rows_n))]
         counts = Counter(of_row)
         k = stream.below(rows_n * rows_n - sum(c * c for c in counts.values()))
         for i, number in enumerate(of_row):
