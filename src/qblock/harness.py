@@ -27,7 +27,7 @@ swap exchanges two of them, so each trial is miscorrected whichever pair it
 draws.  `detection_rate` runs the checks `_drawer` makes (at least two rows,
 not all identical) and returns that report in closed form: no stream, no
 draw and no verdict, O(rows) for any number of trials.  `corrupt` still draws
-the pair, in O(rows) however few rows differ.
+the pair.
 
 Draws come from `_Stream`, a SplitMix64 counter stream (Steele, Lea and
 Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014):
@@ -43,7 +43,7 @@ does not wrap back reads one 64-bit word.  The draws are pure int
 arithmetic, the same on every Python version.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import Enum
 from operator import index
 
@@ -97,8 +97,7 @@ def corrupt(coded: CodedMessage, spec: CorruptionSpec) -> CodedMessage:
     k1/k2/k3) and a signed delta of 1..magnitude, uniform and independent,
     as one value (see `_drawer`).  A kept code is reduced mod the alphabet
     size, and a draw that wraps back to the old value is drawn again, so the
-    result always differs from the input in exactly one field.  SWAP_ROWS
-    exchanges two rows that differ, each such pair equally likely, and is
+    result always differs from the input in exactly one field.  SWAP_ROWS is
     never detected: `solve_missing` reads only the row, so a moved row
     decodes to the same block at its new index.
     Raises TypeError unless `spec` is a CorruptionSpec.
@@ -158,10 +157,9 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
     into the sign (0 adds, 1 subtracts), delta - 1 (delta in 1..magnitude),
     the field (k1, k2 or k3, or d) and the row: a bijection, so the four are
     uniform and independent.  A kept code that wraps back to its value draws
-    the whole value again.  A swap draw is one value below the number of
-    ordered pairs (i, j) of rows that differ: it walks to row i, then to the
-    j it names among the rows that differ from row i, through a numbering of
-    the rows by value that it builds once, so it costs O(rows).
+    the whole value again.  A swap draw reads i = below(rows_n) and
+    j = below(rows_n - 1), j stepping over i, and is drawn again while rows
+    i and j are equal.
     Raises TypeError unless `spec` is a CorruptionSpec."""
     if not isinstance(spec, CorruptionSpec):
         raise TypeError(f"expected a CorruptionSpec, got {type(spec).__name__}")
@@ -170,7 +168,7 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
     magnitude, fields = spec.magnitude, 3 if kept else 1
     values = rows_n * fields * magnitude * 2  # a perturb draw's row, field, delta and sign
     swap = spec.strategy is Strategy.SWAP_ROWS
-    if swap:  # exchange two rows that differ in value, drawn uniformly among such pairs
+    if swap:  # exchange two rows that differ in value, drawn uniformly by rejection
         if rows_n < 2:
             raise NotEnoughRows("need at least 2 rows to swap")
         rows = map(row, range(rows_n))
@@ -179,8 +177,9 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
             raise NotEnoughRows("all rows are identical, swapping changes nothing")
 
     def draw(stream):
+        below = stream.below
         while not swap:
-            value, sign = divmod(stream.below(values), 2)
+            value, sign = divmod(below(values), 2)
             i, delta = divmod(value, magnitude)
             i, field = divmod(i, fields)
             field += kept  # k1, k2, k3 after d
@@ -191,18 +190,12 @@ def _drawer(row, rows_n: int, alphabet_id: str, spec: CorruptionSpec):
             if new != edited[field]:  # only a kept code can wrap, when magnitude >= size
                 edited[field] = new
                 return {i: tuple(edited)}
-        # number each row by the first row equal to it: row i differs from
-        # rows_n - counts[of_row[i]] rows
-        of_row = [*map({}.setdefault, map(row, range(rows_n)), range(rows_n))]
-        counts = Counter(of_row)
-        k = stream.below(rows_n * rows_n - sum(c * c for c in counts.values()))
-        for i, number in enumerate(of_row):
-            if k < rows_n - counts[number]:
-                break
-            k -= rows_n - counts[number]
-        # the k-th of the rows that differ from row i, whose number is `number`
-        j = [j for j, other in enumerate(of_row) if other != number][k]
-        return {i: row(j), j: row(i)}
+        while True:  # a rejection draw, so a swap-rows trial stays linear in the row count
+            i, j = below(rows_n), below(rows_n - 1)
+            j += j >= i
+            row_i, row_j = row(i), row(j)
+            if row_i != row_j:
+                return {i: row_j, j: row_i}
 
     return draw
 

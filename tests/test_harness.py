@@ -135,57 +135,6 @@ def test_swap_rows_compares_rows_linearly():
         assert damaged.rows[i] == coded.rows[j] and damaged.rows[j] == coded.rows[i]
 
 
-
-class CountingRow(tuple):
-    """A row that counts its comparisons in `counter[0]`."""
-
-    counter = [0]
-
-    def __eq__(self, other):
-        self.counter[0] += 1
-        return super().__eq__(other)
-
-    def __ne__(self, other):
-        self.counter[0] += 1
-        return super().__ne__(other)
-
-    __hash__ = tuple.__hash__
-
-
-def count_row_comparisons(monkeypatch):
-    """Hand `_drawer` rows that count their comparisons; returns the counter."""
-    drawer = harness._drawer
-    monkeypatch.setattr(harness, "_drawer",
-                        lambda row, *args: drawer(lambda i: CountingRow(row(i)), *args))
-    return CountingRow.counter
-
-
-@pytest.mark.parametrize("dim", [32, 128])
-def test_swap_rows_on_one_odd_row_reads_one_word_in_linear_row_comparisons(monkeypatch, dim):
-    # the pair is one value below the number of ordered pairs of rows that differ,
-    # 2 * (rows - 1) here: no rejection loop, which cost about rows / 2 pairs a call
-    coded = encode_text("B" * (dim * dim - 1) + "C", Scheme.LUCAS_BLOCKING)
-    rows_n = dim * dim // 4
-    assert len(coded.ds) == rows_n
-    counter = count_row_comparisons(monkeypatch)
-    words = 0
-    word = _Stream._word
-
-    def counting(self):
-        nonlocal words
-        words += 1
-        return word(self)
-
-    monkeypatch.setattr(_Stream, "_word", counting)
-    for seed in range(-4, 4):
-        words = counter[0] = 0
-        damaged = corrupt(coded, CorruptionSpec(Strategy.SWAP_ROWS, seed=seed))
-        assert words == 1
-        assert 0 < counter[0] <= 2 * rows_n
-        changed = [i for i in range(rows_n) if damaged.k3s[i] != coded.k3s[i]]
-        assert len(changed) == 2 and changed[1] == rows_n - 1  # the odd row is the last
-
-
 def test_a_swap_draw_is_uniform_over_the_pairs_of_rows_that_differ():
     # rows A, A, B, C: 10 ordered pairs differ, two for each of the 5 unordered
     # ones, so each comes up a fifth of the time; the equal pair (0, 1) never does
@@ -450,19 +399,37 @@ ONE_ODD_ROW = "B" * 1023 + "C"  # 256 rows, every one equal but the last
 def test_swap_rows_equals_the_full_decode_oracle_in_linear_row_comparisons(monkeypatch, message,
                                                                           seed):
     # counts row comparisons instead of timing, as test_swap_rows_compares_rows_linearly
-    # does for corrupt: the all-rows-identical scan is O(rows), and no trial draws a pair
+    # does for corrupt: the all-rows-identical scan is O(rows), and no trial draws a
+    # pair, where a rejection draw on one odd row costs about rows/2 of them a trial
     rows_n = 256
     budget = 2 * rows_n
     spec = CorruptionSpec(Strategy.SWAP_ROWS, magnitude=60, seed=seed)
     expected = {scheme: outcomes_by_decode(message, scheme, spec, 20, NRule.HALF)
                 for scheme in Scheme}
-    counter = count_row_comparisons(monkeypatch)
+    count = 0
+
+    class CountingRow(tuple):
+        def __eq__(self, other):
+            nonlocal count
+            count += 1
+            return super().__eq__(other)
+
+        def __ne__(self, other):
+            nonlocal count
+            count += 1
+            return super().__ne__(other)
+
+        __hash__ = tuple.__hash__
+
+    drawer = harness._drawer
+    monkeypatch.setattr(harness, "_drawer",
+                        lambda row, *args: drawer(lambda i: CountingRow(row(i)), *args))
     for scheme in Scheme:
         assert len(encode_text(message, scheme).ds) == rows_n
         for trials in (1, 20, 10_000):
-            counter[0] = 0
+            count = 0
             report = detection_rate(message, scheme, spec, trials=trials)
-            assert 0 < counter[0] <= budget  # the comparisons reach the counter
+            assert 0 < count <= budget  # the comparisons reach the counter
             # trial by trial as far as the oracle ran, and no other outcome past it
             assert report.outcomes[:20] == expected[scheme].outcomes[:trials]
             assert set(report.outcomes) == set(expected[scheme].outcomes)
