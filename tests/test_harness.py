@@ -135,18 +135,6 @@ def test_swap_rows_compares_rows_linearly():
         assert damaged.rows[i] == coded.rows[j] and damaged.rows[j] == coded.rows[i]
 
 
-def test_a_swap_draw_is_uniform_over_the_pairs_of_rows_that_differ():
-    # rows A, A, B, C: 10 ordered pairs differ, two for each of the 5 unordered
-    # ones, so each comes up a fifth of the time; the equal pair (0, 1) never does
-    rows = [(1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]
-    coded = from_rows(Scheme.LUCAS_BLOCKING, NRule.HALF, 4, "default", rows)
-    pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    drawn = [pairs.index(tuple(sorted(_damage(coded, CorruptionSpec(Strategy.SWAP_ROWS, seed=seed)))))
-             for seed in range(-5000, 5000)]
-    statistic, bound = chi_square(drawn, len(pairs))
-    assert statistic < bound
-
-
 EX2_CODED = encode_text(golden.EX2_MESSAGE, Scheme.MINESWEEPER)
 
 # (payload, strategy, magnitude, seed) -> the one damaged (row, field, new value).
